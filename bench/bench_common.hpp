@@ -166,7 +166,7 @@ inline double per_point_dp_cost_reference(const rs::core::Problem& p) {
   return best;
 }
 
-/// The seed's work-function tracker, replicated verbatim from the pre-dense
+/// The seed's work-function tracker, replicated from the pre-dense
 /// offline/work_function.cpp: separate relax sweeps per accounting, a
 /// per-point cost addition, and full O(m) minimizer scans in x_lower /
 /// x_upper.  The dense layer fused these into three passes with cached
@@ -191,26 +191,15 @@ class SeedWorkFunctionTracker {
     }
   }
 
+  // Full O(m) minimizer scans per query, under the library's corridor tie
+  // rule (core/tie_rule.hpp) so the schedules stay comparable.  The seed's
+  // own Ĉ^U already is Ĉ^L − βx, so it enters untilted (β = 0).
   int x_lower() const {
-    int best = 0;
-    for (int x = 1; x <= m_; ++x) {
-      if (chat_l_[static_cast<std::size_t>(x)] <
-          chat_l_[static_cast<std::size_t>(best)]) {
-        best = x;
-      }
-    }
-    return best;
+    return rs::core::tie_corridor(chat_l_, chat_u_, 0.0).lower;
   }
 
   int x_upper() const {
-    int best = 0;
-    for (int x = 1; x <= m_; ++x) {
-      if (chat_u_[static_cast<std::size_t>(x)] <=
-          chat_u_[static_cast<std::size_t>(best)]) {
-        best = x;
-      }
-    }
-    return best;
+    return rs::core::tie_corridor(chat_l_, chat_u_, 0.0).upper;
   }
 
  private:

@@ -6,6 +6,8 @@
 // dashboard; the per-cell rows are recorded for BENCH_results.json, where
 // scripts/bench_compare.py gates them (the harness is deterministic in the
 // seed, so a drifting mean ratio is a behaviour regression, not noise).
+// Every mode, smoke included, also requires the lcp(dense) and lcp(auto)
+// cells to agree exactly, so a reintroduced backend fork fails the run.
 //
 // Part 2 measures the run-length-encoded replay against the slot-by-slot
 // replay of the same instance on a T = 10⁶ trace with ≤ 10³ runs (the
@@ -132,6 +134,21 @@ int main(int argc, char** argv) {
       // Theorem 2: LCP never exceeds 3·OPT on any sample.
       rs::bench::check(cell.max_ratio <= 3.0 + 1e-6,
                        label + ": LCP ratio above the Theorem-2 bound");
+    }
+  }
+  // The tracker backend is a performance choice, never a semantic one:
+  // dense and auto LCP must score identical ratios on every scenario.
+  for (const CellSummary& dense : report.cells) {
+    if (dense.algorithm != rs::scenario::HarnessAlgorithm::kLcpDense) continue;
+    for (const CellSummary& automatic : report.cells) {
+      if (automatic.kind != dense.kind ||
+          automatic.algorithm != rs::scenario::HarnessAlgorithm::kLcpAuto) {
+        continue;
+      }
+      rs::bench::check(automatic.ratio.mean == dense.ratio.mean &&
+                           automatic.max_ratio == dense.max_ratio,
+                       std::string(rs::scenario::to_string(dense.kind)) +
+                           ": lcp(dense) and lcp(auto) ratios differ");
     }
   }
 

@@ -65,11 +65,16 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 
 /// Payload kind tags: a checkpoint names what it snapshots, so restoring a
 /// tracker checkpoint into an Lcp session is a format error, not a
-/// misinterpretation.
-inline constexpr std::uint32_t kTrackerCheckpointKind = 0x01;
+/// misinterpretation.  A payload layout change within one kind takes a new
+/// tag rather than a container version bump, so checkpoints of the other
+/// kinds stay readable: kLegacyTrackerCheckpointKind is the two-label
+/// tracker layout (Ĉ^L and Ĉ^U), still accepted by the tracker's restore;
+/// kTrackerCheckpointKind carries Ĉ^L only.
+inline constexpr std::uint32_t kLegacyTrackerCheckpointKind = 0x01;
 inline constexpr std::uint32_t kLcpCheckpointKind = 0x02;
 inline constexpr std::uint32_t kWindowedLcpCheckpointKind = 0x03;
 inline constexpr std::uint32_t kTenantCheckpointKind = 0x04;
+inline constexpr std::uint32_t kTrackerCheckpointKind = 0x05;
 
 /// CRC-32 (IEEE, reflected polynomial 0xEDB88320) of `bytes`.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept;

@@ -200,20 +200,19 @@ ConvexPwl ConvexPwl::resample_stride(int stride) const {
   return *result;
 }
 
-ConvexPwl::ArgminInterval ConvexPwl::argmin() const {
+ConvexPwl::ArgminInterval ConvexPwl::argmin(double tilt) const {
   assert(!infinite_ && "argmin of the infinite function");
   ArgminInterval result;
   if (lo_ == hi_) {
     result.lo = lo_;
     result.hi = lo_;
-    result.value = v_lo_;
+    result.value = v_lo_ + tilt * static_cast<double>(lo_);
     return result;
   }
   // Walk the slope sequence: the minimum starts where slopes stop being
-  // negative and extends across the (exactly) zero-slope run, matching the
-  // dense tracker's strict-< (smallest) / <= (largest) tie-breaking.
-  double value = v_lo_;
-  double slope = slope0_;
+  // negative and extends across the (exactly) zero-slope run.
+  double value = v_lo_ + tilt * static_cast<double>(lo_);
+  double slope = slope0_ + tilt;
   int position = lo_;
   auto it = dslope_.begin();
   while (slope < 0.0) {
@@ -242,6 +241,60 @@ ConvexPwl::ArgminInterval ConvexPwl::argmin() const {
     ++it;
   }
   result.hi = position;
+  return result;
+}
+
+ConvexPwl::ArgminInterval ConvexPwl::near_argmin(double tilt,
+                                                 double tol_scale) const {
+  const ArgminInterval exact = argmin(tilt);
+  if (lo_ == hi_) return exact;
+  ArgminInterval result = exact;
+  const double threshold =
+      exact.value + tol_scale * std::max(1.0, std::fabs(exact.value));
+  // One forward walk over g, accumulating values exactly as argmin() does
+  // (so g(exact.lo) reproduces exact.value bit for bit).  Left of exact.lo
+  // every segment descends; right of exact.hi every segment ascends.
+  double value = v_lo_ + tilt * static_cast<double>(lo_);
+  double slope = slope0_ + tilt;
+  int position = lo_;
+  auto it = dslope_.begin();
+  const auto segment_length = [&] {
+    return static_cast<double>((it == dslope_.end() ? hi_ : it->first) -
+                               position);
+  };
+  const auto step_to_next = [&] {
+    value += slope * segment_length();
+    position = it == dslope_.end() ? hi_ : it->first;
+    if (it != dslope_.end()) {
+      slope += it->second;
+      ++it;
+    }
+  };
+  // Smallest x: the first segment start within the threshold, or the first
+  // point of a descending segment that drops below it.
+  while (value > threshold) {
+    const double steps =
+        std::max(1.0, std::ceil((value - threshold) / -slope));
+    if (steps < segment_length()) {
+      result.lo = position + static_cast<int>(steps);
+      break;
+    }
+    step_to_next();
+  }
+  if (value <= threshold) result.lo = position;
+  // Largest x: walk on to exact.hi, then across ascending segments while
+  // they stay within the threshold.
+  while (position < exact.hi) step_to_next();
+  result.hi = hi_;
+  while (position < hi_) {
+    const double steps =
+        std::max(0.0, std::floor((threshold - value) / slope));
+    if (steps < segment_length()) {
+      result.hi = position + static_cast<int>(steps);
+      break;
+    }
+    step_to_next();
+  }
   return result;
 }
 

@@ -95,12 +95,23 @@ class ConvexPwl {
   ConvexPwl resample_stride(int stride) const;
 
   struct ArgminInterval {
-    int lo = 0;      // smallest minimizer (paper's x^L tie-break)
-    int hi = 0;      // largest minimizer (paper's x^U tie-break)
+    int lo = 0;      // smallest minimizer
+    int hi = 0;      // largest minimizer
     double value = rs::util::kInf;
   };
-  /// Minimizer interval and minimum; require !is_infinite().  O(K).
-  ArgminInterval argmin() const;
+  /// Minimizer interval and minimum of g(x) = W(x) + tilt·x (the tilt is
+  /// an exact first-slope shift: slope increments are invariant under it);
+  /// require !is_infinite().  O(K).
+  ArgminInterval argmin(double tilt = 0.0) const;
+
+  /// Near-minimizer interval of g(x) = W(x) + tilt·x: the smallest and
+  /// largest x with g(x) <= min g + tol_scale·max(1, |min g|), plus min g.
+  /// Convexity makes the set an interval; each end is found in closed form
+  /// per segment, so the cost stays O(K) however long a shallow run is.
+  /// The set only grows with tol_scale.  With tol_scale =
+  /// kConvexPwlMergeEps this is the corridor tie rule (core/tie_rule.hpp).
+  /// Require !is_infinite().
+  ArgminInterval near_argmin(double tilt, double tol_scale) const;
 
   /// Writes W(0..m) into out (out.size() >= m+1), +inf outside the domain.
   /// Used when a hybrid consumer falls back to the dense backend mid-run.

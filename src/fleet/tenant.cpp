@@ -568,7 +568,7 @@ std::optional<WhatIfResult> TenantSession::what_if(int slot,
     out.early_exit = repair.early_exit;
     out.x_lower = probe.x_lower();
     out.x_upper = probe.x_upper();
-    out.chat_min = probe.chat_lower(probe.x_lower());
+    out.chat_min = probe.chat_min();
 
     // Re-run the eq. 13 projection from the decision preceding the edit:
     // repaired corridor for the replayed slots, the stored (bitwise

@@ -67,7 +67,7 @@ DpDeltaSession::DpDeltaSession(const rs::core::Problem& p, Backend backend)
       }()),
       tracker_(make_base_tracker(m_, beta_, tracker_backend(), costs_,
                                  bounds_)) {
-  cost_ = tracker_.chat_lower(tracker_.x_lower());
+  cost_ = tracker_.chat_min();
 }
 
 void DpDeltaSession::rebuild() {
@@ -76,7 +76,7 @@ void DpDeltaSession::rebuild() {
       make_base_tracker(m_, beta_, tracker_backend(), costs_, bounds);
   tracker_ = std::move(fresh);
   bounds_ = std::move(bounds);
-  cost_ = tracker_.chat_lower(tracker_.x_lower());
+  cost_ = tracker_.chat_min();
   schedule_dirty_ = true;
 }
 
@@ -110,7 +110,7 @@ void DpDeltaSession::resolve_delta(int slot, rs::core::CostPtr cost,
       bounds_.lower[at] = repair.lower[i];
       bounds_.upper[at] = repair.upper[i];
     }
-    cost_ = tracker_.chat_lower(tracker_.x_lower());
+    cost_ = tracker_.chat_min();
     schedule_dirty_ = true;
     if (stats != nullptr) {
       stats->slots_repaired = repair.slots_replayed;

@@ -212,7 +212,7 @@ OfflineResult solve_convex_impl(int T, int m, double beta, bool want_schedule,
       bounds.upper.push_back(tracker.x_upper());
     }
   }
-  result.cost = tracker.chat_lower(tracker.x_lower());
+  result.cost = tracker.chat_min();
   if (want_schedule && result.feasible()) {
     result.schedule = backward_schedule(bounds);
   }

@@ -30,37 +30,31 @@ WorkFunctionTracker::WorkFunctionTracker(int m, double beta, Backend backend)
     throw std::invalid_argument("WorkFunctionTracker: beta must be > 0");
   }
   // τ = 0 state encodes x_0 = 0: reaching x already "costs" the pending
-  // power-up βx under L-accounting and nothing under U-accounting; those
-  // charges materialize on the first advance through the relax step, so the
-  // initial work functions are 0 at state 0 and +inf elsewhere.  Backend
-  // storage is created lazily: the PWL pair is two empty point functions,
-  // the dense rows are borrowed from the thread workspace only if the
-  // dense backend is ever engaged.
+  // power-up βx under L-accounting; that charge materializes on the first
+  // advance through the relax step, so the initial work function is 0 at
+  // state 0 and +inf elsewhere.  Backend storage is created lazily: the PWL
+  // label is an empty point function, the dense row is borrowed from the
+  // thread workspace only if the dense backend is ever engaged.
   pwl_l_ = ConvexPwl::point(0, 0.0);
-  pwl_u_ = ConvexPwl::point(0, 0.0);
 }
 
 void WorkFunctionTracker::init_dense() {
   const std::size_t width = static_cast<std::size_t>(m_) + 1;
-  rs::util::Workspace& workspace = rs::util::this_thread_workspace();
-  chat_l_ = workspace.borrow<double>(width);
-  chat_u_ = workspace.borrow<double>(width);
-  scratch_ = workspace.borrow<double>(width);
-  if (tau_ == 0) {
-    std::fill(chat_l_.begin(), chat_l_.end(), kInf);
-    std::fill(chat_u_.begin(), chat_u_.end(), kInf);
-    chat_l_[0] = 0.0;
-    chat_u_[0] = 0.0;
-  } else {
-    // Mid-run fallback: materialize the PWL pair into label rows.  Values
-    // agree with an all-dense run up to FP association order (exactly on
-    // integer instances); see DESIGN.md §8.
-    pwl_l_.materialize(m_, chat_l_.span());
-    pwl_u_.materialize(m_, chat_u_.span());
-  }
+  chat_l_ = rs::util::this_thread_workspace().borrow<double>(width);
+  // Materialize the PWL label: the τ = 0 point function, or a mid-run
+  // fallback whose values agree with an all-dense run up to FP association
+  // order (exactly on integer instances); see DESIGN.md §8.
+  pwl_l_.materialize(m_, chat_l_.span());
   pwl_l_ = ConvexPwl::infinite();
-  pwl_u_ = ConvexPwl::infinite();
   mode_ = Mode::kDense;
+}
+
+std::span<double> WorkFunctionTracker::scratch_row() {
+  const std::size_t width = static_cast<std::size_t>(m_) + 1;
+  if (scratch_.size() != width) {
+    scratch_ = rs::util::this_thread_workspace().borrow<double>(width);
+  }
+  return scratch_.span();
 }
 
 void WorkFunctionTracker::ensure_dense_backend() {
@@ -77,83 +71,97 @@ void WorkFunctionTracker::ensure_dense_backend() {
   if (rewind_enabled_ && !rewind_replaying_) rewind_reset_base();
 }
 
-void WorkFunctionTracker::advance(const rs::core::CostFunction& f) {
-  if (mode_ != Mode::kDense) {
+// ---------------------------------------------------------------------------
+// Backend resolution and the advance core
+// ---------------------------------------------------------------------------
+
+WorkFunctionTracker::InputRef WorkFunctionTracker::resolve(
+    const rs::core::CostFunction& f, std::optional<ConvexPwl>& converted) {
+  if (takes_pwl()) {
     const int budget = backend_ == Backend::kPwl
                            ? rs::core::kUnboundedBreakpoints
                            : rs::core::compact_pwl_budget_for(m_);
-    if (backend_ != Backend::kDense) {
-      if (std::optional<ConvexPwl> form = f.as_convex_pwl(m_, budget)) {
-        advance_pwl(*form);
-        if (rewind_enabled_ && !rewind_replaying_) {
-          rewind_record(StoredInput{false, std::move(*form), {}}, 1);
-        }
-        return;
-      }
-      if (backend_ == Backend::kPwl) {
-        throw std::invalid_argument(
-            "WorkFunctionTracker: cost function has no compact convex-PWL "
-            "form (forced-PWL backend)");
-      }
+    converted = f.as_convex_pwl(m_, budget);
+    if (converted) return InputRef{&*converted, {}};
+    if (backend_ == Backend::kPwl) {
+      throw std::invalid_argument(
+          "WorkFunctionTracker: cost function has no compact convex-PWL "
+          "form (forced-PWL backend)");
     }
-    init_dense();
   }
-  f.eval_row(m_, scratch_.span());
-  advance_dense(std::span<const double>(scratch_.span()));
+  const std::span<double> row = scratch_row();
+  f.eval_row(m_, row);
+  return InputRef{nullptr, row};
+}
+
+WorkFunctionTracker::InputRef WorkFunctionTracker::resolve(
+    const ConvexPwl& f) {
+  if (takes_pwl()) return InputRef{&f, {}};
+  // The dense path consumes (and records) the materialized row, not the
+  // form: the recorded kind mirrors the executed backend path, which is
+  // what makes the edit-kind check in repair_impl equivalent to
+  // backend-trajectory preservation.
+  const std::span<double> row = scratch_row();
+  f.materialize(m_, row);
+  return InputRef{nullptr, row};
+}
+
+WorkFunctionTracker::InputRef WorkFunctionTracker::resolve(
+    std::span<const double> values) {
+  if (static_cast<int>(values.size()) != m_ + 1) {
+    throw std::invalid_argument("WorkFunctionTracker: need m+1 values");
+  }
+  if (backend_ == Backend::kPwl) {
+    throw std::logic_error(
+        "WorkFunctionTracker: raw value rows require the dense backend");
+  }
+  return InputRef{nullptr, values};
+}
+
+WorkFunctionTracker::StoredInput WorkFunctionTracker::stored(InputRef input) {
+  if (input.form != nullptr) return StoredInput{false, *input.form, {}};
+  return StoredInput{
+      true, {}, std::vector<double>(input.row.begin(), input.row.end())};
+}
+
+void WorkFunctionTracker::advance_core(InputRef input, int count,
+                                       std::span<int> xl, std::span<int> xu) {
+  if (input.form != nullptr) {
+    advance_repeated_pwl(*input.form, count, xl, xu);
+  } else {
+    if (mode_ != Mode::kDense) init_dense();
+    // No dense step can be skipped (the tie-rule scans compare accumulated
+    // label values), but a run's row is evaluated once — the eval_row
+    // elimination is the dense RLE win.
+    for (int i = 0; i < count; ++i) {
+      advance_dense(input.row);
+      xl[static_cast<std::size_t>(i)] = x_lower_;
+      xu[static_cast<std::size_t>(i)] = x_upper_;
+    }
+  }
+  // RLE runs record ONE entry for the whole run.
   if (rewind_enabled_ && !rewind_replaying_) {
-    rewind_record(
-        StoredInput{true, {},
-                    std::vector<double>(scratch_.begin(), scratch_.end())},
-        1);
+    rewind_record(stored(input), count);
   }
+}
+
+void WorkFunctionTracker::advance_one(InputRef input) {
+  int lower = 0;
+  int upper = 0;
+  advance_core(input, 1, std::span<int>(&lower, 1), std::span<int>(&upper, 1));
+}
+
+void WorkFunctionTracker::advance(const rs::core::CostFunction& f) {
+  std::optional<ConvexPwl> converted;
+  advance_one(resolve(f, converted));
 }
 
 void WorkFunctionTracker::advance(const rs::core::ConvexPwl& f) {
-  if (mode_ != Mode::kDense) {
-    if (backend_ == Backend::kDense) {
-      init_dense();
-    } else {
-      advance_pwl(f);
-      if (rewind_enabled_ && !rewind_replaying_) {
-        rewind_record(StoredInput{false, f, {}}, 1);
-      }
-      return;
-    }
-  }
-  f.materialize(m_, scratch_.span());
-  advance_dense(std::span<const double>(scratch_.span()));
-  if (rewind_enabled_ && !rewind_replaying_) {
-    // Record the materialized row, not the form: the recorded kind mirrors
-    // the executed backend path, which is what makes the edit-kind check in
-    // repair_impl equivalent to backend-trajectory preservation.
-    rewind_record(
-        StoredInput{true, {},
-                    std::vector<double>(scratch_.begin(), scratch_.end())},
-        1);
-  }
-}
-
-void WorkFunctionTracker::advance(const std::vector<double>& values) {
-  advance(std::span<const double>(values));
+  advance_one(resolve(f));
 }
 
 void WorkFunctionTracker::advance(std::span<const double> values) {
-  if (static_cast<int>(values.size()) != m_ + 1) {
-    throw std::invalid_argument("WorkFunctionTracker::advance: need m+1 values");
-  }
-  if (mode_ != Mode::kDense) {
-    if (backend_ == Backend::kPwl) {
-      throw std::logic_error(
-          "WorkFunctionTracker: raw value rows require the dense backend");
-    }
-    init_dense();
-  }
-  advance_dense(values);
-  if (rewind_enabled_ && !rewind_replaying_) {
-    rewind_record(
-        StoredInput{true, {}, std::vector<double>(values.begin(), values.end())},
-        1);
-  }
+  advance_one(resolve(values));
 }
 
 namespace {
@@ -176,37 +184,10 @@ void WorkFunctionTracker::advance_repeated(const rs::core::CostFunction& f,
                                            std::span<int> xu) {
   check_repeat_args(count, xl, xu);
   if (count == 0) return;
-  if (mode_ != Mode::kDense) {
-    const int budget = backend_ == Backend::kPwl
-                           ? rs::core::kUnboundedBreakpoints
-                           : rs::core::compact_pwl_budget_for(m_);
-    if (backend_ != Backend::kDense) {
-      if (std::optional<ConvexPwl> form = f.as_convex_pwl(m_, budget)) {
-        // One conversion for the whole run — the RLE replay's analog of the
-        // PwlProblem one-conversion-per-slot contract.
-        advance_repeated_pwl(*form, count, xl, xu);
-        if (rewind_enabled_ && !rewind_replaying_) {
-          rewind_record(StoredInput{false, std::move(*form), {}}, count);
-        }
-        return;
-      }
-      if (backend_ == Backend::kPwl) {
-        throw std::invalid_argument(
-            "WorkFunctionTracker: cost function has no compact convex-PWL "
-            "form (forced-PWL backend)");
-      }
-    }
-    init_dense();
-  }
-  f.eval_row(m_, scratch_.span());
-  advance_repeated_dense(std::span<const double>(scratch_.span()), count, xl,
-                         xu);
-  if (rewind_enabled_ && !rewind_replaying_) {
-    rewind_record(
-        StoredInput{true, {},
-                    std::vector<double>(scratch_.begin(), scratch_.end())},
-        count);
-  }
+  // One conversion (or row evaluation) for the whole run — the RLE
+  // replay's analog of the PwlProblem one-conversion-per-slot contract.
+  std::optional<ConvexPwl> converted;
+  advance_core(resolve(f, converted), count, xl, xu);
 }
 
 void WorkFunctionTracker::advance_repeated(const rs::core::ConvexPwl& f,
@@ -214,26 +195,7 @@ void WorkFunctionTracker::advance_repeated(const rs::core::ConvexPwl& f,
                                            std::span<int> xu) {
   check_repeat_args(count, xl, xu);
   if (count == 0) return;
-  if (mode_ != Mode::kDense) {
-    if (backend_ == Backend::kDense) {
-      init_dense();
-    } else {
-      advance_repeated_pwl(f, count, xl, xu);
-      if (rewind_enabled_ && !rewind_replaying_) {
-        rewind_record(StoredInput{false, f, {}}, count);
-      }
-      return;
-    }
-  }
-  f.materialize(m_, scratch_.span());
-  advance_repeated_dense(std::span<const double>(scratch_.span()), count, xl,
-                         xu);
-  if (rewind_enabled_ && !rewind_replaying_) {
-    rewind_record(
-        StoredInput{true, {},
-                    std::vector<double>(scratch_.begin(), scratch_.end())},
-        count);
-  }
+  advance_core(resolve(f), count, xl, xu);
 }
 
 void WorkFunctionTracker::advance_repeated(std::span<const double> values,
@@ -241,103 +203,93 @@ void WorkFunctionTracker::advance_repeated(std::span<const double> values,
                                            std::span<int> xu) {
   check_repeat_args(count, xl, xu);
   if (count == 0) return;
-  if (static_cast<int>(values.size()) != m_ + 1) {
-    throw std::invalid_argument(
-        "WorkFunctionTracker::advance_repeated: need m+1 values");
-  }
-  if (mode_ != Mode::kDense) {
-    if (backend_ == Backend::kPwl) {
-      throw std::logic_error(
-          "WorkFunctionTracker: raw value rows require the dense backend");
-    }
-    init_dense();
-  }
-  advance_repeated_dense(values, count, xl, xu);
-  if (rewind_enabled_ && !rewind_replaying_) {
-    rewind_record(
-        StoredInput{true, {}, std::vector<double>(values.begin(), values.end())},
-        count);
-  }
+  advance_core(resolve(values), count, xl, xu);
 }
 
 void WorkFunctionTracker::advance_repeated_pwl(const ConvexPwl& f, int count,
                                                std::span<int> xl,
                                                std::span<int> xu) {
-  ConvexPwl prev_l;
-  ConvexPwl prev_u;
+  ConvexPwl previous;
   for (int done = 0; done < count; ++done) {
-    // Snapshot the shapes (O(K) map copies) only while a jump can still pay.
+    // Snapshot the shape (an O(K) map copy) only while a jump can still pay.
     const bool may_jump = done + 1 < count;
-    double vl_prev = 0.0;
-    double vu_prev = 0.0;
+    double value_before = 0.0;
     if (may_jump) {
-      prev_l = pwl_l_;
-      prev_u = pwl_u_;
-      vl_prev = pwl_l_.is_infinite() ? 0.0 : pwl_l_.value_at(pwl_l_.lo());
-      vu_prev = pwl_u_.is_infinite() ? 0.0 : pwl_u_.value_at(pwl_u_.lo());
+      previous = pwl_l_;
+      value_before = pwl_l_.is_infinite() ? 0.0 : pwl_l_.value_at(pwl_l_.lo());
     }
     advance_pwl(f);
     xl[static_cast<std::size_t>(done)] = x_lower_;
     xu[static_cast<std::size_t>(done)] = x_upper_;
-    if (may_jump && pwl_l_.same_shape(prev_l) && pwl_u_.same_shape(prev_u)) {
-      // Shape fixpoint: every mutating ConvexPwl operation drives its
-      // control flow from the shape alone (see same_shape), so all
-      // remaining advances of this run would reproduce this exact shape —
-      // and hence these exact bounds.  Values grow by a shape-determined
-      // per-step increment; fast-forward them in one shift.
-      const int remaining = count - done - 1;
-      if (!pwl_l_.is_infinite()) {
-        const double step_l = pwl_l_.value_at(pwl_l_.lo()) - vl_prev;
-        pwl_l_.shift_value(static_cast<double>(remaining) * step_l);
-      }
-      if (!pwl_u_.is_infinite()) {
-        const double step_u = pwl_u_.value_at(pwl_u_.lo()) - vu_prev;
-        pwl_u_.shift_value(static_cast<double>(remaining) * step_u);
-      }
-      for (int i = done + 1; i < count; ++i) {
-        xl[static_cast<std::size_t>(i)] = x_lower_;
-        xu[static_cast<std::size_t>(i)] = x_upper_;
-      }
-      tau_ += remaining;
-      RS_AUDIT(
-          audit_invariants("WorkFunctionTracker::advance_repeated_pwl"));
-      return;
+    if (!may_jump || !pwl_l_.same_shape(previous)) continue;
+    // Shape fixpoint: every mutating ConvexPwl operation drives its control
+    // flow from the shape alone (see same_shape), so all remaining advances
+    // of this run reproduce this exact shape.  Values grow by a
+    // shape-determined per-step increment; fast-forward them in one shift —
+    // provided the tie rule, whose tolerance follows the growing minimum,
+    // keeps these exact bounds for every skipped slot.
+    const int remaining = count - done - 1;
+    const double shift =
+        pwl_l_.is_infinite()
+            ? 0.0
+            : static_cast<double>(remaining) *
+                  (pwl_l_.value_at(pwl_l_.lo()) - value_before);
+    if (!corridor_survives_shift(shift)) continue;
+    pwl_l_.shift_value(shift);
+    for (int i = done + 1; i < count; ++i) {
+      xl[static_cast<std::size_t>(i)] = x_lower_;
+      xu[static_cast<std::size_t>(i)] = x_upper_;
     }
+    tau_ += remaining;
+    RS_AUDIT(audit_invariants("WorkFunctionTracker::advance_repeated_pwl"));
+    return;
   }
 }
 
-void WorkFunctionTracker::advance_repeated_dense(std::span<const double> values,
-                                                 int count, std::span<int> xl,
-                                                 std::span<int> xu) {
-  // No dense step can be skipped (the minimizer scans compare accumulated
-  // label values), but the caller evaluated the run's row once — the
-  // eval_row elimination is the dense RLE win.
-  for (int i = 0; i < count; ++i) {
-    advance_dense(values);
-    xl[static_cast<std::size_t>(i)] = x_lower_;
-    xu[static_cast<std::size_t>(i)] = x_upper_;
+bool WorkFunctionTracker::corridor_survives_shift(double delta) const {
+  if (pwl_l_.is_infinite()) return true;
+  // A skipped slot's tolerance is kConvexPwlMergeEps·max(1, |min|) with its
+  // minimum between today's and today's + delta, and its label differs from
+  // today's by that uniform shift plus rounding far below the tolerance.
+  // The near-minimizer set only grows with the tolerance, so when a band
+  // twice as wide on both sides leaves an end in place, every skipped slot
+  // sees it there too.
+  for (const bool upper_end : {false, true}) {
+    const double tilt = upper_end ? -beta_ : 0.0;
+    const double min_now = pwl_l_.argmin(tilt).value;
+    const double now = std::max(1.0, std::fabs(min_now));
+    const double later = std::max(1.0, std::fabs(min_now + delta));
+    const ConvexPwl::ArgminInterval narrow = pwl_l_.near_argmin(
+        tilt, rs::core::kConvexPwlMergeEps * std::min(now, later) / now / 2.0);
+    const ConvexPwl::ArgminInterval wide = pwl_l_.near_argmin(
+        tilt, rs::core::kConvexPwlMergeEps * std::max(now, later) / now * 2.0);
+    if (upper_end ? narrow.hi != wide.hi : narrow.lo != wide.lo) return false;
   }
+  return true;
+}
+
+rs::core::Corridor WorkFunctionTracker::corridor() const {
+  if (mode_ == Mode::kPwl) {
+    return rs::core::tie_corridor(pwl_l_, pwl_l_, beta_, m_);
+  }
+  return rs::core::tie_corridor(chat_l_.span(), chat_l_.span(), beta_);
+}
+
+void WorkFunctionTracker::refresh_corridor() {
+  const rs::core::Corridor c = corridor();
+  x_lower_ = c.lower;
+  x_upper_ = c.upper;
 }
 
 void WorkFunctionTracker::advance_pwl(const ConvexPwl& f) {
   mode_ = Mode::kPwl;
-  // The PWL mirror of the three dense passes: relax clips the slope
-  // sequence into the accounting band and extends the domain to [0, m]
-  // (flat where the movement is free, ±β where it is charged), then the
-  // f_τ addition merges breakpoint sets and intersects domains.
+  // The PWL mirror of the dense passes: the relax clips the slope sequence
+  // into [0, β] and extends the domain to [0, m] (flat where power-down is
+  // free, slope β where power-up is charged), then the f_τ addition merges
+  // breakpoint sets and intersects domains.
   pwl_l_.relax_charge_up(beta_, 0, m_);
   pwl_l_.add(f);
-  pwl_u_.relax_charge_down(beta_, 0, m_);
-  pwl_u_.add(f);
-  if (pwl_l_.is_infinite()) {
-    // All labels +inf: the dense minimizer scans leave x^L at 0 (strict <
-    // never fires) and walk x^U to m (<= always fires); mirror that.
-    x_lower_ = 0;
-    x_upper_ = m_;
-  } else {
-    x_lower_ = pwl_l_.argmin().lo;
-    x_upper_ = pwl_u_.argmin().hi;
-  }
+  refresh_corridor();
   ++tau_;
   RS_AUDIT(audit_invariants("WorkFunctionTracker::advance_pwl"));
 }
@@ -346,63 +298,37 @@ void WorkFunctionTracker::advance_dense(std::span<const double> values) {
   const int m = m_;
   const double beta = beta_;
   double* cl = chat_l_.data();
-  double* cu = chat_u_.data();
 
-  // Pass 1 (forward) — L-relax prefix part:
-  //   chat_l(x) <- min( chat_l(x), min_{x'<=x} chat_l(x') + β(x−x') ).
-  double best_up = kInf;  // min chat_l(x') − βx'
+  // Pass 1 (forward) — the power-up part of the relax:
+  //   chat(x) <- min( chat(x), min_{x'<=x} chat(x') + β(x−x') ).
+  double best_up = kInf;  // min chat(x') − βx'
   for (int x = 0; x <= m; ++x) {
     best_up = std::min(best_up, cl[x] - beta * x);
     cl[x] = std::min(cl[x], best_up + beta * x);
   }
 
-  // Pass 2 (backward) — L suffix minimum (free power-down under
-  // L-accounting) and the U-relax descent part
-  //   chat_u(x) <- min( chat_u(x), min_{x'>=x} chat_u(x') + β(x'−x) ).
-  double suffix_l = kInf;
-  double best_down = kInf;  // min chat_u(x') + βx'
+  // Pass 2 (backward) — free power-down (suffix minimum of the relaxed
+  // values), the f_τ addition, and the two minima the tie rule needs
+  // (Ĉ^L and its −β tilt).  Labels are extended reals in [0, +inf], so the
+  // addition needs no infinity guard.
+  double suffix = kInf;
+  double min_lower = kInf;
+  double min_upper = kInf;
   for (int x = m; x >= 0; --x) {
-    suffix_l = std::min(suffix_l, cl[x]);
-    cl[x] = suffix_l;
-    best_down = std::min(best_down, cu[x] + beta * x);
-    cu[x] = std::min(cu[x], best_down - beta * x);
-  }
-
-  // Pass 3 (forward) — U prefix minimum (free power-up under U-accounting),
-  // the f_τ addition for both accountings, and the minimizer bounds of
-  // Section 3.1 tracked on the final values (strict < keeps the smallest
-  // argmin of Ĉ^L; <= moves x^U right onto the largest argmin of Ĉ^U).
-  // All labels are extended reals in [0, +inf], so the additions need no
-  // infinity guards.  The minimizer updates stay *branches*, not selects:
-  // they fire O(1) times per pass, so the predictor eats them for free,
-  // whereas cmov chains would sit on the loop-carried dependency (a
-  // measured 15-35% LCP slowdown).
-  double prefix_u = kInf;
-  double best_l = kInf;
-  double best_u = kInf;
-  int x_lower = 0;
-  int x_upper = 0;
-  for (int x = 0; x <= m; ++x) {
     const double f = values[static_cast<std::size_t>(x)];
     if (std::isnan(f)) {
       throw std::invalid_argument("WorkFunctionTracker::advance: NaN cost");
     }
-    prefix_u = std::min(prefix_u, cu[x]);
-    const double l = cl[x] + f;
-    const double u = prefix_u + f;
-    cl[x] = l;
-    cu[x] = u;
-    if (l < best_l) {
-      best_l = l;
-      x_lower = x;
-    }
-    if (u <= best_u) {
-      best_u = u;
-      x_upper = x;
-    }
+    suffix = std::min(suffix, cl[x]);
+    cl[x] = suffix + f;
+    min_lower = std::min(min_lower, cl[x]);
+    min_upper = std::min(min_upper, cl[x] - beta * x);
   }
-  x_lower_ = x_lower;
-  x_upper_ = x_upper;
+  const std::span<const double> row = chat_l_.span();
+  const rs::core::Corridor c =
+      rs::core::tie_corridor(row, row, beta, min_lower, min_upper);
+  x_lower_ = c.lower;
+  x_upper_ = c.upper;
   ++tau_;
   RS_AUDIT(audit_invariants("WorkFunctionTracker::advance_dense"));
 }
@@ -465,6 +391,19 @@ ConvexPwl read_pwl(rs::core::CheckpointReader& r, int m) {
   }
 }
 
+// Dense label row wire layout: m+1 × f64.  `out` may be empty to validate
+// and drop a row (the legacy layout's Ĉ^U).
+void read_row(rs::core::CheckpointReader& r, int m, std::span<double> out) {
+  for (int x = 0; x <= m; ++x) {
+    const double v = r.f64();
+    if (std::isnan(v)) {
+      throw rs::core::CheckpointFormatError(
+          "tracker checkpoint: NaN dense label");
+    }
+    if (!out.empty()) out[static_cast<std::size_t>(x)] = v;
+  }
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> WorkFunctionTracker::snapshot() const {
@@ -474,14 +413,10 @@ std::vector<std::uint8_t> WorkFunctionTracker::snapshot() const {
   w.u8(static_cast<std::uint8_t>(backend_));
   w.u8(static_cast<std::uint8_t>(mode_));
   w.i64(tau_);
-  w.i32(x_lower_);
-  w.i32(x_upper_);
   if (mode_ == Mode::kPwl) {
     write_pwl(w, pwl_l_);
-    write_pwl(w, pwl_u_);
   } else if (mode_ == Mode::kDense) {
     for (int x = 0; x <= m_; ++x) w.f64(chat_l_[static_cast<std::size_t>(x)]);
-    for (int x = 0; x <= m_; ++x) w.f64(chat_u_[static_cast<std::size_t>(x)]);
   }
   return w.seal(rs::core::kTrackerCheckpointKind);
 }
@@ -489,14 +424,20 @@ std::vector<std::uint8_t> WorkFunctionTracker::snapshot() const {
 WorkFunctionTracker WorkFunctionTracker::restore(
     std::span<const std::uint8_t> bytes) {
   using rs::core::CheckpointFormatError;
-  rs::core::CheckpointReader r(bytes, rs::core::kTrackerCheckpointKind);
+  // The legacy layout (written while Ĉ^U was still maintained) adds the
+  // stored corridor after τ and Ĉ^U after Ĉ^L.  Both are dropped: the
+  // corridor is recomputed from Ĉ^L under the tie rule below.
+  const bool legacy = rs::core::checkpoint_kind(bytes) ==
+                      rs::core::kLegacyTrackerCheckpointKind;
+  rs::core::CheckpointReader r(bytes,
+                               legacy ? rs::core::kLegacyTrackerCheckpointKind
+                                      : rs::core::kTrackerCheckpointKind);
   const std::int32_t m = r.i32();
   const double beta = r.f64();
   const std::uint8_t backend_tag = r.u8();
   const std::uint8_t mode_tag = r.u8();
   const std::int64_t tau = r.i64();
-  const std::int32_t x_lower = r.i32();
-  const std::int32_t x_upper = r.i32();
+  if (legacy) (void)r.u64();  // the stored corridor (x^L, x^U)
 
   if (m < 0) throw CheckpointFormatError("tracker checkpoint: m < 0");
   if (!std::isfinite(beta) || !(beta > 0.0)) {
@@ -510,9 +451,6 @@ WorkFunctionTracker WorkFunctionTracker::restore(
   }
   if (tau < 0 || tau > std::numeric_limits<std::int32_t>::max()) {
     throw CheckpointFormatError("tracker checkpoint: invalid tau");
-  }
-  if (x_lower < 0 || x_lower > m || x_upper < 0 || x_upper > m) {
-    throw CheckpointFormatError("tracker checkpoint: bounds outside [0, m]");
   }
   const Backend backend = static_cast<Backend>(backend_tag);
   const Mode mode = static_cast<Mode>(mode_tag);
@@ -535,32 +473,18 @@ WorkFunctionTracker WorkFunctionTracker::restore(
   WorkFunctionTracker t(m, beta, backend);
   if (mode == Mode::kPwl) {
     t.pwl_l_ = read_pwl(r, m);
-    t.pwl_u_ = read_pwl(r, m);
+    if (legacy) (void)read_pwl(r, m);
     t.mode_ = Mode::kPwl;
   } else if (mode == Mode::kDense) {
-    // Borrow the workspace rows (and the eval_row scratch later advances
-    // need) exactly as a live fallback would, then overwrite the labels
-    // with the snapshotted bit patterns.
+    // Borrow the workspace row exactly as a live fallback would, then
+    // overwrite the label with the snapshotted bit patterns.
     t.init_dense();
-    for (int x = 0; x <= m; ++x) {
-      const double v = r.f64();
-      if (std::isnan(v)) {
-        throw CheckpointFormatError("tracker checkpoint: NaN dense label");
-      }
-      t.chat_l_[static_cast<std::size_t>(x)] = v;
-    }
-    for (int x = 0; x <= m; ++x) {
-      const double v = r.f64();
-      if (std::isnan(v)) {
-        throw CheckpointFormatError("tracker checkpoint: NaN dense label");
-      }
-      t.chat_u_[static_cast<std::size_t>(x)] = v;
-    }
+    read_row(r, m, t.chat_l_.span());
+    if (legacy) read_row(r, m, {});
   }
   r.finish();
   t.tau_ = static_cast<int>(tau);
-  t.x_lower_ = x_lower;
-  t.x_upper_ = x_upper;
+  if (t.tau_ > 0) t.refresh_corridor();
   RS_AUDIT(t.audit_invariants("WorkFunctionTracker::restore"));
   return t;
 }
@@ -583,10 +507,15 @@ double WorkFunctionTracker::chat_lower(int x) const {
 }
 
 double WorkFunctionTracker::chat_upper(int x) const {
+  return chat_lower(x) - beta_ * x;  // Lemma 7
+}
+
+double WorkFunctionTracker::chat_min() const {
   require_started();
-  if (x < 0 || x > m_) throw std::out_of_range("chat_upper: x out of range");
-  if (mode_ == Mode::kPwl) return pwl_u_.value_at(x);
-  return chat_u_[static_cast<std::size_t>(x)];
+  if (mode_ == Mode::kPwl) {
+    return pwl_l_.is_infinite() ? kInf : pwl_l_.argmin().value;
+  }
+  return *std::min_element(chat_l_.begin(), chat_l_.end());
 }
 
 const std::vector<double>& WorkFunctionTracker::chat_lower_vector() {
@@ -595,26 +524,12 @@ const std::vector<double>& WorkFunctionTracker::chat_lower_vector() {
   return chat_l_.vec();
 }
 
-const std::vector<double>& WorkFunctionTracker::chat_upper_vector() {
-  require_started();
-  ensure_dense_backend();
-  return chat_u_.vec();
-}
-
 const ConvexPwl& WorkFunctionTracker::chat_lower_pwl() const {
   require_started();
   if (mode_ != Mode::kPwl) {
     throw std::logic_error("chat_lower_pwl: PWL backend is not live");
   }
   return pwl_l_;
-}
-
-const ConvexPwl& WorkFunctionTracker::chat_upper_pwl() const {
-  require_started();
-  if (mode_ != Mode::kPwl) {
-    throw std::logic_error("chat_upper_pwl: PWL backend is not live");
-  }
-  return pwl_u_;
 }
 
 int WorkFunctionTracker::x_lower() const {
@@ -631,20 +546,6 @@ int WorkFunctionTracker::x_upper() const {
 // Incremental repair (rewind buffer) — DESIGN.md §12
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Bit-pattern row comparison (stricter than ==: distinguishes ±0.0).  The
-// labels are NaN-free by the advance contract, so memcmp equality implies
-// value equality and vice versa up to signed zeros.
-bool rows_bitwise_equal(const std::vector<double>& a,
-                        const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  return a.empty() ||
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-}  // namespace
-
 WorkFunctionTracker::TrackerState WorkFunctionTracker::capture_state() const {
   TrackerState s;
   s.mode = mode_;
@@ -653,10 +554,8 @@ WorkFunctionTracker::TrackerState WorkFunctionTracker::capture_state() const {
   s.x_upper = x_upper_;
   if (mode_ == Mode::kDense) {
     s.chat_l.assign(chat_l_.begin(), chat_l_.end());
-    s.chat_u.assign(chat_u_.begin(), chat_u_.end());
   } else {
     s.pwl_l = pwl_l_;
-    s.pwl_u = pwl_u_;
   }
   return s;
 }
@@ -668,17 +567,13 @@ void WorkFunctionTracker::restore_state(const TrackerState& s) {
   x_upper_ = s.x_upper;
   if (s.mode == Mode::kDense) {
     const std::size_t width = static_cast<std::size_t>(m_) + 1;
-    rs::util::Workspace& workspace = rs::util::this_thread_workspace();
-    if (chat_l_.size() != width) chat_l_ = workspace.borrow<double>(width);
-    if (chat_u_.size() != width) chat_u_ = workspace.borrow<double>(width);
-    if (scratch_.size() != width) scratch_ = workspace.borrow<double>(width);
+    if (chat_l_.size() != width) {
+      chat_l_ = rs::util::this_thread_workspace().borrow<double>(width);
+    }
     std::copy(s.chat_l.begin(), s.chat_l.end(), chat_l_.begin());
-    std::copy(s.chat_u.begin(), s.chat_u.end(), chat_u_.begin());
     pwl_l_ = ConvexPwl::infinite();
-    pwl_u_ = ConvexPwl::infinite();
   } else {
     pwl_l_ = s.pwl_l;
-    pwl_u_ = s.pwl_u;
   }
 }
 
@@ -688,11 +583,14 @@ bool WorkFunctionTracker::states_equal(const TrackerState& a,
       a.x_upper != b.x_upper) {
     return false;
   }
+  // Dense rows compare by bit pattern (stricter than ==: distinguishes
+  // ±0.0); labels are NaN-free by the advance contract.
   if (a.mode == Mode::kDense) {
-    return rows_bitwise_equal(a.chat_l, b.chat_l) &&
-           rows_bitwise_equal(a.chat_u, b.chat_u);
+    return a.chat_l.size() == b.chat_l.size() &&
+           std::memcmp(a.chat_l.data(), b.chat_l.data(),
+                       a.chat_l.size() * sizeof(double)) == 0;
   }
-  return a.pwl_l.bitwise_equal(b.pwl_l) && a.pwl_u.bitwise_equal(b.pwl_u);
+  return a.pwl_l.bitwise_equal(b.pwl_l);
 }
 
 void WorkFunctionTracker::enable_rewind(int capacity) {
@@ -752,11 +650,9 @@ void WorkFunctionTracker::replay_input(const StoredInput& input, int count,
   if (count <= 0) return;
   std::vector<int> xl(static_cast<std::size_t>(count));
   std::vector<int> xu(static_cast<std::size_t>(count));
-  if (input.is_row) {
-    advance_repeated(std::span<const double>(input.row), count, xl, xu);
-  } else {
-    advance_repeated(input.form, count, xl, xu);
-  }
+  advance_core(input.is_row ? resolve(std::span<const double>(input.row))
+                            : resolve(input.form),
+               count, xl, xu);
   if (lo != nullptr) lo->insert(lo->end(), xl.begin(), xl.end());
   if (up != nullptr) up->insert(up->end(), xu.begin(), xu.end());
 }
@@ -865,62 +761,26 @@ WorkFunctionTracker::Repair WorkFunctionTracker::repair_impl(
   return result;
 }
 
+// The edit resolves exactly as an advance would, given the mode reached by
+// the replayed prefix — which is the mode a from-scratch run of the edited
+// instance has at this slot.
 WorkFunctionTracker::Repair WorkFunctionTracker::repair_from(
     int slot, const rs::core::CostFunction& f) {
   return repair_impl(slot, [&]() -> StoredInput {
-    // Resolve exactly as advance() would, given the mode reached by the
-    // replayed prefix — which is the mode a from-scratch run of the edited
-    // instance has at this slot.
-    if (mode_ != Mode::kDense && backend_ != Backend::kDense) {
-      const int budget = backend_ == Backend::kPwl
-                             ? rs::core::kUnboundedBreakpoints
-                             : rs::core::compact_pwl_budget_for(m_);
-      if (std::optional<ConvexPwl> form = f.as_convex_pwl(m_, budget)) {
-        return StoredInput{false, std::move(*form), {}};
-      }
-      if (backend_ == Backend::kPwl) {
-        throw std::invalid_argument(
-            "WorkFunctionTracker::repair_from: cost function has no convex-"
-            "PWL form (forced-PWL backend)");
-      }
-    }
-    StoredInput input;
-    input.is_row = true;
-    input.row.resize(static_cast<std::size_t>(m_) + 1);
-    f.eval_row(m_, input.row);
-    return input;
+    std::optional<ConvexPwl> converted;
+    return stored(resolve(f, converted));
   });
 }
 
 WorkFunctionTracker::Repair WorkFunctionTracker::repair_from(
     int slot, const rs::core::ConvexPwl& f) {
-  return repair_impl(slot, [&]() -> StoredInput {
-    if (mode_ != Mode::kDense && backend_ != Backend::kDense) {
-      return StoredInput{false, f, {}};
-    }
-    StoredInput input;
-    input.is_row = true;
-    input.row.resize(static_cast<std::size_t>(m_) + 1);
-    f.materialize(m_, input.row);
-    return input;
-  });
+  return repair_impl(slot, [&]() -> StoredInput { return stored(resolve(f)); });
 }
 
 WorkFunctionTracker::Repair WorkFunctionTracker::repair_from(
     int slot, std::span<const double> values) {
-  if (static_cast<int>(values.size()) != m_ + 1) {
-    throw std::invalid_argument(
-        "WorkFunctionTracker::repair_from: need m+1 values");
-  }
-  if (backend_ == Backend::kPwl) {
-    throw std::logic_error(
-        "WorkFunctionTracker::repair_from: raw value rows require the dense "
-        "backend");
-  }
-  return repair_impl(slot, [&]() -> StoredInput {
-    return StoredInput{true, {},
-                       std::vector<double>(values.begin(), values.end())};
-  });
+  return repair_impl(slot,
+                     [&]() -> StoredInput { return stored(resolve(values)); });
 }
 
 WorkFunctionTracker::Repair WorkFunctionTracker::repair_from(
@@ -946,6 +806,7 @@ WorkFunctionTracker WorkFunctionTracker::clone() const {
 void WorkFunctionTracker::audit_invariants(const char* site) const {
   namespace audit = rs::util::audit;
   if (tau_ == 0) return;  // nothing advanced yet: no corridor to check
+  if (mode_ == Mode::kUndecided) return;
 
   // Corridor invariants (Lemma 6): ordered, in range.
   audit::require(x_lower_ >= 0 && x_upper_ <= m_, "corridor-in-range", site);
@@ -958,76 +819,30 @@ void WorkFunctionTracker::audit_invariants(const char* site) const {
     audit::require(v >= -1e-6 * std::max(1.0, std::fabs(v)),
                    "labels-nonnegative", site);
   };
-
+  double min_label = kInf;
   if (mode_ == Mode::kPwl) {
     rs::core::audit_convex_pwl(pwl_l_, site);
-    rs::core::audit_convex_pwl(pwl_u_, site);
-    if (pwl_l_.is_infinite() || pwl_u_.is_infinite()) {
-      // All labels +inf: the dense scans' conventions pin the corridor.
-      audit::require(x_lower_ == 0 && x_upper_ == m_,
-                     "corridor-argmin", site);
-      return;
+    if (!pwl_l_.is_infinite()) min_label = pwl_l_.argmin().value;
+    check_label(min_label);
+  } else {
+    audit::require(chat_l_.size() == static_cast<std::size_t>(m_) + 1,
+                   "labels-shape", site);
+    for (const double v : chat_l_) {
+      check_label(v);
+      min_label = std::min(min_label, v);
     }
-    const rs::core::ConvexPwl::ArgminInterval al = pwl_l_.argmin();
-    const rs::core::ConvexPwl::ArgminInterval au = pwl_u_.argmin();
-    audit::require(al.lo == x_lower_ && au.hi == x_upper_,
-                   "corridor-argmin", site);
-    check_label(al.value);
-    check_label(au.value);
-    // Lemma-7 redundancy Ĉ^L(x) = Ĉ^U(x) + βx at the corridor ends.
-    for (const int x : {x_lower_, x_upper_}) {
-      const double cl = pwl_l_.value_at(x);
-      const double cu = pwl_u_.value_at(x);
-      if (std::isinf(cl) || std::isinf(cu)) continue;
-      audit::require(
-          rs::util::approx_equal(cl, cu + beta_ * x, 1e-6, 1e-6),
-          "lemma7-redundancy", site);
-    }
-    return;
   }
 
-  if (mode_ != Mode::kDense) return;
-  const std::size_t width = static_cast<std::size_t>(m_) + 1;
-  audit::require(chat_l_.size() == width && chat_u_.size() == width,
-                 "labels-shape", site);
-  const double* cl = chat_l_.data();
-  const double* cu = chat_u_.data();
-  // Tie-break-exact argmin re-scan (strict < keeps the smallest argmin of
-  // Ĉ^L; <= walks x^U onto the largest argmin of Ĉ^U) — all-+inf rows
-  // leave x^L at 0 and carry x^U to m, matching the advance conventions.
-  double best_l = kInf;
-  double best_u = kInf;
-  int x_lower = 0;
-  int x_upper = 0;
-  for (int x = 0; x <= m_; ++x) {
-    check_label(cl[static_cast<std::size_t>(x)]);
-    check_label(cu[static_cast<std::size_t>(x)]);
-    if (cl[static_cast<std::size_t>(x)] < best_l) {
-      best_l = cl[static_cast<std::size_t>(x)];
-      x_lower = x;
-    }
-    if (cu[static_cast<std::size_t>(x)] <= best_u) {
-      best_u = cu[static_cast<std::size_t>(x)];
-      x_upper = x;
-    }
-  }
+  // The stored corridor is the tie rule applied to the live label.
+  const rs::core::Corridor c = corridor();
   audit::require_with(
-      x_lower == x_lower_ && x_upper == x_upper_, "corridor-argmin", site,
+      c.lower == x_lower_ && c.upper == x_upper_, "corridor-argmin", site,
       [&] {
-        return "rescan (" + std::to_string(x_lower) + ", " +
-               std::to_string(x_upper) + ") vs tracked (" +
+        return "rescan (" + std::to_string(c.lower) + ", " +
+               std::to_string(c.upper) + ") vs tracked (" +
                std::to_string(x_lower_) + ", " + std::to_string(x_upper_) +
                ")";
       });
-  // Lemma-7 redundancy at sampled states (0, corridor ends, m).
-  for (const int x : {0, x_lower_, x_upper_, m_}) {
-    const double l = cl[static_cast<std::size_t>(x)];
-    const double u = cu[static_cast<std::size_t>(x)];
-    if (std::isinf(l) || std::isinf(u)) continue;
-    audit::require(
-        rs::util::approx_equal(l, u + beta_ * x, 1e-6, 1e-6),
-        "lemma7-redundancy", site);
-  }
   // min Ĉ^L monotone non-decreasing under relax+add (costs are >= 0, so
   // work functions only grow).  The watermark reseeds whenever τ moved
   // backwards — a repair or restore rewound the tracker.
@@ -1038,53 +853,56 @@ void WorkFunctionTracker::audit_invariants(const char* site) const {
         std::isinf(audit_min_watermark_)
             ? 0.0
             : 1e-6 * std::max(1.0, std::fabs(audit_min_watermark_));
-    audit::require(best_l >= audit_min_watermark_ - slack,
+    audit::require(min_label >= audit_min_watermark_ - slack,
                    "workfn-min-monotone", site);
   }
   audit_last_tau_ = tau_;
-  audit_min_watermark_ = best_l;
+  audit_min_watermark_ = min_label;
 }
+
+namespace {
+
+// Feeds slots 1..horizon through `advance_at(tracker, t)` and collects the
+// per-slot corridor.
+template <typename AdvanceAt>
+BoundTrajectory collect_bounds(WorkFunctionTracker tracker, int horizon,
+                               AdvanceAt&& advance_at) {
+  BoundTrajectory bounds;
+  bounds.lower.reserve(static_cast<std::size_t>(horizon));
+  bounds.upper.reserve(static_cast<std::size_t>(horizon));
+  for (int t = 1; t <= horizon; ++t) {
+    advance_at(tracker, t);
+    bounds.lower.push_back(tracker.x_lower());
+    bounds.upper.push_back(tracker.x_upper());
+  }
+  return bounds;
+}
+
+}  // namespace
 
 BoundTrajectory compute_bounds(const rs::core::Problem& p,
                                WorkFunctionTracker::Backend backend) {
-  BoundTrajectory bounds;
-  bounds.lower.reserve(static_cast<std::size_t>(p.horizon()));
-  bounds.upper.reserve(static_cast<std::size_t>(p.horizon()));
-  WorkFunctionTracker tracker(p.max_servers(), p.beta(), backend);
-  for (int t = 1; t <= p.horizon(); ++t) {
-    tracker.advance(p.f(t));
-    bounds.lower.push_back(tracker.x_lower());
-    bounds.upper.push_back(tracker.x_upper());
-  }
-  return bounds;
+  return collect_bounds(
+      WorkFunctionTracker(p.max_servers(), p.beta(), backend), p.horizon(),
+      [&p](WorkFunctionTracker& tracker, int t) { tracker.advance(p.f(t)); });
 }
 
 BoundTrajectory compute_bounds(const rs::core::DenseProblem& dense) {
-  BoundTrajectory bounds;
-  bounds.lower.reserve(static_cast<std::size_t>(dense.horizon()));
-  bounds.upper.reserve(static_cast<std::size_t>(dense.horizon()));
-  WorkFunctionTracker tracker(dense.max_servers(), dense.beta(),
-                              WorkFunctionTracker::Backend::kDense);
-  for (int t = 1; t <= dense.horizon(); ++t) {
-    tracker.advance(dense.row(t));
-    bounds.lower.push_back(tracker.x_lower());
-    bounds.upper.push_back(tracker.x_upper());
-  }
-  return bounds;
+  return collect_bounds(
+      WorkFunctionTracker(dense.max_servers(), dense.beta(),
+                          WorkFunctionTracker::Backend::kDense),
+      dense.horizon(), [&dense](WorkFunctionTracker& tracker, int t) {
+        tracker.advance(dense.row(t));
+      });
 }
 
 BoundTrajectory compute_bounds(const rs::core::PwlProblem& pwl) {
-  BoundTrajectory bounds;
-  bounds.lower.reserve(static_cast<std::size_t>(pwl.horizon()));
-  bounds.upper.reserve(static_cast<std::size_t>(pwl.horizon()));
-  WorkFunctionTracker tracker(pwl.max_servers(), pwl.beta(),
-                              WorkFunctionTracker::Backend::kPwl);
-  for (int t = 1; t <= pwl.horizon(); ++t) {
-    tracker.advance(pwl.form(t));
-    bounds.lower.push_back(tracker.x_lower());
-    bounds.upper.push_back(tracker.x_upper());
-  }
-  return bounds;
+  return collect_bounds(
+      WorkFunctionTracker(pwl.max_servers(), pwl.beta(),
+                          WorkFunctionTracker::Backend::kPwl),
+      pwl.horizon(), [&pwl](WorkFunctionTracker& tracker, int t) {
+        tracker.advance(pwl.form(t));
+      });
 }
 
 }  // namespace rs::offline

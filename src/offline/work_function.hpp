@@ -7,32 +7,31 @@
 // From them the online bounds are
 //   x^L_τ = smallest minimizer of Ĉ^L_τ   (lower bound, Lemma 6)
 //   x^U_τ = largest  minimizer of Ĉ^U_τ   (upper bound, Lemma 6)
+// Only Ĉ^L is stored: Lemma 7 gives Ĉ^U_τ(x) = Ĉ^L_τ(x) − βx, and both
+// bounds come from Ĉ^L under the tie rule of core/tie_rule.hpp.
 //
-// Two interchangeable backends maintain the pair:
+// Two interchangeable backends maintain Ĉ^L:
 //
-//   * kDense — flat label rows; one advance() costs O(m) via prefix/suffix
-//     minima fused into three array passes (L-relax forward; L-suffix +
-//     U-relax backward; U-prefix + cost add + minimizer tracking forward).
-//   * kPwl — both functions are convex whenever every f_τ is convex, so
-//     they are kept as exact convex piecewise-linear functions
-//     (core/convex_pwl.hpp): the relax steps clip the slope sequences into
-//     [0, β] / [−β, 0] (amortized O(1) per breakpoint) and the f_τ
-//     addition merges its breakpoints, making one advance O(B log K) in
-//     breakpoint counts and fully independent of m — the backend for
-//     m ~ 10⁵..10⁶ instances where even streaming O(m) rows is the
-//     bottleneck (arXiv:1807.05112 §LCP, arXiv:2108.09489).
+//   * kDense — a flat label row; one advance() costs O(m): a forward pass
+//     (power-up relax), a backward pass (free power-down suffix minimum
+//     plus the f_τ addition), and the tie-rule scan.
+//   * kPwl — Ĉ^L is convex whenever every f_τ is convex, so it is kept as
+//     an exact convex piecewise-linear function (core/convex_pwl.hpp): the
+//     relax clips the slope sequence into [0, β] (amortized O(1) per
+//     breakpoint) and the f_τ addition merges its breakpoints, making one
+//     advance O(B log K) in breakpoint counts and fully independent of m —
+//     the backend for m ~ 10⁵..10⁶ instances where even streaming O(m)
+//     rows is the bottleneck (arXiv:1807.05112 §LCP, arXiv:2108.09489).
 //
 // Backend::kAuto (the default) resolves per instance at runtime: advances
 // fed a CostFunction use kPwl while every slot converts compactly
 // (CostFunction::as_convex_pwl within kCompactPwlBudget breakpoints) and
-// switch to kDense permanently — materializing the current Ĉ pair into
-// label rows — on the first slot that does not.  Advances fed raw value
-// rows always use kDense.  Both backends produce identical bounds and
-// chat values up to floating-point association order (bit-identical on
-// integer-valued instances); see DESIGN.md §8.
-//
-// Both functions are maintained independently even though Lemma 7 proves
-// Ĉ^L_τ(x) = Ĉ^U_τ(x) + βx — the redundancy is asserted in tests.
+// switch to kDense permanently — materializing Ĉ^L into a label row — on
+// the first slot that does not.  Advances fed raw value rows always use
+// kDense.  Chat values agree across backends up to floating-point
+// association order (bit-identical on integer-valued instances), and the
+// tie rule absorbs that noise, so the bounds agree exactly: the backend is
+// a performance choice, never a semantic one (DESIGN.md §8).
 //
 // This tracker powers the discrete LCP algorithm (Section 3), the
 // prediction-window variant, the Lemma-11 offline construction, and the
@@ -41,6 +40,7 @@
 
 #include <deque>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -48,6 +48,7 @@
 #include "core/dense_problem.hpp"
 #include "core/problem.hpp"
 #include "core/pwl_problem.hpp"
+#include "core/tie_rule.hpp"
 #include "util/workspace.hpp"
 
 namespace rs::offline {
@@ -76,11 +77,8 @@ class WorkFunctionTracker {
   /// tracker materializes the row instead).
   void advance(const rs::core::ConvexPwl& f);
 
-  /// Feeds f_τ given as explicit values f(0..m); dense backend only (a
-  /// forced-kPwl tracker throws std::logic_error).
-  void advance(const std::vector<double>& values);
-
-  /// Feeds f_τ given as a dense row (e.g. DenseProblem::row).
+  /// Feeds f_τ given as explicit values f(0..m) (e.g. DenseProblem::row);
+  /// dense backend only (a forced-kPwl tracker throws std::logic_error).
   void advance(std::span<const double> values);
 
   /// Feeds the SAME cost function for `count` consecutive slots and writes
@@ -90,19 +88,22 @@ class WorkFunctionTracker {
   /// Bounds are bit-identical to `count` individual advance() calls on
   /// both backends:
   ///
-  ///   * kPwl — the Ĉ pair's *shape* (domain + slope sequence) evolves
+  ///   * kPwl — Ĉ^L's *shape* (domain + slope sequence) evolves
   ///     autonomously under a repeated relax+add (values never feed the
   ///     control flow; see ConvexPwl::same_shape), so the first advance
-  ///     whose shapes reproduce the previous step's is a permanent
+  ///     whose shape reproduces the previous step's is a permanent
   ///     fixpoint: the remaining slots of the run reuse the pinned bounds
   ///     and fast-forward τ and the chat values in O(1).  In practice the
   ///     fixpoint lands within a handful of steps (the relax clips the
-  ///     slopes into [0,β]/[−β,0] and f's breakpoints stop moving), making
-  ///     a length-k run cost O(min(k, fixpoint) · B log K) instead of
+  ///     slopes into [0,β] and f's breakpoints stop moving), making a
+  ///     length-k run cost O(min(k, fixpoint) · B log K) instead of
   ///     O(k · B log K).  Chat *values* after a jump are fast-forwarded by
   ///     the shape-determined per-step increment, which matches stepping
   ///     up to FP association order (exactly on integer-valued runs) —
   ///     same tolerance class as the dense-vs-PWL contract of DESIGN.md §8.
+  ///     The tie rule's tolerance grows with min Ĉ^L, so a jump is taken
+  ///     only when the corridor holds for every tolerance the skipped
+  ///     slots could see; otherwise the run keeps stepping.
   ///   * kDense — no steps can be skipped (the minimizer scans compare
   ///     accumulated values), but the run's cost row is evaluated ONCE and
   ///     re-fed per slot, eliminating the per-slot eval_row — the dominant
@@ -127,21 +128,26 @@ class WorkFunctionTracker {
   Backend backend() const noexcept { return backend_; }
 
   /// Serialized tracker state in the versioned, checksummed checkpoint
-  /// container (core/checkpoint.hpp): (m, beta, backend, mode, τ, bounds)
-  /// plus the live Ĉ pair — the PWL forms bit-exactly, or the dense label
-  /// rows bit-exactly.  A tracker restored from this snapshot continues
-  /// bitwise-identically to the uninterrupted run on either backend (the
-  /// kill-and-resume suite pins schedules, corridor bounds, and costs).
+  /// container (core/checkpoint.hpp, kind kTrackerCheckpointKind):
+  /// (m, beta, backend, mode, τ) plus the live Ĉ^L — the PWL form
+  /// bit-exactly, or the dense label row bit-exactly.  The corridor is
+  /// derived state and is recomputed on restore, so a restored tracker
+  /// continues bitwise-identically to the uninterrupted run on either
+  /// backend (the kill-and-resume suite pins schedules, corridor bounds,
+  /// and costs).
   std::vector<std::uint8_t> snapshot() const;
 
-  /// Reconstructs a tracker from snapshot() bytes.  Rejects malformed,
-  /// truncated, mislabeled, or bit-flipped input with the typed
-  /// core::CheckpointError hierarchy (format / corruption), and re-validates
-  /// every decoded invariant (enum ranges, bound ranges, PWL-form
-  /// invariants, NaN-free labels) so no checkpoint can construct a broken
-  /// tracker.  Callers restoring into a known instance should additionally
-  /// check max_servers()/beta() against it (the session-level restores in
-  /// online/lcp*.hpp do, throwing CheckpointMismatchError).
+  /// Reconstructs a tracker from snapshot() bytes.  Also accepts the
+  /// two-label layout (kLegacyTrackerCheckpointKind) written before Ĉ^U
+  /// was derived: its Ĉ^U and stored corridor are dropped and the corridor
+  /// is recomputed under the tie rule.  Rejects malformed, truncated,
+  /// mislabeled, or bit-flipped input with the typed core::CheckpointError
+  /// hierarchy (format / corruption), and re-validates every decoded
+  /// invariant (enum ranges, PWL-form invariants, NaN-free labels) so no
+  /// checkpoint can construct a broken tracker.  Callers restoring into a
+  /// known instance should additionally check max_servers()/beta() against
+  /// it (the session-level restores in online/lcp*.hpp do, throwing
+  /// CheckpointMismatchError).
   static WorkFunctionTracker restore(std::span<const std::uint8_t> bytes);
 
   /// True while the PWL backend is live (false before the first advance
@@ -152,28 +158,31 @@ class WorkFunctionTracker {
   /// K-vs-m scaling story.
   int breakpoint_count() const noexcept;
 
-  /// Ĉ^L_τ(x) and Ĉ^U_τ(x); require 0 <= x <= m and τ >= 1.  O(K) on the
-  /// PWL backend, O(1) dense.
+  /// Ĉ^L_τ(x), and Ĉ^U_τ(x) = Ĉ^L_τ(x) − βx (Lemma 7); require
+  /// 0 <= x <= m and τ >= 1.  O(K) on the PWL backend, O(1) dense.
   double chat_lower(int x) const;
   double chat_upper(int x) const;
 
-  /// Dense label rows; switches a PWL tracker to the dense backend first
-  /// (the row views must stay valid across later advances).
-  const std::vector<double>& chat_lower_vector();
-  const std::vector<double>& chat_upper_vector();
+  /// min_x Ĉ^L_τ(x) — the optimal cost of the first τ slots.  Exact (not
+  /// Ĉ^L at the tie-ruled x^L, which may sit up to one tolerance above);
+  /// require τ >= 1.  O(K) on the PWL backend, O(m) dense.
+  double chat_min() const;
 
-  /// The live PWL forms; require using_pwl().
+  /// Dense label row of Ĉ^L; switches a PWL tracker to the dense backend
+  /// first (the row view must stay valid across later advances).
+  const std::vector<double>& chat_lower_vector();
+
+  /// The live PWL form of Ĉ^L; requires using_pwl().
   const rs::core::ConvexPwl& chat_lower_pwl() const;
-  const rs::core::ConvexPwl& chat_upper_pwl() const;
 
   /// Permanently switches to the dense backend (no-op if already dense),
-  /// materializing the current Ĉ pair.  Mixed consumers (e.g. a windowed
-  /// LCP whose lookahead does not convert) use this to keep every per-x
-  /// query O(1).
+  /// materializing the current Ĉ^L.  Mixed consumers (e.g. a windowed LCP
+  /// whose lookahead does not convert) use this to keep every per-x query
+  /// O(1).
   void ensure_dense_backend();
 
-  /// The online bounds x^L_τ and x^U_τ (tie-broken per Section 3.1);
-  /// O(1) — maintained during advance().
+  /// The online bounds x^L_τ and x^U_τ (Section 3.1 under the tie rule of
+  /// core/tie_rule.hpp); O(1) — maintained during advance().
   int x_lower() const;
   int x_upper() const;
 
@@ -198,8 +207,8 @@ class WorkFunctionTracker {
   // callers fall back to a full re-solve, which handles the mode flip
   // naturally (offline/delta_session.hpp does exactly this).
   //
-  // Rewind state is deliberately excluded from snapshot()/restore() — the
-  // checkpoint wire format is unchanged; re-enable after a restore.
+  // Rewind state is deliberately excluded from snapshot()/restore();
+  // re-enable after a restore.
   // -------------------------------------------------------------------------
 
   /// A recorded advance input in replayable form.
@@ -255,10 +264,9 @@ class WorkFunctionTracker {
 
   /// Deep corridor-invariant audit (util/audit.hpp; DESIGN.md §13): corridor
   /// ordered and in range (0 <= x^L <= x^U <= m), labels NaN-free and
-  /// non-negative (extended reals in [0, +inf]), corridor bounds equal to a
-  /// tie-break-exact argmin re-scan of the live Ĉ pair, the Lemma-7
-  /// redundancy Ĉ^L(x) = Ĉ^U(x) + βx at sampled states, and min Ĉ^L
-  /// monotone non-decreasing across advances (work functions only grow).
+  /// non-negative (extended reals in [0, +inf]), corridor bounds equal to
+  /// the tie rule re-applied to the live Ĉ^L, and min Ĉ^L monotone
+  /// non-decreasing across advances (work functions only grow).
   /// Raises rs::util::audit::AuditError naming the violated invariant.
   /// Always compiled; the RS_AUDIT hooks after every advance / restore /
   /// repair engage only under RIGHTSIZER_AUDIT.
@@ -268,27 +276,53 @@ class WorkFunctionTracker {
   friend struct WorkFunctionTrackerTestAccess;
   enum class Mode { kUndecided, kPwl, kDense };
 
+  // An advance input resolved against the current mode, borrowing its
+  // storage: a convex-PWL form (PWL backend) or a value row (dense).
+  struct InputRef {
+    const rs::core::ConvexPwl* form = nullptr;
+    std::span<const double> row;
+  };
+
   void require_started() const;
   void init_dense();
+  std::span<double> scratch_row();
+  // True while inputs resolve to the PWL backend.
+  bool takes_pwl() const noexcept {
+    return mode_ != Mode::kDense && backend_ != Backend::kDense;
+  }
+  // The one backend-resolution step of every advance and repair entry
+  // point: conversion (within the compact budget) or row evaluation into
+  // the scratch row.  `converted` owns a fresh conversion for the view.
+  InputRef resolve(const rs::core::CostFunction& f,
+                   std::optional<rs::core::ConvexPwl>& converted);
+  InputRef resolve(const rs::core::ConvexPwl& f);
+  InputRef resolve(std::span<const double> values);
+  static StoredInput stored(InputRef input);
+  // The one advance core: runs `count` slots of a resolved input on its
+  // backend, writes the per-slot bounds, and records the rewind entry.
+  void advance_core(InputRef input, int count, std::span<int> xl,
+                    std::span<int> xu);
+  void advance_one(InputRef input);
   void advance_dense(std::span<const double> values);
   void advance_pwl(const rs::core::ConvexPwl& f);
   void advance_repeated_pwl(const rs::core::ConvexPwl& f, int count,
                             std::span<int> xl, std::span<int> xu);
-  void advance_repeated_dense(std::span<const double> values, int count,
-                              std::span<int> xl, std::span<int> xu);
+  // The tie rule's corridor of the live Ĉ^L; refresh stores it.
+  rs::core::Corridor corridor() const;
+  void refresh_corridor();
+  // Whether the PWL corridor holds while min Ĉ^L grows by `delta`.
+  bool corridor_survives_shift(double delta) const;
 
   // Full tracker state at a run boundary — what a rewind entry stores and
   // what reconvergence compares.  Dense labels are value copies (the live
-  // rows are workspace buffers).
+  // row is a workspace buffer).
   struct TrackerState {
     Mode mode = Mode::kUndecided;
     int tau = 0;
     int x_lower = 0;
     int x_upper = 0;
     rs::core::ConvexPwl pwl_l;
-    rs::core::ConvexPwl pwl_u;
     std::vector<double> chat_l;  // mode == kDense only
-    std::vector<double> chat_u;
   };
   struct RewindEntry {
     int start = 0;  // first slot of the run (1-based)
@@ -314,17 +348,15 @@ class WorkFunctionTracker {
   Backend backend_;
   Mode mode_ = Mode::kUndecided;
   int tau_ = 0;
-  int x_lower_ = 0;  // smallest minimizer of Ĉ^L, updated per advance
-  int x_upper_ = 0;  // largest minimizer of Ĉ^U
-  // PWL backend state (empty maps until first use).
+  int x_lower_ = 0;  // x^L under the tie rule, updated per advance
+  int x_upper_ = 0;  // x^U under the tie rule
+  // PWL backend state (empty map until first use).
   rs::core::ConvexPwl pwl_l_;
-  rs::core::ConvexPwl pwl_u_;
-  // Dense backend state.  Label rows and the eval_row scratch are
+  // Dense backend state.  The label row and the eval_row scratch are
   // workspace-borrowed so repeated tracker construction (one per LCP
   // replay / trial) is allocation-free after warm-up; the tracker is
   // move-only as a consequence.
   rs::util::Workspace::Buffer<double> chat_l_;
-  rs::util::Workspace::Buffer<double> chat_u_;
   rs::util::Workspace::Buffer<double> scratch_;
   // Rewind buffer (excluded from snapshot()/restore(); see above).
   bool rewind_enabled_ = false;
@@ -350,14 +382,8 @@ struct WorkFunctionTrackerTestAccess {
   static rs::core::ConvexPwl& pwl_lower(WorkFunctionTracker& t) noexcept {
     return t.pwl_l_;
   }
-  static rs::core::ConvexPwl& pwl_upper(WorkFunctionTracker& t) noexcept {
-    return t.pwl_u_;
-  }
   static std::vector<double>& dense_lower(WorkFunctionTracker& t) noexcept {
     return t.chat_l_.vec();
-  }
-  static std::vector<double>& dense_upper(WorkFunctionTracker& t) noexcept {
-    return t.chat_u_.vec();
   }
 };
 

@@ -178,32 +178,28 @@ void Lcp::restore(const OnlineContext& context,
   last_upper_ = last_upper;
 }
 
-rs::core::Schedule run_lcp_dense(const rs::core::DenseProblem& dense) {
-  rs::offline::WorkFunctionTracker tracker(dense.max_servers(), dense.beta());
+namespace {
+
+// Eq. 13 through a precomputed corridor trajectory.
+rs::core::Schedule project_through(const rs::offline::BoundTrajectory& bounds) {
   rs::core::Schedule schedule;
-  schedule.reserve(static_cast<std::size_t>(dense.horizon()));
+  schedule.reserve(bounds.lower.size());
   int current = 0;
-  for (int t = 1; t <= dense.horizon(); ++t) {
-    tracker.advance(dense.row(t));
-    current = rs::util::project(current, tracker.x_lower(), tracker.x_upper());
+  for (std::size_t t = 0; t < bounds.lower.size(); ++t) {
+    current = rs::util::project(current, bounds.lower[t], bounds.upper[t]);
     schedule.push_back(current);
   }
   return schedule;
 }
 
+}  // namespace
+
+rs::core::Schedule run_lcp_dense(const rs::core::DenseProblem& dense) {
+  return project_through(rs::offline::compute_bounds(dense));
+}
+
 rs::core::Schedule run_lcp_pwl(const rs::core::PwlProblem& pwl) {
-  rs::offline::WorkFunctionTracker tracker(
-      pwl.max_servers(), pwl.beta(),
-      rs::offline::WorkFunctionTracker::Backend::kPwl);
-  rs::core::Schedule schedule;
-  schedule.reserve(static_cast<std::size_t>(pwl.horizon()));
-  int current = 0;
-  for (int t = 1; t <= pwl.horizon(); ++t) {
-    tracker.advance(pwl.form(t));
-    current = rs::util::project(current, tracker.x_lower(), tracker.x_upper());
-    schedule.push_back(current);
-  }
-  return schedule;
+  return project_through(rs::offline::compute_bounds(pwl));
 }
 
 }  // namespace rs::online

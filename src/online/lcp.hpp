@@ -82,7 +82,7 @@ class Lcp final : public OnlineAlgorithm {
   int current_state() const noexcept { return current_; }
 
   /// Permanently switches the underlying tracker to the dense streaming
-  /// backend, materializing the current work-function pair — the fleet
+  /// backend, materializing the current work function — the fleet
   /// controller's PWL → dense degradation rung.  Returns false when this
   /// session cannot degrade (constructed with the forced-kPwl backend, or
   /// not reset yet); subsequent decisions agree with the PWL path up to FP

@@ -238,27 +238,14 @@ int WindowedLcp::decide(const rs::core::CostPtr& f,
       form_cache_ = std::move(next_cache);
       if (convertible) {
         tracker_->advance(*fp);
-        const rs::core::ConvexPwl d_lower =
-            completion_costs_pwl(window, m, context_.beta, /*charge_up=*/true);
-        const rs::core::ConvexPwl d_upper =
-            completion_costs_pwl(window, m, context_.beta,
-                                 /*charge_up=*/false);
         rs::core::ConvexPwl sum_lower = tracker_->chat_lower_pwl();
-        sum_lower.add(d_lower);
-        rs::core::ConvexPwl sum_upper = tracker_->chat_upper_pwl();
-        sum_upper.add(d_upper);
-        int lower = 0;
-        int upper = m;  // all-infinite sums: the dense scan's (0, m)
-        if (!sum_lower.is_infinite()) {
-          lower = sum_lower.argmin().lo;   // smallest minimizer, strict <
-          upper = sum_upper.argmin().hi;   // largest minimizer, <=
-        }
-        last_lower_ = lower;
-        last_upper_ = upper;
-        const int lo = std::min(lower, upper);
-        const int hi = std::max(lower, upper);
-        current_ = rs::util::project(current_, lo, hi);
-        return current_;
+        rs::core::ConvexPwl sum_upper = sum_lower;
+        sum_lower.add(completion_costs_pwl(window, m, context_.beta,
+                                           /*charge_up=*/true));
+        sum_upper.add(completion_costs_pwl(window, m, context_.beta,
+                                           /*charge_up=*/false));
+        return project_onto(
+            rs::core::tie_corridor(sum_lower, sum_upper, context_.beta, m));
       }
     }
     // Not compactly convertible.  A forced-PWL run cannot proceed — name
@@ -279,36 +266,29 @@ int WindowedLcp::decide(const rs::core::CostPtr& f,
 
   const std::size_t width = static_cast<std::size_t>(m) + 1;
   rs::util::Workspace& workspace = rs::util::this_thread_workspace();
-  auto d_lower = workspace.borrow<double>(width);
-  auto d_upper = workspace.borrow<double>(width);
+  auto sum_lower = workspace.borrow<double>(width);
+  auto sum_upper = workspace.borrow<double>(width);
   completion_costs(lookahead, context_.beta, /*charge_up=*/true,
-                   d_lower.span());
+                   sum_lower.span());
   completion_costs(lookahead, context_.beta, /*charge_up=*/false,
-                   d_upper.span());
-
-  // Smallest minimizer of Ĉ^L_τ + D^L; largest minimizer of Ĉ^U_τ + D^U.
-  int lower = 0;
-  int upper = 0;
-  double best_lower = kInf;
-  double best_upper = kInf;
-  for (int x = 0; x <= m; ++x) {
-    const double l = tracker_->chat_lower(x) + d_lower[static_cast<std::size_t>(x)];
-    const double u = tracker_->chat_upper(x) + d_upper[static_cast<std::size_t>(x)];
-    if (l < best_lower) {
-      best_lower = l;
-      lower = x;
-    }
-    if (u <= best_upper) {
-      best_upper = u;
-      upper = x;
-    }
+                   sum_upper.span());
+  const std::vector<double>& chat = tracker_->chat_lower_vector();
+  for (std::size_t x = 0; x < width; ++x) {
+    sum_lower[x] += chat[x];
+    sum_upper[x] += chat[x];
   }
-  last_lower_ = lower;
-  last_upper_ = upper;
-  // With predictions the corridor may inverte on pathological ties; projecting
-  // into [min, max] keeps the decision well-defined.
-  const int lo = std::min(lower, upper);
-  const int hi = std::max(lower, upper);
+  const rs::core::Corridor corridor = rs::core::tie_corridor(
+      sum_lower.span(), sum_upper.span(), context_.beta);
+  return project_onto(corridor);
+}
+
+int WindowedLcp::project_onto(rs::core::Corridor corridor) {
+  last_lower_ = corridor.lower;
+  last_upper_ = corridor.upper;
+  // With predictions the corridor may invert on pathological ties;
+  // projecting into [min, max] keeps the decision well-defined.
+  const int lo = std::min(corridor.lower, corridor.upper);
+  const int hi = std::max(corridor.lower, corridor.upper);
   current_ = rs::util::project(current_, lo, hi);
   return current_;
 }

@@ -9,8 +9,9 @@
 //
 // computed as argmin_x [ Ĉ^B_τ(x) + D^B_τ(x) ], where D^B_τ(x) is the
 // optimal completion cost of serving the window starting from state x under
-// accounting B (up-charging for L, down-charging for U).  The completion
-// pass costs O(w·m) per step; w = 0 reduces exactly to LCP.
+// accounting B (up-charging for L, down-charging for U), with Ĉ^U = Ĉ^L − βx
+// and ties decided by core/tie_rule.hpp.  The completion pass costs O(w·m)
+// per step; w = 0 reduces exactly to LCP.
 //
 // Theorem 10 shows no constant window improves the competitive ratio on
 // stretched instances; the E9 experiment reproduces this, while the E10
@@ -34,10 +35,8 @@ class WindowedLcp final : public OnlineAlgorithm {
   /// `backend` pins the tracker/completion backend; kAuto (default) uses
   /// the m-independent convex-PWL pass whenever the revealed cost and the
   /// whole lookahead convert compactly, falling back to the dense O(w·m)
-  /// pass otherwise.  Note the tie caveat of DESIGN.md §8: on instances
-  /// with exact cost plateaus the two backends may break corridor ties
-  /// differently (both remain valid windowed-LCP runs); pin kDense for
-  /// bit-reproducibility against dense references.
+  /// pass otherwise.  Both passes decide corridor ties by the one rule of
+  /// core/tie_rule.hpp, so the backend is a performance choice only.
   explicit WindowedLcp(rs::offline::WorkFunctionTracker::Backend backend =
                            rs::offline::WorkFunctionTracker::Backend::kAuto)
       : backend_(backend) {}
@@ -68,6 +67,9 @@ class WindowedLcp final : public OnlineAlgorithm {
                std::span<const std::uint8_t> bytes);
 
  private:
+  // Records the corridor and projects the current state into it.
+  int project_onto(rs::core::Corridor corridor);
+
   OnlineContext context_;
   rs::offline::WorkFunctionTracker::Backend backend_ =
       rs::offline::WorkFunctionTracker::Backend::kAuto;

@@ -548,6 +548,71 @@ TEST(LcpCheckpoint, KillAndResumeBitwiseAcrossZooAndBackends) {
   }
 }
 
+// Lcp::snapshot() bytes sealed while the tracker still kept Ĉ^U: the
+// nested tracker payload is the two-label layout (stored corridor, Ĉ^L and
+// Ĉ^U; kind kLegacyTrackerCheckpointKind).  Both sessions ran m = 5,
+// β = 1.5 over the first three slots of legacy_fixture_costs(), on the auto
+// backend (PWL forms) and on the dense backend (label rows).
+constexpr const char* kLegacyAutoLcpHex =
+    "5253434b0100000002000000ce00000000000000dd804d760002000000010000"
+    "000400000001b8000000000000005253434b0100000001000000a00000000000"
+    "000062743afd05000000000000000000f83f0001030000000000000001000000"
+    "040000000000000000050000000000000000801b409a9999999999d9bf030000"
+    "00010000009a9999999999e93f02000000989999999999c93f04000000cdcccc"
+    "ccccccf43f0000000000050000000000000000801b40666666666666febf0300"
+    "0000010000009a9999999999e93f02000000989999999999c93f04000000cdcc"
+    "ccccccccf43f";
+constexpr const char* kLegacyDenseLcpHex =
+    "5253434b0100000002000000ac0000000000000025776cb80102000000010000"
+    "00040000000196000000000000005253434b01000000010000007e0000000000"
+    "00008d758f4b05000000000000000000f83f0102030000000000000001000000"
+    "040000000000000000801b406666666666e619400000000000801b4066666666"
+    "66e61d4066666666662620403333333333f323400000000000801b4066666666"
+    "66e61340ffffffffffff0e40cccccccccccc07409a99999999990040cdcccccc"
+    "cccc0340";
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<std::uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+std::vector<rs::core::CostPtr> legacy_fixture_costs() {
+  return {std::make_shared<rs::core::AffineAbsCost>(0.7, 2.0, 0.25),
+          std::make_shared<rs::core::AffineAbsCost>(1.3, 4.0, 0.5),
+          std::make_shared<rs::core::AffineAbsCost>(0.4, 1.0, 0.125),
+          std::make_shared<rs::core::AffineAbsCost>(0.9, 3.0, 0.0),
+          std::make_shared<rs::core::AffineAbsCost>(0.2, 5.0, 1.0),
+          std::make_shared<rs::core::AffineAbsCost>(1.1, 0.0, 0.3)};
+}
+
+TEST(LcpCheckpoint, LegacyTwoLabelPayloadsStillRestore) {
+  const std::vector<rs::core::CostPtr> costs = legacy_fixture_costs();
+  const OnlineContext context{5, 1.5};
+  for (const auto& [backend, hex] :
+       {std::pair<Backend, const char*>{Backend::kAuto, kLegacyAutoLcpHex},
+        {Backend::kDense, kLegacyDenseLcpHex}}) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    Lcp restored(backend);
+    restored.restore(context, from_hex(hex));
+    Lcp reference(backend);
+    reference.reset(context);
+    for (std::size_t t = 0; t < 3; ++t) reference.decide(costs[t], {});
+    // Ĉ^U is dropped and the corridor recomputed: re-sealing yields the
+    // one-label layout, bit for bit what a fresh session writes.
+    EXPECT_EQ(restored.snapshot(), reference.snapshot());
+    for (std::size_t t = 3; t < costs.size(); ++t) {
+      ASSERT_EQ(restored.decide(costs[t], {}), reference.decide(costs[t], {}))
+          << "t=" << t;
+      ASSERT_EQ(restored.last_lower(), reference.last_lower());
+      ASSERT_EQ(restored.last_upper(), reference.last_upper());
+    }
+  }
+}
+
 TEST(LcpCheckpoint, RestoreRejectsMismatchedTarget) {
   const Problem p = hinge_problem(10, 2.0, 20, 16);
   Lcp session(Backend::kAuto);

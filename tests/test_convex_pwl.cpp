@@ -17,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "rightsizer/rightsizer.hpp"
@@ -464,24 +467,12 @@ TEST(PwlTracker, MatchesDenseBackendAcrossFamilies) {
         pwl.advance(p.f(t));
         dense.advance(p.f(t));
         ASSERT_TRUE(pwl.using_pwl());
-        if (family == InstanceFamily::kFlatRegions) {
-          // Exact cost plateaus: the backends may pick different (equally
-          // minimal up to the documented ULP tolerance) tie positions —
-          // assert optimality of each bound under the other backend's
-          // values instead of positional equality.  The bit-exact tie
-          // contract is covered by BitIdenticalOnIntegerInstances.
-          EXPECT_NEAR(dense.chat_lower(pwl.x_lower()),
-                      dense.chat_lower(dense.x_lower()), 1e-9)
-              << " t=" << t;
-          EXPECT_NEAR(dense.chat_upper(pwl.x_upper()),
-                      dense.chat_upper(dense.x_upper()), 1e-9)
-              << " t=" << t;
-        } else {
-          EXPECT_EQ(pwl.x_lower(), dense.x_lower())
-              << rs::workload::family_name(family) << " t=" << t;
-          EXPECT_EQ(pwl.x_upper(), dense.x_upper())
-              << rs::workload::family_name(family) << " t=" << t;
-        }
+        // The tie rule makes the corridor backend-independent on every
+        // family, exact cost plateaus (kFlatRegions) included.
+        EXPECT_EQ(pwl.x_lower(), dense.x_lower())
+            << rs::workload::family_name(family) << " t=" << t;
+        EXPECT_EQ(pwl.x_upper(), dense.x_upper())
+            << rs::workload::family_name(family) << " t=" << t;
         for (int x = 0; x <= m; ++x) {
           const double dl = dense.chat_lower(x);
           const double du = dense.chat_upper(x);
@@ -655,9 +646,9 @@ TEST(PwlBackend, WindowedLcpMatchesDenseOnIntegerTieInstances) {
 
 TEST(PwlBackend, WindowedLcpMatchesDenseOnSlaInstances) {
   // Integer parameters keep every windowed sum exact, so the corridors
-  // must coincide bit for bit even on the hinges' exact-0 plateaus (the
-  // fractional-parameter tie caveat is documented in DESIGN.md §8 and
-  // covered value-wise by CompletionCostsMatchDensePass).
+  // must coincide bit for bit even on the hinges' exact-0 plateaus
+  // (fractional parameters: the zoo suite of test_scenario_zoo, and
+  // value-wise CompletionCostsMatchDensePass).
   rs::util::Rng rng(59);
   for (int trial = 0; trial < 6; ++trial) {
     const int T = static_cast<int>(rng.uniform_int(5, 25));
@@ -719,29 +710,64 @@ TEST(PwlBackend, CompletionCostsMatchDensePass) {
 TEST(PwlBackend, DpConvexAutoMatchesDenseSolver) {
   const rs::offline::DpSolver dense_dp;  // kDense
   const rs::offline::DpSolver fast_dp(rs::offline::DpSolver::Backend::kConvexAuto);
+  // Every random family (the non-compact ones run the convex path on its
+  // dense fallback) plus every trace-zoo kind.
+  std::vector<std::pair<std::string, Problem>> inputs;
   for (InstanceFamily family : rs::workload::all_instance_families()) {
     rs::util::Rng rng(307 + static_cast<std::uint64_t>(family));
     for (int trial = 0; trial < 3; ++trial) {
       const int T = static_cast<int>(rng.uniform_int(1, 25));
       const int m = static_cast<int>(rng.uniform_int(1, 10));
-      const Problem p =
-          rs::workload::random_instance(rng, family, T, m, rng.uniform(0.3, 2.5));
-      const double expected = dense_dp.solve_cost(p);
-      const rs::offline::OfflineResult fast = fast_dp.solve(p);
-      EXPECT_NEAR(fast.cost, expected, 1e-9 * std::max(1.0, expected))
-          << rs::workload::family_name(family);
-      EXPECT_NEAR(fast_dp.solve_cost(p), fast.cost, 1e-12);
-      // The fast schedule is the Lemma-11 one; it must price to the
-      // optimal cost.
-      EXPECT_NEAR(rs::core::total_cost(p, fast.schedule), expected,
-                  1e-9 * std::max(1.0, expected))
-          << rs::workload::family_name(family);
-      // And coincide with the backward solver's dense construction.
-      EXPECT_EQ(fast.schedule,
-                rs::offline::backward_schedule(
-                    rs::offline::compute_bounds(p, Backend::kDense)))
-          << rs::workload::family_name(family);
+      inputs.emplace_back(
+          rs::workload::family_name(family),
+          rs::workload::random_instance(rng, family, T, m,
+                                        rng.uniform(0.3, 2.5)));
     }
+  }
+  // A final slot that tilts a free power-down plateau by 2^-43 per server:
+  // the tie rule puts x^L at 0, 1000·2^-43 above the minimum at x = 1000.
+  {
+    std::vector<std::vector<double>> rows(2, std::vector<double>(1001));
+    for (int x = 0; x <= 1000; ++x) {
+      rows[0][static_cast<std::size_t>(x)] = 2.0 * (1000 - x);
+      rows[1][static_cast<std::size_t>(x)] = 5.0 - std::ldexp(1.0, -43) * x;
+    }
+    inputs.emplace_back("near-flat final slot",
+                        rs::core::make_table_problem(1000, 1.0, rows));
+  }
+  rs::scenario::ZooParams zoo;
+  zoo.servers = 16;
+  zoo.horizon = 192;
+  for (const rs::scenario::Scenario& scenario :
+       rs::scenario::make_zoo(zoo, 3)) {
+    inputs.emplace_back(scenario.name, scenario.problem);
+  }
+  for (const auto& [name, p] : inputs) {
+    SCOPED_TRACE(name);
+    const double expected = dense_dp.solve_cost(p);
+    const rs::offline::OfflineResult fast = fast_dp.solve(p);
+    EXPECT_NEAR(fast.cost, expected, 1e-9 * std::max(1.0, expected));
+    EXPECT_NEAR(fast_dp.solve_cost(p), fast.cost, 1e-12);
+    // The reported cost is min Ĉ^L_T exactly — never Ĉ^L at the tie-ruled
+    // x^L, which may sit up to one tolerance above it.
+    WorkFunctionTracker tracker(p.max_servers(), p.beta());
+    for (int t = 1; t <= p.horizon(); ++t) tracker.advance(p.f(t));
+    if (p.horizon() > 0) {
+      double min_label = kInf;
+      for (int x = 0; x <= p.max_servers(); ++x) {
+        min_label = std::min(min_label, tracker.chat_lower(x));
+      }
+      EXPECT_EQ(fast.cost, min_label);
+      EXPECT_EQ(tracker.chat_min(), min_label);
+    }
+    // The fast schedule is the Lemma-11 one; it must price to the
+    // optimal cost.
+    EXPECT_NEAR(rs::core::total_cost(p, fast.schedule), expected,
+                1e-9 * std::max(1.0, expected));
+    // And coincide with the backward solver's dense construction.
+    EXPECT_EQ(fast.schedule,
+              rs::offline::backward_schedule(
+                  rs::offline::compute_bounds(p, Backend::kDense)));
   }
 }
 

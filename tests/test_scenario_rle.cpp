@@ -8,6 +8,8 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cost_function.hpp"
@@ -228,23 +230,38 @@ TEST(RleReplay, BoundsMatchSlotBySlot) {
 // fixpoint jump (tolerance-level per the DESIGN.md §8 contract) and the
 // argument validation.
 TEST(AdvanceRepeated, MatchesIndividualAdvances) {
-  const int m = 6;
-  const rs::core::AffineAbsCost f(1.0, 4.0);
-  for (Backend backend : {Backend::kDense, Backend::kPwl, Backend::kAuto}) {
-    WorkFunctionTracker loop(m, 2.0, backend);
-    WorkFunctionTracker batch(m, 2.0, backend);
-    const int count = 25;
-    std::vector<int> xl(count), xu(count);
-    batch.advance_repeated(f, count, xl, xu);
-    EXPECT_EQ(batch.tau(), count);
-    for (int i = 0; i < count; ++i) {
-      loop.advance(f);
-      EXPECT_EQ(xl[static_cast<std::size_t>(i)], loop.x_lower()) << i;
-      EXPECT_EQ(xu[static_cast<std::size_t>(i)], loop.x_upper()) << i;
-    }
-    for (int x = 0; x <= m; ++x) {
-      EXPECT_NEAR(batch.chat_lower(x), loop.chat_lower(x), 1e-9);
-      EXPECT_NEAR(batch.chat_upper(x), loop.chat_upper(x), 1e-9);
+  // A shallow slope (2^-43, exact in binary) right of the minimizer: x^U
+  // sits where the tie rule's tolerance — which grows with min Ĉ^L — meets
+  // it, so x^U keeps moving long after Ĉ^L's shape reached its fixpoint,
+  // and a fixpoint jump must not pin it.
+  const int wide_m = 2000;
+  std::vector<double> shallow(static_cast<std::size_t>(wide_m) + 1);
+  for (int x = 0; x <= wide_m; ++x) {
+    shallow[static_cast<std::size_t>(x)] =
+        x <= 10 ? 20.0 - x : 10.0 + std::ldexp(1.0, -43) * (x - 10);
+  }
+  const std::vector<std::pair<int, CostPtr>> inputs = {
+      {6, std::make_shared<rs::core::AffineAbsCost>(1.0, 4.0)},
+      {wide_m, std::make_shared<rs::core::TableCost>(shallow)}};
+  for (const auto& [m, f] : inputs) {
+    for (Backend backend : {Backend::kDense, Backend::kPwl, Backend::kAuto}) {
+      SCOPED_TRACE("m=" + std::to_string(m) +
+                   " backend=" + std::to_string(static_cast<int>(backend)));
+      WorkFunctionTracker loop(m, 2.0, backend);
+      WorkFunctionTracker batch(m, 2.0, backend);
+      const int count = 60;
+      std::vector<int> xl(count), xu(count);
+      batch.advance_repeated(*f, count, xl, xu);
+      EXPECT_EQ(batch.tau(), count);
+      for (int i = 0; i < count; ++i) {
+        loop.advance(*f);
+        EXPECT_EQ(xl[static_cast<std::size_t>(i)], loop.x_lower()) << i;
+        EXPECT_EQ(xu[static_cast<std::size_t>(i)], loop.x_upper()) << i;
+      }
+      for (int x = 0; x <= m; ++x) {
+        EXPECT_NEAR(batch.chat_lower(x), loop.chat_lower(x), 1e-9);
+        EXPECT_NEAR(batch.chat_upper(x), loop.chat_upper(x), 1e-9);
+      }
     }
   }
 }

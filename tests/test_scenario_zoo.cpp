@@ -7,9 +7,13 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/schedule.hpp"
 #include "offline/dp_solver.hpp"
+#include "online/lcp.hpp"
+#include "online/lcp_window.hpp"
 #include "online/online_algorithm.hpp"
 #include "online/randomized_rounding.hpp"
 #include "scenario/rle.hpp"
@@ -109,20 +113,46 @@ TEST(TraceZoo, ParameterValidation) {
       std::invalid_argument);
 }
 
-// Theorem 2 on the zoo: LCP pays at most 3·OPT on every scenario.
+// Theorem 2 on the zoo: LCP pays at most 3·OPT on every scenario.  The
+// tracker backend is a performance choice only: dense and auto LCP — plain,
+// RLE-replayed, and windowed — produce bitwise-equal schedules on every
+// zoo kind and on the Theorem-4 adversary across ε.
 TEST(ZooPaperInvariants, LcpWithinThreeTimesOpt) {
-  const ZooParams params = small_params();
-  for (std::uint64_t seed : {11ull, 22ull}) {
-    for (const Scenario& scenario : rs::scenario::make_zoo(params, seed)) {
-      SCOPED_TRACE(scenario.name);
-      const double opt =
-          rs::offline::DpSolver().solve_cost(scenario.problem);
-      const double lcp = rs::core::total_cost(
-          scenario.problem, rs::scenario::replay_lcp(scenario.rle));
-      ASSERT_GT(opt, 0.0);
-      EXPECT_GE(lcp, opt - 1e-9);
-      EXPECT_LE(lcp, 3.0 * opt + 1e-6);
+  using Backend = rs::offline::WorkFunctionTracker::Backend;
+  std::vector<Scenario> scenarios;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    for (Scenario& scenario : rs::scenario::make_zoo(small_params(), seed)) {
+      scenarios.push_back(std::move(scenario));
     }
+  }
+  for (double eps : {0.5, 0.3, 0.25, 0.1, 0.05}) {
+    ZooParams params = small_params();
+    params.adversary_eps = eps;
+    params.horizon = static_cast<int>(std::ceil(1.0 / (eps * eps))) + 1;
+    scenarios.push_back(
+        rs::scenario::make_scenario(ScenarioKind::kAdversarial, params, 0));
+  }
+  for (const Scenario& scenario : scenarios) {
+    SCOPED_TRACE(scenario.name + " T=" +
+                 std::to_string(scenario.problem.horizon()));
+    const double opt =
+        rs::offline::DpSolver().solve_cost(scenario.problem);
+    const rs::core::Schedule schedule = rs::scenario::replay_lcp(scenario.rle);
+    rs::online::Lcp dense(Backend::kDense);
+    rs::online::Lcp automatic(Backend::kAuto);
+    EXPECT_EQ(rs::online::run_online(dense, scenario.problem), schedule);
+    EXPECT_EQ(rs::online::run_online(automatic, scenario.problem), schedule);
+    for (int window : {1, 4}) {
+      rs::online::WindowedLcp dense_window(Backend::kDense);
+      rs::online::WindowedLcp auto_window(Backend::kAuto);
+      EXPECT_EQ(rs::online::run_online(dense_window, scenario.problem, window),
+                rs::online::run_online(auto_window, scenario.problem, window))
+          << "w=" << window;
+    }
+    const double lcp = rs::core::total_cost(scenario.problem, schedule);
+    ASSERT_GT(opt, 0.0);
+    EXPECT_GE(lcp, opt - 1e-9);
+    EXPECT_LE(lcp, 3.0 * opt + 1e-6);
   }
 }
 
