@@ -79,7 +79,7 @@ SpeedupRow measure_rle_speedup(int runs, int slots_per_run, int m,
   double rle_best = rs::util::kInf;
   for (int rep = 0; rep < best_of; ++rep) {
     rs::util::Stopwatch watch;
-    rle_schedule = rs::scenario::replay_lcp(rle);
+    rle_schedule = rs::online::run_lcp(rle);
     rle_best = std::min(rle_best, watch.seconds());
   }
   row.rle_seconds = rle_best;

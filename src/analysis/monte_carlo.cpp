@@ -28,11 +28,6 @@ MonteCarloReport monte_carlo(
     const rs::engine::SolverEngine* engine) {
   if (trials < 1) throw std::invalid_argument("monte_carlo: trials < 1");
   if (!run_trial) throw std::invalid_argument("monte_carlo: null trial");
-  if (dense.mode() != DenseProblem::Mode::kEager) {
-    // Lazy tables materialize rows on first touch and are not thread-safe;
-    // trials run concurrently.
-    throw std::invalid_argument("monte_carlo: dense table must be eager");
-  }
 
   MonteCarloReport report;
   report.optimal_cost = rs::offline::DpSolver().solve_cost(dense);

@@ -35,7 +35,7 @@ MonteCarloReport monte_carlo(
     const std::function<double(std::uint64_t seed)>& run_trial);
 
 /// Same over a pre-materialized instance shared with the caller's own
-/// accounting (must be eager: trials run concurrently).  `engine` defaults
+/// accounting.  `engine` defaults
 /// to a global-pool engine when null.
 MonteCarloReport monte_carlo(
     const rs::core::DenseProblem& dense, int trials, std::uint64_t base_seed,

@@ -35,27 +35,27 @@ std::int32_t row_largest_minimizer(std::span<const double> row) {
 
 }  // namespace
 
-DenseProblem::DenseProblem(const Problem& p, Mode mode,
+DenseProblem::DenseProblem(const Problem& p, Mode /*mode*/,
                            MinimizerCache minimizers)
     : T_(p.horizon()),
       m_(p.max_servers()),
       beta_(p.beta()),
-      mode_(mode),
       stride_(static_cast<std::size_t>(m_) + 1) {
-  functions_.reserve(static_cast<std::size_t>(T_));
-  for (int t = 1; t <= T_; ++t) functions_.push_back(p.f_ptr(t));
   values_.resize(static_cast<std::size_t>(T_) * stride_);
-  ready_.assign(static_cast<std::size_t>(T_), 0);
   min_small_.assign(static_cast<std::size_t>(T_), -1);
   min_large_.assign(static_cast<std::size_t>(T_), -1);
-  if (mode_ != Mode::kEager || T_ == 0) return;
+  if (T_ == 0) return;
 
-  // With kPrecompute the minimizer caches are filled here too (the row is
-  // cache-hot), so an eager table is fully immutable afterwards and
-  // shareable across threads; kOnDemand defers them to the first query.
+  // Each row is scanned for NaN while it is cache-hot; rows may fill in
+  // parallel, so the flags are per row and reduced afterwards.  With
+  // kPrecompute the minimizer caches are filled here too, so the table is
+  // fully immutable afterwards; kOnDemand defers them to the first query.
+  std::vector<std::uint8_t> nan_rows(static_cast<std::size_t>(T_), 0);
   const bool precompute = minimizers == MinimizerCache::kPrecompute;
-  const auto build_row = [this, precompute](std::size_t i) {
-    materialize_row(static_cast<int>(i) + 1);
+  const auto build_row = [this, &p, &nan_rows, precompute](std::size_t i) {
+    const std::span<double> out{values_.data() + i * stride_, stride_};
+    p.f(static_cast<int>(i) + 1).eval_row(m_, out);
+    nan_rows[i] = rs::util::any_nan(out) ? 1 : 0;
     if (precompute) ensure_minimizers(static_cast<int>(i) + 1);
   };
   if (values_.size() >= kParallelThreshold && T_ > 1) {
@@ -66,8 +66,7 @@ DenseProblem::DenseProblem(const Problem& p, Mode mode,
       build_row(i);
     }
   }
-  // Every row is materialized; the cost functions are no longer needed.
-  functions_ = std::vector<CostPtr>();
+  for (const std::uint8_t nan : nan_rows) has_nan_ = has_nan_ || nan != 0;
   RS_AUDIT(audit_rows("DenseProblem::DenseProblem"));
 }
 
@@ -76,22 +75,14 @@ void DenseProblem::audit_rows(const char* site) const {
   const std::size_t rows = static_cast<std::size_t>(T_);
   audit::require(stride_ == static_cast<std::size_t>(m_) + 1 &&
                      values_.size() == rows * stride_ &&
-                     ready_.size() == rows && min_small_.size() == rows &&
-                     min_large_.size() == rows,
+                     min_small_.size() == rows && min_large_.size() == rows,
                  "dense-table-shape", site);
   for (std::size_t i = 0; i < rows; ++i) {
-    if (ready_[i] == 0) {
-      // An unmaterialized lazy row carries no invariants yet, but its
-      // minimizer caches cannot have been computed either.
-      audit::require(min_small_[i] < 0 && min_large_[i] < 0,
-                     "dense-minimizer-before-row", site);
-      continue;
-    }
     const std::span<const double> row{values_.data() + i * stride_, stride_};
     bool poisoned = false;
     for (const double v : row) {
       // NaN is deliberately allowed: poisoned instances travel the dense
-      // path so the solvers' poison accumulators can classify them.
+      // path so the solvers can classify them.
       audit::require(v != -rs::util::kInf && !(v < 0.0),
                      "dense-row-nonnegative", site);
       poisoned = poisoned || v != v;  // rs-lint: float-eq-ok (NaN probe)
@@ -106,13 +97,6 @@ void DenseProblem::audit_rows(const char* site) const {
           [&] { return "row " + std::to_string(i + 1); });
     }
   }
-}
-
-void DenseProblem::materialize_row(int t) const {
-  const std::size_t i = static_cast<std::size_t>(t - 1);
-  const std::span<double> out{values_.data() + i * stride_, stride_};
-  functions_[i]->eval_row(m_, out);
-  ready_[i] = 1;
 }
 
 void DenseProblem::ensure_minimizers(int t) const {

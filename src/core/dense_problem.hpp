@@ -10,15 +10,12 @@
 // and hands out contiguous spans, turning the solvers into pure
 // memory-bandwidth loops.
 //
-// Modes:
-//   kEager — all rows are filled at construction (parallelized over
-//            util::global_pool for large instances) and the object is
-//            immutable afterwards, hence safe to share across threads.
-//   kLazy  — rows are filled on first access.  This is the mode for online
-//            consumers: row(t) only ever touches f_t, so feeding rows
-//            1..τ to an online algorithm never evaluates a future cost
-//            function and the no-lookahead contract is preserved.  Lazy
-//            instances are NOT thread-safe.
+// Every row is filled at construction (parallelized over
+// util::global_pool for large instances), so the table is immutable
+// afterwards and safe to share across threads.  NaN values are kept, not
+// rejected: has_nan() records at construction whether any row holds one,
+// so the dense solvers can surface a poisoned instance without scanning
+// rows in their inner loops.
 //
 // Bounds checks are debug assertions here (the Problem API keeps its
 // throwing checks); callers cross the boundary once, not per point.
@@ -35,16 +32,17 @@ namespace rs::core {
 
 class DenseProblem {
  public:
-  enum class Mode { kEager, kLazy };
+  /// Kept for call sites that name the mode; every table is eager.
+  enum class Mode { kEager };
 
-  /// Minimizer-cache policy for eager tables.  kPrecompute fills the
-  /// per-row minimizer caches at construction (the table stays fully
-  /// immutable, so minimizer queries are thread-safe).  kOnDemand skips
-  /// that work — pure row consumers (the DP kernels, run_lcp_dense, the
-  /// batch engine's shared tables) never query minimizers, and at small
-  /// m the two extra scans per row are a measurable share of a solve.
+  /// Minimizer-cache policy.  kPrecompute fills the per-row minimizer
+  /// caches at construction (the table stays fully immutable, so minimizer
+  /// queries are thread-safe).  kOnDemand skips that work — pure row
+  /// consumers (the DP kernels, run_lcp, the batch engine's shared tables)
+  /// never query minimizers, and at small m the two extra scans per row
+  /// are a measurable share of a solve.
   /// On-demand minimizer queries mutate the cache and are NOT thread-safe;
-  /// row access stays safe either way on eager tables.
+  /// row access stays safe either way.
   enum class MinimizerCache { kPrecompute, kOnDemand };
 
   explicit DenseProblem(const Problem& p, Mode mode = Mode::kEager,
@@ -53,15 +51,13 @@ class DenseProblem {
   int horizon() const noexcept { return T_; }
   int max_servers() const noexcept { return m_; }
   double beta() const noexcept { return beta_; }
-  Mode mode() const noexcept { return mode_; }
 
-  /// Contiguous values f_t(0..m) (paper's 1-based t).  Materializes the row
-  /// first in lazy mode.
+  /// True when some f_t(x) is NaN (a poisoned instance).
+  bool has_nan() const noexcept { return has_nan_; }
+
+  /// Contiguous values f_t(0..m) (paper's 1-based t).
   std::span<const double> row(int t) const {
     assert(t >= 1 && t <= T_);
-    if (mode_ == Mode::kLazy && !ready_[static_cast<std::size_t>(t - 1)]) {
-      materialize_row(t);
-    }
     return {values_.data() + static_cast<std::size_t>(t - 1) * stride_,
             stride_};
   }
@@ -73,62 +69,42 @@ class DenseProblem {
   }
 
   /// Cached smallest minimizer of f_t on {0,..,m} (paper's x_t^{min-});
-  /// tie-breaks identically to smallest_minimizer_scan.  Eager tables
-  /// compute the caches at construction (keeping them immutable and
-  /// shareable); lazy ones scan the row on first query, so pure row
-  /// consumers (e.g. run_lcp_dense) never pay for them.
+  /// tie-breaks identically to smallest_minimizer_scan.  Computed at
+  /// construction under kPrecompute, else on the first query.
   int smallest_minimizer(int t) const {
-    touch(t);
+    assert(t >= 1 && t <= T_);
     ensure_minimizers(t);
     return min_small_[static_cast<std::size_t>(t - 1)];
   }
 
   /// Cached largest minimizer of f_t (paper's x_t^{min+}); ties move right.
   int largest_minimizer(int t) const {
-    touch(t);
+    assert(t >= 1 && t <= T_);
     ensure_minimizers(t);
     return min_large_[static_cast<std::size_t>(t - 1)];
   }
 
-  /// True once row t has been filled (always true in eager mode).
-  bool materialized(int t) const {
-    assert(t >= 1 && t <= T_);
-    return ready_[static_cast<std::size_t>(t - 1)] != 0;
-  }
-
   /// Deep row-invariant audit (util/audit.hpp; DESIGN.md §13): table shape
-  /// consistent (T×(m+1) values, per-row flags and caches sized T), no
-  /// materialized row containing -inf (extended-real costs live in
-  /// [0, +inf]; NaN is legal here — poisoned instances are *detected* on
-  /// the dense path, not rejected by it), and every computed minimizer
-  /// cache equal to a tie-break-exact re-scan of its row.  Raises
+  /// consistent (T×(m+1) values, minimizer caches sized T), no row
+  /// containing -inf (extended-real costs live in [0, +inf]; NaN is legal
+  /// here — poisoned instances are *detected* on the dense path, not
+  /// rejected by it), and every computed minimizer cache equal to a
+  /// tie-break-exact re-scan of its row.  Raises
   /// rs::util::audit::AuditError naming the violated invariant.  Always
-  /// compiled; the RS_AUDIT hook after eager construction engages only
-  /// under RIGHTSIZER_AUDIT.
+  /// compiled; the RS_AUDIT hook after construction engages only under
+  /// RIGHTSIZER_AUDIT.
   void audit_rows(const char* site) const;
 
  private:
   friend struct DenseProblemTestAccess;
-  void touch(int t) const {
-    assert(t >= 1 && t <= T_);
-    if (mode_ == Mode::kLazy && !ready_[static_cast<std::size_t>(t - 1)]) {
-      materialize_row(t);
-    }
-  }
-
-  void materialize_row(int t) const;
   void ensure_minimizers(int t) const;
 
   int T_;
   int m_;
   double beta_;
-  Mode mode_;
-  std::size_t stride_;               // m + 1
-  // Retained so lazy fills cannot dangle; released after an eager fill
-  // (the table is self-contained from then on).
-  std::vector<CostPtr> functions_;
-  mutable std::vector<double> values_;        // T x (m+1), row-major
-  mutable std::vector<std::uint8_t> ready_;   // per-row materialization flag
+  std::size_t stride_;          // m + 1
+  std::vector<double> values_;  // T x (m+1), row-major
+  bool has_nan_ = false;
   mutable std::vector<std::int32_t> min_small_;
   mutable std::vector<std::int32_t> min_large_;
 };

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/slot_source.hpp"
 #include "offline/delta_session.hpp"
 #include "offline/dp_solver.hpp"
 #include "offline/low_memory_solver.hpp"
@@ -62,43 +63,32 @@ SolveOutcome run_one(const SolveJob& job, const DenseProblem* dense,
                                   ? "injected fault: PWL backend"
                                   : "injected fault: dense backend");
   }
+  // The job's one slot source: the cached forms, else the shared table,
+  // else the Problem itself (rows streamed per solve).
+  using rs::core::SlotSource;
+  const SlotSource source = pwl     ? SlotSource(*pwl)
+                            : dense ? SlotSource(*dense)
+                                    : SlotSource(*job.problem);
   SolveOutcome outcome;
   switch (job.kind) {
-    case SolverKind::kDpCost: {
-      const rs::offline::DpSolver solver;
-      outcome.cost = pwl     ? solver.solve_cost(*pwl)
-                     : dense ? solver.solve_cost(*dense)
-                             : solver.solve_cost(*job.problem);
+    case SolverKind::kDpCost:
+      outcome.cost = rs::offline::DpSolver().solve_cost(source);
       break;
-    }
     case SolverKind::kDpSchedule: {
-      const rs::offline::DpSolver solver;
-      rs::offline::OfflineResult result =
-          pwl     ? solver.solve(*pwl)
-          : dense ? solver.solve(*dense)
-                  : solver.solve(*job.problem);
+      rs::offline::OfflineResult result = rs::offline::DpSolver().solve(source);
       outcome.cost = result.cost;
       outcome.schedule = std::move(result.schedule);
       break;
     }
-    case SolverKind::kLcp: {
-      if (pwl) {
-        outcome.schedule = rs::online::run_lcp_pwl(*pwl);
-        outcome.cost = rs::core::total_cost(*job.problem, outcome.schedule);
-      } else if (dense) {
-        outcome.schedule = rs::online::run_lcp_dense(*dense);
-        outcome.cost = rs::core::total_cost(*dense, outcome.schedule);
-      } else {
-        rs::online::Lcp lcp;
-        outcome.schedule = rs::online::run_online(lcp, *job.problem);
-        outcome.cost = rs::core::total_cost(*job.problem, outcome.schedule);
-      }
+    case SolverKind::kLcp:
+      outcome.schedule = rs::online::run_lcp(source);
+      outcome.cost =
+          dense ? rs::core::total_cost(*dense, outcome.schedule)
+                : rs::core::total_cost(*job.problem, outcome.schedule);
       break;
-    }
     case SolverKind::kLowMemory: {
-      const rs::offline::LowMemorySolver solver;
       rs::offline::OfflineResult result =
-          pwl ? solver.solve(*pwl) : solver.solve(*job.problem);
+          rs::offline::LowMemorySolver().solve(source);
       outcome.cost = result.cost;
       outcome.schedule = std::move(result.schedule);
       break;
@@ -270,13 +260,6 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
     if (job.kind == SolverKind::kLowMemory && job.problem == nullptr) {
       throw std::invalid_argument(
           "SolverEngine::run: kLowMemory streams from a Problem");
-    }
-    if (job.dense && job.dense->mode() != DenseProblem::Mode::kEager &&
-        options_.threads != 1) {
-      // Lazy tables materialize rows unsynchronized on first touch; jobs
-      // run concurrently on every configuration except inline.
-      throw std::invalid_argument(
-          "SolverEngine::run: lazy DenseProblem requires threads = 1");
     }
     if (job.kind == SolverKind::kDeltaResolve) {
       if (job.problem == nullptr) {

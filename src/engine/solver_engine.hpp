@@ -180,8 +180,8 @@ class SolverEngine {
   /// Runs every job and returns outcomes by job index plus batch stats.
   ///
   /// Fault isolation: *structural* job errors — no instance, kLowMemory
-  /// without a Problem, a lazy dense table with threads != 1 — are caller
-  /// bugs and throw std::invalid_argument before anything runs.  Faults
+  /// or kDeltaResolve without a Problem — are caller bugs and throw
+  /// std::invalid_argument before anything runs.  Faults
   /// *during* execution (throwing cost functions, NaN costs, backend
   /// failures) never escape: the affected job's outcome carries a non-kOk
   /// SolveStatus and the error message, every other job completes

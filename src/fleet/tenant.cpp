@@ -1,5 +1,6 @@
 #include "fleet/tenant.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -580,22 +581,16 @@ std::optional<WhatIfResult> TenantSession::what_if(int slot,
               ? resume_state_
               : schedule_[static_cast<std::size_t>(prev - resume_steps_) - 1];
     }
-    for (std::uint64_t t = static_cast<std::uint64_t>(slot);
-         t <= stats_.steps; ++t) {
-      const std::size_t k = static_cast<std::size_t>(
-          t - static_cast<std::uint64_t>(slot));
-      int lo;
-      int hi;
-      if (k < repair.lower.size()) {
-        lo = repair.lower[k];
-        hi = repair.upper[k];
-      } else {
-        const std::size_t j = static_cast<std::size_t>(t - resume_steps_) - 1;
-        lo = lower_[j];
-        hi = upper_[j];
-      }
-      x = rs::util::project(x, lo, hi);
-    }
+    const std::size_t first = static_cast<std::size_t>(
+        static_cast<std::uint64_t>(slot) - resume_steps_ - 1);
+    const std::size_t repaired =
+        std::min(repair.lower.size(), lower_.size() - first);
+    x = rs::online::project_corridor(
+        x, std::span<const int>(repair.lower).first(repaired),
+        std::span<const int>(repair.upper).first(repaired));
+    x = rs::online::project_corridor(
+        x, std::span<const int>(lower_).subspan(first + repaired),
+        std::span<const int>(upper_).subspan(first + repaired));
     out.projected_state = x;
     return out;
   } catch (const std::exception&) {

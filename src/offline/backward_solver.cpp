@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/dense_problem.hpp"
 #include "util/math_util.hpp"
 
 namespace rs::offline {
@@ -32,10 +33,12 @@ OfflineResult BackwardSolver::solve(const rs::core::Problem& p) const {
     result.cost = 0.0;
     return result;
   }
-  // The bound pass reads every row anyway, so materialize them lazily once
-  // and let the final cost accounting reuse the table instead of
-  // re-dispatching through the cost functions.
-  const rs::core::DenseProblem dense(p, rs::core::DenseProblem::Mode::kLazy);
+  // The bound pass reads every row anyway, so materialize them once and let
+  // the final cost accounting reuse the table instead of re-dispatching
+  // through the cost functions.  Neither pass queries minimizers.
+  const rs::core::DenseProblem dense(
+      p, rs::core::DenseProblem::Mode::kEager,
+      rs::core::DenseProblem::MinimizerCache::kOnDemand);
   const BoundTrajectory bounds = compute_bounds(dense);
   result.schedule = backward_schedule(bounds);
   result.cost = rs::core::total_cost(dense, result.schedule);

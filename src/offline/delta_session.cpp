@@ -16,29 +16,16 @@ DpDeltaSession DpSolver::begin_delta(const rs::core::Problem& p) const {
 
 namespace {
 
-WorkFunctionTracker make_base_tracker(int m, double beta,
+WorkFunctionTracker make_base_tracker(const rs::core::Problem& p,
                                       WorkFunctionTracker::Backend backend,
-                                      const std::vector<rs::core::CostPtr>& costs,
                                       BoundTrajectory& bounds) {
-  const int T = static_cast<int>(costs.size());
-  if (T == 0) {
+  if (p.horizon() == 0) {
     throw std::invalid_argument("DpDeltaSession: empty horizon");
   }
-  WorkFunctionTracker tracker(m, beta, backend);
   // One rewind entry per slot (the base solve advances slot-by-slot), and
   // repairs never split single-slot entries, so horizon-many entries cover
   // every future edit.
-  tracker.enable_rewind(T);
-  bounds.lower.clear();
-  bounds.upper.clear();
-  bounds.lower.reserve(static_cast<std::size_t>(T));
-  bounds.upper.reserve(static_cast<std::size_t>(T));
-  for (int t = 1; t <= T; ++t) {
-    tracker.advance(*costs[static_cast<std::size_t>(t - 1)]);
-    bounds.lower.push_back(tracker.x_lower());
-    bounds.upper.push_back(tracker.x_upper());
-  }
-  return tracker;
+  return track_slots(p, backend, &bounds, p.horizon());
 }
 
 }  // namespace
@@ -65,15 +52,14 @@ DpDeltaSession::DpDeltaSession(const rs::core::Problem& p, Backend backend)
         for (int t = 1; t <= p.horizon(); ++t) costs.push_back(p.f_ptr(t));
         return costs;
       }()),
-      tracker_(make_base_tracker(m_, beta_, tracker_backend(), costs_,
-                                 bounds_)) {
+      tracker_(make_base_tracker(p, tracker_backend(), bounds_)) {
   cost_ = tracker_.chat_min();
 }
 
 void DpDeltaSession::rebuild() {
   BoundTrajectory bounds;
-  WorkFunctionTracker fresh =
-      make_base_tracker(m_, beta_, tracker_backend(), costs_, bounds);
+  WorkFunctionTracker fresh = make_base_tracker(
+      rs::core::Problem(m_, beta_, costs_), tracker_backend(), bounds);
   tracker_ = std::move(fresh);
   bounds_ = std::move(bounds);
   cost_ = tracker_.chat_min();

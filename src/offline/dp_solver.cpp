@@ -1,11 +1,13 @@
 // rs-lint: minmax-audited — the DP label folds are approved branch-free
-// kernels: a poisoned NaN row is surfaced by the `poison` accumulators
-// below, never laundered into +inf by std::min (DESIGN.md §13).
+// kernels: a poisoned NaN row is surfaced by the source's NaN report
+// (SlotSource::for_each_row), never laundered into +inf by std::min
+// (DESIGN.md §13).
 #include "offline/dp_solver.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #include "offline/backward_solver.hpp"
@@ -15,9 +17,7 @@
 
 namespace rs::offline {
 
-using rs::core::DenseProblem;
-using rs::core::Problem;
-using rs::core::Schedule;
+using rs::core::SlotSource;
 using rs::util::kInf;
 using rs::util::Workspace;
 
@@ -92,19 +92,18 @@ void initial_labels(std::span<double> w) {
   w[0] = 0.0;
 }
 
-// The full solver parameterized over a row provider `row_at(t)`; shared by
-// the streaming (eval_row per step, O(m) extra memory) and the table-backed
-// (DenseProblem) entry points.  All scratch comes from the calling thread's
-// workspace, so repeated solves are allocation-free after warm-up.
-template <typename RowAt>
-OfflineResult solve_impl(int T, int m, double beta, RowAt&& row_at) {
+// The table DP over the source's rows (a DenseProblem's table views, or
+// rows streamed once per run through eval_row, O(m) extra memory).  All
+// scratch comes from the calling thread's workspace, so repeated solves
+// are allocation-free after warm-up.  The parent-tracking labels would
+// launder a NaN row value like any min fold, so the source's NaN report
+// (a table's construction-time flag, a scan of each streamed row) decides
+// a poisoned result instead.
+OfflineResult solve_dense(const SlotSource& source) {
   OfflineResult result;
-  if (T == 0) {
-    result.schedule = {};
-    result.cost = 0.0;
-    return result;
-  }
-
+  const int T = source.horizon();
+  const int m = source.max_servers();
+  const double beta = source.beta();
   const std::size_t width = static_cast<std::size_t>(m) + 1;
   Workspace& workspace = rs::util::this_thread_workspace();
   auto parents =
@@ -113,12 +112,20 @@ OfflineResult solve_impl(int T, int m, double beta, RowAt&& row_at) {
   auto next = workspace.borrow<double>(width);
   auto suffix_min = workspace.borrow<double>(width);
   auto suffix_arg = workspace.borrow<std::int32_t>(width);
+  auto frow = workspace.borrow<double>(width);
   initial_labels(current.span());
-  for (int t = 1; t <= T; ++t) {
-    dp_step(row_at(t), beta, current.span(), next.span(), suffix_min.span(),
-            suffix_arg.span(),
-            parents.data() + static_cast<std::size_t>(t - 1) * width);
-    std::swap(current.vec(), next.vec());
+  std::int32_t* parent = parents.data();
+  const bool poisoned = source.for_each_row(
+      frow.span(), [&](std::span<const double> row, int length) {
+        for (int i = 0; i < length; ++i, parent += width) {
+          dp_step(row, beta, current.span(), next.span(), suffix_min.span(),
+                  suffix_arg.span(), parent);
+          std::swap(current.vec(), next.vec());
+        }
+      });
+  if (poisoned) {
+    result.cost = std::numeric_limits<double>::quiet_NaN();
+    return result;
   }
 
   // Final state: cheapest label (power-down to x_{T+1} = 0 is free).
@@ -145,142 +152,74 @@ OfflineResult solve_impl(int T, int m, double beta, RowAt&& row_at) {
 // in-place in two passes (forward prefix fold, backward suffix fold fused
 // with the f_t addition) — the same extended-real minima as dp_step, hence
 // bit-identical labels, at roughly half the memory traffic.  Both passes
-// are straight min/add chains with no data-dependent branches.
-//
-// std::min discards NaN (it loses every `<` comparison), so a NaN row value
-// would silently launder into +inf one slot later — indistinguishable from
-// legitimate infeasibility.  The branch-free `poison` accumulator keeps this
-// entry point consistent with the parent-tracking DP, whose suffix seed
-// copies labels verbatim and therefore propagates NaN to the final cost.
-template <typename RowAt>
-double solve_cost_impl(int T, int m, double beta, RowAt&& row_at) {
-  if (T == 0) return 0.0;
+// are straight min/add chains with no data-dependent branches.  std::min
+// discards NaN (it loses every `<` comparison), so a poisoned row is
+// classified by the source's NaN report, as in solve_dense.
+double solve_cost_dense(const SlotSource& source) {
+  const int m = source.max_servers();
+  const double beta = source.beta();
   Workspace& workspace = rs::util::this_thread_workspace();
   auto labels = workspace.borrow<double>(static_cast<std::size_t>(m) + 1);
+  auto frow = workspace.borrow<double>(static_cast<std::size_t>(m) + 1);
   initial_labels(labels.span());
   double* w = labels.data();
-  double poison = 0.0;  // NaN iff any row value was NaN
-  for (int t = 1; t <= T; ++t) {
-    const std::span<const double> frow = row_at(t);
-    double best_shifted = kInf;  // min W_{t-1}(x') − βx'
-    for (int x = 0; x <= m; ++x) {
-      best_shifted =
-          std::min(best_shifted, w[x] - beta * static_cast<double>(x));
-      w[x] = std::min(w[x], best_shifted + beta * static_cast<double>(x));
-    }
-    double suffix = kInf;  // free power-down: min over x' >= x
-    for (int x = m; x >= 0; --x) {
-      suffix = std::min(suffix, w[x]);
-      w[x] = suffix + frow[static_cast<std::size_t>(x)];
-      poison += frow[static_cast<std::size_t>(x)];
-    }
-  }
-  if (std::isnan(poison)) return poison;
+  const bool poisoned = source.for_each_row(
+      frow.span(), [&](std::span<const double> row, int length) {
+        for (int i = 0; i < length; ++i) {
+          double best_shifted = kInf;  // min W_{t-1}(x') − βx'
+          for (int x = 0; x <= m; ++x) {
+            best_shifted =
+                std::min(best_shifted, w[x] - beta * static_cast<double>(x));
+            w[x] = std::min(w[x], best_shifted + beta * static_cast<double>(x));
+          }
+          double suffix = kInf;  // free power-down: min over x' >= x
+          for (int x = m; x >= 0; --x) {
+            suffix = std::min(suffix, w[x]);
+            w[x] = suffix + row[static_cast<std::size_t>(x)];
+          }
+        }
+      });
+  if (poisoned) return std::numeric_limits<double>::quiet_NaN();
   return *std::min_element(labels.begin(), labels.end());
 }
 
 // The convex fast path: the DP labels coincide with the bound work
-// function Ĉ^L (same relax, same f_t addition), so one auto-backend
-// tracker pass yields the optimal cost (min Ĉ^L_T) and the per-step bound
-// corridor, from which the Lemma-11 backward projection reconstructs an
-// optimal schedule without any parent table.  With the PWL backend this is
-// O(T·B log K) time and O(T + K) memory; on the dense fallback it is the
-// usual O(T·m).
-// Shared by the streaming (per-slot conversion inside the tracker) and the
-// cached-forms (PwlProblem) entry points; `advance_at(tracker, t)` feeds
-// slot t into the tracker.
-template <typename AdvanceAt>
-OfflineResult solve_convex_impl(int T, int m, double beta, bool want_schedule,
-                                WorkFunctionTracker::Backend backend,
-                                AdvanceAt&& advance_at) {
+// function Ĉ^L (same relax, same f_t addition), so one tracker pass yields
+// the optimal cost (min Ĉ^L_T) and the per-step bound corridor, from which
+// the Lemma-11 backward projection reconstructs an optimal schedule
+// without any parent table.  With the PWL backend this is O(T·B log K)
+// time and O(T + K) memory (O(K) without the schedule); on the kAuto
+// dense fallback it is the usual O(T·m).
+OfflineResult solve_convex(const SlotSource& source, bool want_schedule) {
   OfflineResult result;
-  if (T == 0) {
-    result.schedule = {};
-    result.cost = 0.0;
-    return result;
-  }
-  WorkFunctionTracker tracker(m, beta, backend);
   BoundTrajectory bounds;
-  if (want_schedule) {
-    bounds.lower.reserve(static_cast<std::size_t>(T));
-    bounds.upper.reserve(static_cast<std::size_t>(T));
-  }
-  for (int t = 1; t <= T; ++t) {
-    advance_at(tracker, t);
-    if (want_schedule) {
-      bounds.lower.push_back(tracker.x_lower());
-      bounds.upper.push_back(tracker.x_upper());
-    }
-  }
-  result.cost = tracker.chat_min();
+  result.cost = track_slots(source, WorkFunctionTracker::Backend::kAuto,
+                            want_schedule ? &bounds : nullptr)
+                    .chat_min();
   if (want_schedule && result.feasible()) {
     result.schedule = backward_schedule(bounds);
   }
   return result;
 }
 
-OfflineResult solve_convex_auto(const Problem& p, bool want_schedule) {
-  return solve_convex_impl(
-      p.horizon(), p.max_servers(), p.beta(), want_schedule,
-      WorkFunctionTracker::Backend::kAuto,
-      [&p](WorkFunctionTracker& tracker, int t) { tracker.advance(p.f(t)); });
-}
-
-OfflineResult solve_convex_cached(const rs::core::PwlProblem& pwl,
-                                  bool want_schedule) {
-  return solve_convex_impl(pwl.horizon(), pwl.max_servers(), pwl.beta(),
-                           want_schedule, WorkFunctionTracker::Backend::kPwl,
-                           [&pwl](WorkFunctionTracker& tracker, int t) {
-                             tracker.advance(pwl.form(t));
-                           });
-}
-
 }  // namespace
 
-OfflineResult DpSolver::solve(const Problem& p) const {
-  if (backend_ == Backend::kConvexAuto) {
-    return solve_convex_auto(p, /*want_schedule=*/true);
-  }
-  const int m = p.max_servers();
-  auto frow = rs::util::this_thread_workspace().borrow<double>(
-      static_cast<std::size_t>(m) + 1);
-  return solve_impl(p.horizon(), m, p.beta(),
-                    [&p, m, &frow](int t) -> std::span<const double> {
-                      p.f(t).eval_row(m, frow.span());
-                      return frow.span();
-                    });
+bool DpSolver::runs_convex(const SlotSource& source) const noexcept {
+  return source.pwl() != nullptr ||
+         (source.has_cost_functions() && backend_ == Backend::kConvexAuto);
 }
 
-OfflineResult DpSolver::solve(const DenseProblem& dense) const {
-  return solve_impl(dense.horizon(), dense.max_servers(), dense.beta(),
-                    [&dense](int t) { return dense.row(t); });
+OfflineResult DpSolver::solve(const SlotSource& source) const {
+  if (source.horizon() == 0) return OfflineResult{{}, 0.0};
+  return runs_convex(source) ? solve_convex(source, /*want_schedule=*/true)
+                             : solve_dense(source);
 }
 
-OfflineResult DpSolver::solve(const rs::core::PwlProblem& pwl) const {
-  return solve_convex_cached(pwl, /*want_schedule=*/true);
-}
-
-double DpSolver::solve_cost(const rs::core::PwlProblem& pwl) const {
-  return solve_convex_cached(pwl, /*want_schedule=*/false).cost;
-}
-
-double DpSolver::solve_cost(const Problem& p) const {
-  if (backend_ == Backend::kConvexAuto) {
-    return solve_convex_auto(p, /*want_schedule=*/false).cost;
-  }
-  const int m = p.max_servers();
-  auto frow = rs::util::this_thread_workspace().borrow<double>(
-      static_cast<std::size_t>(m) + 1);
-  return solve_cost_impl(p.horizon(), m, p.beta(),
-                         [&p, m, &frow](int t) -> std::span<const double> {
-                           p.f(t).eval_row(m, frow.span());
-                           return frow.span();
-                         });
-}
-
-double DpSolver::solve_cost(const DenseProblem& dense) const {
-  return solve_cost_impl(dense.horizon(), dense.max_servers(), dense.beta(),
-                         [&dense](int t) { return dense.row(t); });
+double DpSolver::solve_cost(const SlotSource& source) const {
+  if (source.horizon() == 0) return 0.0;
+  return runs_convex(source)
+             ? solve_convex(source, /*want_schedule=*/false).cost
+             : solve_cost_dense(source);
 }
 
 }  // namespace rs::offline

@@ -25,8 +25,7 @@
 //                 parent-pointer reconstruction.
 #pragma once
 
-#include "core/dense_problem.hpp"
-#include "core/pwl_problem.hpp"
+#include "core/slot_source.hpp"
 #include "offline/solver.hpp"
 
 namespace rs::offline {
@@ -40,29 +39,26 @@ class DpSolver final : public OfflineSolver {
   DpSolver() : DpSolver(Backend::kDense) {}
   explicit DpSolver(Backend backend) : backend_(backend) {}
 
-  /// Streams one dense row per step through CostFunction::eval_row — the
+  /// Solves any input form; the one implementation entry.  The form
+  /// decides the backend of materialized inputs — DenseProblem rows run
+  /// the table DP, PwlProblem forms run the convex fast path — and
+  /// `backend` applies to Problem and RleProblem sources, whose rows are
+  /// streamed through CostFunction::eval_row (once per RLE run): the
   /// per-step cost is a contiguous O(m) scan with no virtual dispatch in
-  /// the inner loop.  Under kConvexAuto, compact convex instances skip the
-  /// rows entirely (see Backend above).
-  OfflineResult solve(const rs::core::Problem& p) const override;
-
-  /// Runs on a pre-built dense table; use when several solvers (or repeated
-  /// runs) share one instance and the rows should be evaluated only once.
-  /// Always the dense backend (the rows already exist).
-  OfflineResult solve(const rs::core::DenseProblem& dense) const;
-
-  /// Runs on pre-converted convex-PWL forms; use when several solvers (or
-  /// repeated runs) share one instance and the slots should be converted
-  /// only once (the batch engine's PwlProblem cache).  Always the convex
-  /// fast path (the forms already exist), regardless of `backend`.
-  OfflineResult solve(const rs::core::PwlProblem& pwl) const;
+  /// the inner loop.  On the table DP a NaN slot cost yields a NaN cost
+  /// and no schedule (the convex path rejects it with invalid_argument).
+  OfflineResult solve(const rs::core::SlotSource& source) const;
+  OfflineResult solve(const rs::core::Problem& p) const override {
+    return solve(rs::core::SlotSource(p));
+  }
 
   /// O(m)-memory variant that skips parent bookkeeping (O(K)-memory on the
   /// convex fast path); used by the scaling benchmarks where T·m parent
-  /// tables would not fit.
-  double solve_cost(const rs::core::Problem& p) const override;
-  double solve_cost(const rs::core::DenseProblem& dense) const;
-  double solve_cost(const rs::core::PwlProblem& pwl) const;
+  /// tables would not fit.  Same backend selection as solve().
+  double solve_cost(const rs::core::SlotSource& source) const;
+  double solve_cost(const rs::core::Problem& p) const override {
+    return solve_cost(rs::core::SlotSource(p));
+  }
 
   Backend backend() const noexcept { return backend_; }
 
@@ -77,6 +73,10 @@ class DpSolver final : public OfflineSolver {
   std::string name() const override { return "dp"; }
 
  private:
+  // Whether `source` takes the convex fast path (forms always; Problem and
+  // RleProblem under kConvexAuto) rather than the table DP.
+  bool runs_convex(const rs::core::SlotSource& source) const noexcept;
+
   Backend backend_ = Backend::kDense;
 };
 

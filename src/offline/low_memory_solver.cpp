@@ -1,11 +1,12 @@
 // rs-lint: minmax-audited — the rolling-label folds are approved
-// branch-free kernels: a poisoned NaN row is surfaced by the `poison`
-// accumulators below, never laundered into +inf by std::min
+// branch-free kernels: a poisoned NaN row is surfaced by the source's NaN
+// report (SlotSource::for_each_row), never laundered into +inf by std::min
 // (DESIGN.md §13).
 #include "offline/low_memory_solver.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -15,22 +16,12 @@
 
 namespace rs::offline {
 
-using rs::core::Problem;
 using rs::core::Schedule;
+using rs::core::SlotSource;
 using rs::util::kInf;
 using rs::util::Workspace;
 
 namespace {
-
-// The divide-and-conquer recursion re-evaluates each slot O(log T) times;
-// rows are streamed through CostFunction::eval_row into a caller-provided
-// scratch buffer instead of a DenseProblem table, preserving the solver's
-// O(m) memory guarantee.
-std::span<const double> eval_slot(const Problem& p, int t,
-                                  std::span<double> scratch) {
-  p.f(t).eval_row(p.max_servers(), scratch);
-  return scratch;
-}
 
 // One forward relax step: labels(x) <- min_x' labels(x') + β(x−x')⁺, then
 // += f_t(x).  Identical kernel to the DP solver, kept local for the
@@ -141,15 +132,20 @@ struct PwlRecursion {
   }
 };
 
+// The divide-and-conquer recursion re-evaluates each slot O(log T) times;
+// rows come from SlotSource::row — streamed through eval_row into the
+// shared scratch unless the source is already a table — preserving the
+// solver's O(m) memory guarantee.
 struct Recursion {
-  const Problem& p;
+  const SlotSource& source;
   Schedule& out;
   std::span<double> frow;  // shared O(m) row scratch
+  const int m = source.max_servers();
+  const double beta = source.beta();
 
   // Serves slots lo..hi given x_{lo-1} = start; if `end` is set, x_hi must
   // equal *end.  Writes the optimal states into out[lo-1..hi-1].
   void run(int lo, int hi, int start, std::optional<int> end) {
-    const int m = p.max_servers();
     if (lo > hi) return;
     if (lo == hi) {
       if (end) {
@@ -158,12 +154,12 @@ struct Recursion {
       }
       // Single slot: pick argmin of the direct transition (+inf rows never
       // improve, so the old isinf skip is subsumed by the comparison).
-      const std::span<const double> row = eval_slot(p, lo, frow);
+      const std::span<const double> row = source.row(lo, frow);
       int best = start;
       double best_value = kInf;
       for (int x = 0; x <= m; ++x) {
         const double value =
-            p.beta() * static_cast<double>(std::max(0, x - start)) +
+            beta * static_cast<double>(std::max(0, x - start)) +
             row[static_cast<std::size_t>(x)];
         if (value < best_value) {
           best_value = value;
@@ -183,7 +179,7 @@ struct Recursion {
     std::fill(forward.begin(), forward.end(), kInf);
     forward[static_cast<std::size_t>(start)] = 0.0;
     for (int t = lo; t <= mid; ++t) {
-      forward_step(eval_slot(p, t, frow), p.beta(), forward.span());
+      forward_step(source.row(t, frow), beta, forward.span());
     }
 
     // Backward labels over mid+1..hi, terminal condition from `end`.
@@ -196,7 +192,7 @@ struct Recursion {
       std::fill(backward.begin(), backward.end(), 0.0);
     }
     for (int t = hi; t > mid; --t) {
-      backward_step(eval_slot(p, t, frow), p.beta(), backward.span(),
+      backward_step(source.row(t, frow), beta, backward.span(),
                     step_scratch.span());
     }
 
@@ -224,60 +220,9 @@ struct Recursion {
   }
 };
 
-}  // namespace
-
-OfflineResult LowMemorySolver::solve(const Problem& p) const {
-  if (backend_ == Backend::kConvexAuto) {
-    // One conversion per slot, up front; the D&C revisits each slot
-    // O(log T) times but only ever touches the cached forms.
-    if (std::optional<rs::core::PwlProblem> pwl =
-            rs::core::PwlProblem::try_convert(p)) {
-      return solve(*pwl);
-    }
-  }
-  OfflineResult result;
-  const int T = p.horizon();
-  if (T == 0) {
-    result.schedule = {};
-    result.cost = 0.0;
-    return result;
-  }
-  // Feasibility and optimal value via one forward sweep.  std::min discards
-  // NaN, so a NaN row value would launder into +inf one slot later; the
-  // `poison` accumulator surfaces it as a NaN cost instead (same guard as
-  // DpSolver::solve_cost).
-  const std::size_t width = static_cast<std::size_t>(p.max_servers()) + 1;
-  Workspace& workspace = rs::util::this_thread_workspace();
-  auto frow = workspace.borrow<double>(width);
-  auto labels = workspace.borrow<double>(width);
-  std::fill(labels.begin(), labels.end(), kInf);
-  labels[0] = 0.0;
-  double poison = 0.0;  // NaN iff any row value was NaN
-  for (int t = 1; t <= T; ++t) {
-    const std::span<const double> row = eval_slot(p, t, frow.span());
-    forward_step(row, p.beta(), labels.span());
-    for (double value : row) poison += value;
-  }
-  double optimum = kInf;
-  for (double label : labels) optimum = std::min(optimum, label);
-  result.cost = std::isnan(poison) ? poison : optimum;
-  labels.reset();
-  if (!result.feasible()) return result;
-
-  result.schedule.assign(static_cast<std::size_t>(T), 0);
-  Recursion recursion{p, result.schedule, frow.span()};
-  recursion.run(1, T, 0, std::nullopt);
-  return result;
-}
-
-OfflineResult LowMemorySolver::solve(const rs::core::PwlProblem& pwl) const {
+OfflineResult solve_pwl(const rs::core::PwlProblem& pwl) {
   OfflineResult result;
   const int T = pwl.horizon();
-  if (T == 0) {
-    result.schedule = {};
-    result.cost = 0.0;
-    return result;
-  }
   // Feasibility and optimal value via one forward sweep over the forms;
   // the dense sweep's "min over final labels" is the argmin value.
   PwlRecursion recursion{pwl, result.schedule};
@@ -289,6 +234,54 @@ OfflineResult LowMemorySolver::solve(const rs::core::PwlProblem& pwl) const {
   result.schedule.assign(static_cast<std::size_t>(T), 0);
   recursion.run(1, T, 0, std::nullopt);
   return result;
+}
+
+OfflineResult solve_dense(const SlotSource& source) {
+  OfflineResult result;
+  const int T = source.horizon();
+  // Feasibility and optimal value via one forward sweep.  std::min discards
+  // NaN, so a NaN row value would launder into +inf one slot later; the
+  // source's NaN report surfaces it as a NaN cost instead (same guard as
+  // DpSolver).
+  const std::size_t width = static_cast<std::size_t>(source.max_servers()) + 1;
+  Workspace& workspace = rs::util::this_thread_workspace();
+  auto frow = workspace.borrow<double>(width);
+  auto labels = workspace.borrow<double>(width);
+  std::fill(labels.begin(), labels.end(), kInf);
+  labels[0] = 0.0;
+  const bool poisoned = source.for_each_row(
+      frow.span(), [&](std::span<const double> row, int length) {
+        for (int i = 0; i < length; ++i) {
+          forward_step(row, source.beta(), labels.span());
+        }
+      });
+  double optimum = kInf;
+  for (double label : labels) optimum = std::min(optimum, label);
+  result.cost = poisoned ? std::numeric_limits<double>::quiet_NaN() : optimum;
+  labels.reset();
+  if (!result.feasible()) return result;
+
+  result.schedule.assign(static_cast<std::size_t>(T), 0);
+  Recursion recursion{source, result.schedule, frow.span()};
+  recursion.run(1, T, 0, std::nullopt);
+  return result;
+}
+
+}  // namespace
+
+OfflineResult LowMemorySolver::solve(const SlotSource& source) const {
+  if (source.horizon() == 0) return OfflineResult{{}, 0.0};
+  if (const rs::core::PwlProblem* pwl = source.pwl()) return solve_pwl(*pwl);
+  if (backend_ == Backend::kConvexAuto && source.has_cost_functions()) {
+    // One conversion per slot, up front; the D&C revisits each slot
+    // O(log T) times but only ever touches the cached forms.
+    const std::optional<rs::core::PwlProblem> pwl =
+        source.rle() != nullptr
+            ? rs::core::PwlProblem::try_convert(source.rle()->expand())
+            : rs::core::PwlProblem::try_convert(*source.problem());
+    if (pwl) return solve_pwl(*pwl);
+  }
+  return solve_dense(source);
 }
 
 }  // namespace rs::offline

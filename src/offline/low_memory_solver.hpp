@@ -23,9 +23,7 @@
 // integer-valued instances, tie-equivalent elsewhere (DESIGN.md §8).
 #pragma once
 
-#include <optional>
-
-#include "core/pwl_problem.hpp"
+#include "core/slot_source.hpp"
 #include "offline/solver.hpp"
 
 namespace rs::offline {
@@ -37,14 +35,16 @@ class LowMemorySolver final : public OfflineSolver {
   LowMemorySolver() : LowMemorySolver(Backend::kDense) {}
   explicit LowMemorySolver(Backend backend) : backend_(backend) {}
 
-  /// kConvexAuto converts the instance once (a private PwlProblem) and
-  /// runs the PWL recursion, or falls back to the dense path when any slot
-  /// has no compact form.
-  OfflineResult solve(const rs::core::Problem& p) const override;
-
-  /// Runs on pre-converted forms (e.g. the batch engine's shared
-  /// PwlProblem) — no conversions at all, regardless of `backend`.
-  OfflineResult solve(const rs::core::PwlProblem& pwl) const;
+  /// Solves any input form; the one implementation entry.  PwlProblem
+  /// forms run the PWL recursion with no conversions at all, regardless of
+  /// `backend`.  Problem and RleProblem sources under kConvexAuto convert
+  /// the instance once (a private PwlProblem) and run the PWL recursion, or
+  /// fall back to the dense path when any slot has no compact form.  The
+  /// dense path streams rows (table views for a DenseProblem).
+  OfflineResult solve(const rs::core::SlotSource& source) const;
+  OfflineResult solve(const rs::core::Problem& p) const override {
+    return solve(rs::core::SlotSource(p));
+  }
 
   Backend backend() const noexcept { return backend_; }
 

@@ -860,49 +860,40 @@ void WorkFunctionTracker::audit_invariants(const char* site) const {
   audit_min_watermark_ = min_label;
 }
 
-namespace {
-
-// Feeds slots 1..horizon through `advance_at(tracker, t)` and collects the
-// per-slot corridor.
-template <typename AdvanceAt>
-BoundTrajectory collect_bounds(WorkFunctionTracker tracker, int horizon,
-                               AdvanceAt&& advance_at) {
-  BoundTrajectory bounds;
-  bounds.lower.reserve(static_cast<std::size_t>(horizon));
-  bounds.upper.reserve(static_cast<std::size_t>(horizon));
-  for (int t = 1; t <= horizon; ++t) {
-    advance_at(tracker, t);
-    bounds.lower.push_back(tracker.x_lower());
-    bounds.upper.push_back(tracker.x_upper());
+WorkFunctionTracker track_slots(const rs::core::SlotSource& source,
+                                WorkFunctionTracker::Backend backend,
+                                BoundTrajectory* bounds, int rewind_capacity) {
+  if (source.dense() != nullptr) backend = WorkFunctionTracker::Backend::kDense;
+  if (source.pwl() != nullptr) backend = WorkFunctionTracker::Backend::kPwl;
+  WorkFunctionTracker tracker(source.max_servers(), source.beta(), backend);
+  if (rewind_capacity > 0) tracker.enable_rewind(rewind_capacity);
+  const std::size_t horizon = static_cast<std::size_t>(source.horizon());
+  if (bounds != nullptr) {
+    bounds->lower.assign(horizon, 0);
+    bounds->upper.assign(horizon, 0);
   }
-  return bounds;
+  std::vector<int> scratch;  // one run's bounds when the caller keeps none
+  std::size_t offset = 0;
+  source.for_each_run([&](const auto& slot, int length) {
+    const std::size_t n = static_cast<std::size_t>(length);
+    if (bounds == nullptr && scratch.size() < 2 * n) scratch.resize(2 * n);
+    const std::span<int> lower =
+        bounds != nullptr ? std::span<int>(bounds->lower).subspan(offset, n)
+                          : std::span<int>(scratch).first(n);
+    const std::span<int> upper =
+        bounds != nullptr ? std::span<int>(bounds->upper).subspan(offset, n)
+                          : std::span<int>(scratch).subspan(n, n);
+    tracker.advance_repeated(slot, length, lower, upper);
+    offset += n;
+  });
+  return tracker;
 }
 
-}  // namespace
-
-BoundTrajectory compute_bounds(const rs::core::Problem& p,
+BoundTrajectory compute_bounds(const rs::core::SlotSource& source,
                                WorkFunctionTracker::Backend backend) {
-  return collect_bounds(
-      WorkFunctionTracker(p.max_servers(), p.beta(), backend), p.horizon(),
-      [&p](WorkFunctionTracker& tracker, int t) { tracker.advance(p.f(t)); });
-}
-
-BoundTrajectory compute_bounds(const rs::core::DenseProblem& dense) {
-  return collect_bounds(
-      WorkFunctionTracker(dense.max_servers(), dense.beta(),
-                          WorkFunctionTracker::Backend::kDense),
-      dense.horizon(), [&dense](WorkFunctionTracker& tracker, int t) {
-        tracker.advance(dense.row(t));
-      });
-}
-
-BoundTrajectory compute_bounds(const rs::core::PwlProblem& pwl) {
-  return collect_bounds(
-      WorkFunctionTracker(pwl.max_servers(), pwl.beta(),
-                          WorkFunctionTracker::Backend::kPwl),
-      pwl.horizon(), [&pwl](WorkFunctionTracker& tracker, int t) {
-        tracker.advance(pwl.form(t));
-      });
+  BoundTrajectory bounds;
+  track_slots(source, backend, &bounds);
+  return bounds;
 }
 
 }  // namespace rs::offline

@@ -45,9 +45,8 @@
 #include <vector>
 
 #include "core/convex_pwl.hpp"
-#include "core/dense_problem.hpp"
 #include "core/problem.hpp"
-#include "core/pwl_problem.hpp"
+#include "core/slot_source.hpp"
 #include "core/tie_rule.hpp"
 #include "util/workspace.hpp"
 
@@ -83,7 +82,7 @@ class WorkFunctionTracker {
 
   /// Feeds the SAME cost function for `count` consecutive slots and writes
   /// the per-slot bounds x^L / x^U into xl[0..count) / xu[0..count) —
-  /// the run-length-encoded replay primitive (scenario/rle.hpp).
+  /// the run-length-encoded replay primitive (core/rle_problem.hpp).
   ///
   /// Bounds are bit-identical to `count` individual advance() calls on
   /// both backends:
@@ -387,23 +386,31 @@ struct WorkFunctionTrackerTestAccess {
   }
 };
 
-/// Runs the tracker over the full instance and returns (x^L_τ, x^U_τ) for
-/// every τ in [1, T].
+/// Per-slot LCP corridor (x^L_τ, x^U_τ) for τ in [1, T].
 struct BoundTrajectory {
   std::vector<int> lower;  // x^L_1..x^L_T
   std::vector<int> upper;  // x^U_1..x^U_T
 };
+
+/// Runs a fresh tracker over every slot of `source` in order — one advance
+/// per slot, one advance_repeated per RLE run — and returns it.  The form
+/// decides the backend of materialized inputs (rows run kDense, forms run
+/// kPwl); `backend` applies to Problem and RleProblem sources.  With
+/// `rewind_capacity` > 0 the tracker records its rewind buffer from the
+/// start (one entry per advance).  The per-slot corridor lands in `bounds`
+/// (resized to T) when non-null.  The one feed-and-collect loop behind
+/// compute_bounds, the DpSolver convex path and DpDeltaSession's base
+/// solve.
+WorkFunctionTracker track_slots(const rs::core::SlotSource& source,
+                                WorkFunctionTracker::Backend backend,
+                                BoundTrajectory* bounds,
+                                int rewind_capacity = 0);
+
+/// The corridor of every slot of `source` (backend chosen as in
+/// track_slots).  Bit-identical across the four input forms of one
+/// instance and across backends (DESIGN.md §8).
 BoundTrajectory compute_bounds(
-    const rs::core::Problem& p,
+    const rs::core::SlotSource& source,
     WorkFunctionTracker::Backend backend = WorkFunctionTracker::Backend::kAuto);
-
-/// Same, consuming pre-materialized rows (shared with other dense-backed
-/// passes over the instance); always the dense backend.
-BoundTrajectory compute_bounds(const rs::core::DenseProblem& dense);
-
-/// Same, consuming cached convex-PWL forms (shared with the other PWL
-/// consumers of the instance — no per-advance re-conversion); always the
-/// PWL backend.
-BoundTrajectory compute_bounds(const rs::core::PwlProblem& pwl);
 
 }  // namespace rs::offline

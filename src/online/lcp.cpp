@@ -44,16 +44,17 @@ int Lcp::decide(const rs::core::CostPtr& f,
   tracker_->advance(*f);
   last_lower_ = tracker_->x_lower();
   last_upper_ = tracker_->x_upper();
-  current_ = rs::util::project(current_, last_lower_, last_upper_);
+  current_ = project_corridor(current_, std::span<const int>(&last_lower_, 1),
+                              std::span<const int>(&last_upper_, 1));
   RS_AUDIT(rs::util::audit::require(
       last_lower_ <= current_ && current_ <= last_upper_,
       "lcp-projection-in-corridor", "Lcp::decide"));
   return current_;
 }
 
-void Lcp::check_run_args(int count, std::span<const int> decisions,
-                         std::span<const int> lower,
-                         std::span<const int> upper) const {
+template <typename Slot>
+void Lcp::decide_run_impl(const Slot& f, int count, std::span<int> decisions,
+                          std::span<int> lower, std::span<int> upper) {
   if (count < 0) {
     throw std::invalid_argument("Lcp::decide_run: negative count");
   }
@@ -64,38 +65,27 @@ void Lcp::check_run_args(int count, std::span<const int> decisions,
   if (!tracker_.has_value()) {
     throw std::logic_error("Lcp::decide_run: reset() the session first");
   }
-}
-
-void Lcp::project_run(int count, std::span<int> decisions,
-                      std::span<int> lower, std::span<int> upper) {
-  for (int i = 0; i < count; ++i) {
-    current_ = rs::util::project(current_, lower[static_cast<std::size_t>(i)],
-                                 upper[static_cast<std::size_t>(i)]);
-    decisions[static_cast<std::size_t>(i)] = current_;
-  }
-  last_lower_ = lower[static_cast<std::size_t>(count) - 1];
-  last_upper_ = upper[static_cast<std::size_t>(count) - 1];
+  if (count == 0) return;
+  tracker_->advance_repeated(f, count, lower, upper);
+  current_ = project_corridor(current_, lower.first(n), upper.first(n),
+                              decisions.first(n));
+  last_lower_ = lower[n - 1];
+  last_upper_ = upper[n - 1];
   RS_AUDIT(rs::util::audit::require(
       last_lower_ <= current_ && current_ <= last_upper_,
-      "lcp-projection-in-corridor", "Lcp::project_run"));
+      "lcp-projection-in-corridor", "Lcp::decide_run"));
 }
 
 void Lcp::decide_run(const rs::core::CostFunction& f, int count,
                      std::span<int> decisions, std::span<int> lower,
                      std::span<int> upper) {
-  check_run_args(count, decisions, lower, upper);
-  if (count == 0) return;
-  tracker_->advance_repeated(f, count, lower, upper);
-  project_run(count, decisions, lower, upper);
+  decide_run_impl(f, count, decisions, lower, upper);
 }
 
 void Lcp::decide_run(const rs::core::ConvexPwl& f, int count,
                      std::span<int> decisions, std::span<int> lower,
                      std::span<int> upper) {
-  check_run_args(count, decisions, lower, upper);
-  if (count == 0) return;
-  tracker_->advance_repeated(f, count, lower, upper);
-  project_run(count, decisions, lower, upper);
+  decide_run_impl(f, count, decisions, lower, upper);
 }
 
 bool Lcp::degrade_to_dense() {
@@ -178,28 +168,30 @@ void Lcp::restore(const OnlineContext& context,
   last_upper_ = last_upper;
 }
 
-namespace {
-
-// Eq. 13 through a precomputed corridor trajectory.
-rs::core::Schedule project_through(const rs::offline::BoundTrajectory& bounds) {
-  rs::core::Schedule schedule;
-  schedule.reserve(bounds.lower.size());
-  int current = 0;
-  for (std::size_t t = 0; t < bounds.lower.size(); ++t) {
-    current = rs::util::project(current, bounds.lower[t], bounds.upper[t]);
-    schedule.push_back(current);
+int project_corridor(int state, std::span<const int> lower,
+                     std::span<const int> upper, std::span<int> decisions) {
+  for (std::size_t i = 0; i < lower.size(); ++i) {
+    state = rs::util::project(state, lower[i], upper[i]);
+    if (!decisions.empty()) decisions[i] = state;
   }
+  return state;
+}
+
+rs::core::Schedule run_lcp(const rs::core::SlotSource& source,
+                           rs::offline::WorkFunctionTracker::Backend backend) {
+  const rs::offline::BoundTrajectory bounds =
+      rs::offline::compute_bounds(source, backend);
+  rs::core::Schedule schedule(bounds.lower.size());
+  project_corridor(0, bounds.lower, bounds.upper, schedule);
   return schedule;
 }
 
-}  // namespace
-
 rs::core::Schedule run_lcp_dense(const rs::core::DenseProblem& dense) {
-  return project_through(rs::offline::compute_bounds(dense));
+  return run_lcp(dense);
 }
 
 rs::core::Schedule run_lcp_pwl(const rs::core::PwlProblem& pwl) {
-  return project_through(rs::offline::compute_bounds(pwl));
+  return run_lcp(pwl);
 }
 
 }  // namespace rs::online

@@ -105,11 +105,10 @@ class Lcp final : public OnlineAlgorithm {
                std::span<const std::uint8_t> bytes);
 
  private:
-  void check_run_args(int count, std::span<const int> decisions,
-                      std::span<const int> lower,
-                      std::span<const int> upper) const;
-  void project_run(int count, std::span<int> decisions, std::span<int> lower,
-                   std::span<int> upper);
+  // Both decide_run overloads: validate, advance, project (eq. 13).
+  template <typename Slot>
+  void decide_run_impl(const Slot& f, int count, std::span<int> decisions,
+                       std::span<int> lower, std::span<int> upper);
 
   rs::offline::WorkFunctionTracker::Backend backend_;
   // In-place tracker (workspace-backed): reset() re-emplaces without a heap
@@ -121,19 +120,31 @@ class Lcp final : public OnlineAlgorithm {
   int what_if_capacity_ = 0;  // > 0: keep a rewind buffer on the tracker
 };
 
-/// Replays LCP over a dense instance, feeding the tracker one contiguous
-/// row per slot.  With a lazily-materialized DenseProblem, row t is
-/// evaluated exactly when slot t is revealed, so the no-lookahead contract
-/// of the online setting is preserved; with an eager one the replay is a
-/// pure table walk (the fast path for repeated analysis runs).  Produces
-/// the same schedule as run_online(Lcp, p).
+/// Eq. 13 over a corridor sequence: starting from `state` (x^LCP_{τ-1}),
+/// projects into [lower[i], upper[i]] for each slot i in order, writes each
+/// x^LCP into decisions[i] when `decisions` is non-empty, and returns the
+/// final state.  The one implementation of the LCP projection: Lcp,
+/// run_lcp, WindowedLcp and the fleet's what-if probes all call it.
+/// Requires lower.size() == upper.size() (and decisions, when given, at
+/// least as long).
+int project_corridor(int state, std::span<const int> lower,
+                     std::span<const int> upper, std::span<int> decisions = {});
+
+/// Replays LCP over any input form: the corridor of compute_bounds(source,
+/// backend) projected through eq. 13.  The form decides the backend of
+/// materialized inputs (rows run dense, forms run PWL); `backend` applies
+/// to Problem and RleProblem sources, and an RleProblem advances the
+/// tracker once per run.  Produces the same schedule as run_online(
+/// Lcp(backend), p) on the instance — bit-identical across the forms.
+rs::core::Schedule run_lcp(
+    const rs::core::SlotSource& source,
+    rs::offline::WorkFunctionTracker::Backend backend =
+        rs::offline::WorkFunctionTracker::Backend::kAuto);
+
+/// run_lcp over pre-materialized rows.
 rs::core::Schedule run_lcp_dense(const rs::core::DenseProblem& dense);
 
-/// Replays LCP over cached convex-PWL forms, feeding the tracker one
-/// pre-converted form per slot — the PWL analog of run_lcp_dense, and the
-/// batch engine's routing target: K jobs on one instance replay from one
-/// PwlProblem instead of re-converting every slot per job.  Produces the
-/// same schedule as run_online(Lcp(kPwl), p).
+/// run_lcp over cached convex-PWL forms.
 rs::core::Schedule run_lcp_pwl(const rs::core::PwlProblem& pwl);
 
 }  // namespace rs::online

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/checkpoint.hpp"
+#include "online/lcp.hpp"
 #include "util/math_util.hpp"
 #include "util/workspace.hpp"
 
@@ -289,7 +290,8 @@ int WindowedLcp::project_onto(rs::core::Corridor corridor) {
   // projecting into [min, max] keeps the decision well-defined.
   const int lo = std::min(corridor.lower, corridor.upper);
   const int hi = std::max(corridor.lower, corridor.upper);
-  current_ = rs::util::project(current_, lo, hi);
+  current_ = project_corridor(current_, std::span<const int>(&lo, 1),
+                              std::span<const int>(&hi, 1));
   return current_;
 }
 

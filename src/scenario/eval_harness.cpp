@@ -6,6 +6,7 @@
 
 #include "core/schedule.hpp"
 #include "offline/dp_solver.hpp"
+#include "online/lcp.hpp"
 #include "online/online_algorithm.hpp"
 #include "online/randomized_rounding.hpp"
 #include "scenario/rle.hpp"
@@ -57,12 +58,12 @@ double run_algorithm(HarnessAlgorithm algorithm, const Scenario& scenario,
                      std::uint64_t sample_seed) {
   switch (algorithm) {
     case HarnessAlgorithm::kLcpDense: {
-      const rs::core::Schedule x = replay_lcp(
+      const rs::core::Schedule x = rs::online::run_lcp(
           scenario.rle, rs::offline::WorkFunctionTracker::Backend::kDense);
       return rs::core::total_cost(scenario.problem, x);
     }
     case HarnessAlgorithm::kLcpAuto: {
-      const rs::core::Schedule x = replay_lcp(
+      const rs::core::Schedule x = rs::online::run_lcp(
           scenario.rle, rs::offline::WorkFunctionTracker::Backend::kAuto);
       return rs::core::total_cost(scenario.problem, x);
     }

@@ -27,8 +27,8 @@
 namespace rs::scenario {
 
 enum class HarnessAlgorithm {
-  kLcpDense,             // LCP via replay_lcp on the dense backend
-  kLcpAuto,              // LCP via replay_lcp, backend auto-selected
+  kLcpDense,             // run_lcp over the RLE view, dense backend
+  kLcpAuto,              // run_lcp over the RLE view, backend auto-selected
   kRandomizedRounding,   // Theorem-3 randomized rounding (fresh seed/sample)
 };
 

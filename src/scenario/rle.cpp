@@ -3,14 +3,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/math_util.hpp"
-
 namespace rs::scenario {
 
 using rs::core::CostPtr;
 using rs::core::Problem;
-using rs::core::Schedule;
-using rs::offline::WorkFunctionTracker;
 
 RleTrace rle_encode(const rs::workload::Trace& trace) {
   RleTrace rle;
@@ -33,28 +29,6 @@ rs::workload::Trace rle_decode(const RleTrace& rle) {
     for (int i = 0; i < run.length; ++i) trace.lambda.push_back(run.lambda);
   }
   return trace;
-}
-
-RleProblem::RleProblem(int m, double beta, std::vector<Run> runs)
-    : m_(m), beta_(beta), horizon_(0), runs_(std::move(runs)) {
-  if (m < 0) throw std::invalid_argument("RleProblem: m < 0");
-  if (!(beta > 0.0)) throw std::invalid_argument("RleProblem: beta must be > 0");
-  for (const Run& run : runs_) {
-    if (!run.cost) throw std::invalid_argument("RleProblem: null cost");
-    if (run.length < 1) {
-      throw std::invalid_argument("RleProblem: run length < 1");
-    }
-    horizon_ += run.length;
-  }
-}
-
-Problem RleProblem::expand() const {
-  std::vector<CostPtr> fs;
-  fs.reserve(static_cast<std::size_t>(horizon_));
-  for (const Run& run : runs_) {
-    for (int i = 0; i < run.length; ++i) fs.push_back(run.cost);
-  }
-  return Problem(m_, beta_, std::move(fs));
 }
 
 RleProblem rle_problem_from_trace(
@@ -82,48 +56,6 @@ RleProblem rle_compress(const Problem& p) {
     }
   }
   return RleProblem(p.max_servers(), p.beta(), std::move(runs));
-}
-
-Schedule replay_lcp(const RleProblem& rle,
-                    WorkFunctionTracker::Backend backend) {
-  WorkFunctionTracker tracker(rle.max_servers(), rle.beta(), backend);
-  Schedule schedule;
-  schedule.reserve(static_cast<std::size_t>(rle.horizon()));
-  std::vector<int> xl;
-  std::vector<int> xu;
-  int current = 0;
-  for (const RleProblem::Run& run : rle.runs()) {
-    if (static_cast<int>(xl.size()) < run.length) {
-      xl.resize(static_cast<std::size_t>(run.length));
-      xu.resize(static_cast<std::size_t>(run.length));
-    }
-    tracker.advance_repeated(*run.cost, run.length, xl, xu);
-    // Same projection loop as Lcp::decide — after the shape fixpoint the
-    // bounds entries repeat, so this stays a trivial O(length) pass.
-    for (int i = 0; i < run.length; ++i) {
-      current = rs::util::project(current, xl[static_cast<std::size_t>(i)],
-                                  xu[static_cast<std::size_t>(i)]);
-      schedule.push_back(current);
-    }
-  }
-  return schedule;
-}
-
-rs::offline::BoundTrajectory compute_bounds(
-    const RleProblem& rle, WorkFunctionTracker::Backend backend) {
-  rs::offline::BoundTrajectory bounds;
-  bounds.lower.resize(static_cast<std::size_t>(rle.horizon()));
-  bounds.upper.resize(static_cast<std::size_t>(rle.horizon()));
-  WorkFunctionTracker tracker(rle.max_servers(), rle.beta(), backend);
-  std::size_t offset = 0;
-  for (const RleProblem::Run& run : rle.runs()) {
-    tracker.advance_repeated(
-        *run.cost, run.length,
-        std::span<int>(bounds.lower).subspan(offset),
-        std::span<int>(bounds.upper).subspan(offset));
-    offset += static_cast<std::size_t>(run.length);
-  }
-  return bounds;
 }
 
 }  // namespace rs::scenario

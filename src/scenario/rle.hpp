@@ -1,32 +1,22 @@
-// Run-length-encoded traces and instances.
+// Run-length-encoded traces and their instances.
 //
 // Real arrival traces hold λ_t — and hence the slot cost f_t — constant
 // across long stretches (quantized telemetry, night valleys, flat SLAs).
-// This module collapses those stretches so replays advance once per *run*
-// instead of once per *slot*:
-//
-//   * RleTrace / RleProblem are exact views: expand() / rle_decode()
-//     reproduce the original slot sequence, and rle_compress() groups a
-//     Problem's slots by cost-function identity (the same CostPtr repeated
-//     is the cheap, unambiguous witness that the slots are equal).
-//   * replay_lcp() runs the LCP recurrence (eq. 13) over an RleProblem via
-//     WorkFunctionTracker::advance_repeated: on the convex-PWL backend a
-//     run's repeated relax+add reaches a bitwise *shape* fixpoint after a
-//     handful of steps, after which the remaining slots of the run are a
-//     single O(1) jump (see ConvexPwl::same_shape); the dense backend
-//     evaluates the run's cost row once and re-feeds it per slot.  The
-//     produced schedule is bit-identical to the slot-by-slot replay of the
-//     expanded instance on the same backend — pinned by the RLE property
-//     suite — which turns an O(T) replay into O(#runs) tracker work plus a
-//     trivial O(T) projection fill.
+// RleTrace collapses those stretches exactly (rle_decode reproduces the
+// trace); rle_problem_from_trace builds the run-grouped instance, a
+// core::RleProblem with one cost per run, and rle_compress groups a
+// Problem's slots by cost-function identity (the same CostPtr repeated is
+// the cheap, unambiguous witness that the slots are equal).  Every corridor
+// consumer takes an RleProblem as a core::SlotSource, so run_lcp(rle)
+// advances the tracker once per run (core/rle_problem.hpp) with schedules
+// bit-identical to the slot-by-slot replay of the expanded instance.
 #pragma once
 
 #include <functional>
 #include <vector>
 
 #include "core/problem.hpp"
-#include "core/schedule.hpp"
-#include "offline/work_function.hpp"
+#include "core/rle_problem.hpp"
 #include "workload/trace.hpp"
 
 namespace rs::scenario {
@@ -55,35 +45,7 @@ RleTrace rle_encode(const rs::workload::Trace& trace);
 /// Expands back to one entry per slot.
 rs::workload::Trace rle_decode(const RleTrace& rle);
 
-/// A Problem whose slots are grouped into runs of one shared cost
-/// function.  The view is exact: expand() materializes the slot sequence,
-/// sharing one CostPtr across each run's slots.
-class RleProblem {
- public:
-  struct Run {
-    rs::core::CostPtr cost;
-    int length = 0;
-  };
-
-  /// Requires m >= 0, beta > 0, no null costs, every length >= 1.
-  RleProblem(int m, double beta, std::vector<Run> runs);
-
-  int max_servers() const noexcept { return m_; }
-  double beta() const noexcept { return beta_; }
-  int run_count() const noexcept { return static_cast<int>(runs_.size()); }
-  int horizon() const noexcept { return horizon_; }
-  const std::vector<Run>& runs() const noexcept { return runs_; }
-
-  /// The equivalent per-slot Problem (run r's cost pointer appears
-  /// `length` times — slot costs are shared, not copied).
-  rs::core::Problem expand() const;
-
- private:
-  int m_;
-  double beta_;
-  int horizon_;
-  std::vector<Run> runs_;
-};
+using rs::core::RleProblem;
 
 /// Builds the instance for an RLE trace: one cost per run from `cost_of`
 /// (λ -> slot cost), shared across the run's slots.
@@ -95,20 +57,5 @@ RleProblem rle_problem_from_trace(
 /// Identity comparison only — structurally equal but distinct cost objects
 /// stay separate runs, so the compression is always exact.
 RleProblem rle_compress(const rs::core::Problem& p);
-
-/// LCP (eq. 13) over the RLE view, advancing the work-function tracker
-/// once per run.  Bit-identical schedule to run_online(Lcp(backend),
-/// rle.expand()); see the header comment for the per-backend mechanics.
-rs::core::Schedule replay_lcp(
-    const RleProblem& rle,
-    rs::offline::WorkFunctionTracker::Backend backend =
-        rs::offline::WorkFunctionTracker::Backend::kAuto);
-
-/// Per-slot LCP corridor bounds (x^L_τ, x^U_τ) over the RLE view — the
-/// compute_bounds analog, exposed for the property tests.
-rs::offline::BoundTrajectory compute_bounds(
-    const RleProblem& rle,
-    rs::offline::WorkFunctionTracker::Backend backend =
-        rs::offline::WorkFunctionTracker::Backend::kAuto);
 
 }  // namespace rs::scenario

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -19,6 +20,16 @@ template <typename T>
 constexpr T project(T x, T lo, T hi) {
   if (lo > hi) throw std::invalid_argument("project: lo > hi");
   return x < lo ? lo : (x > hi ? hi : x);
+}
+
+/// True when some value is NaN.  A byte-wide OR reduction: GCC vectorizes
+/// it, but not the same loop over a bool accumulator.
+inline bool any_nan(std::span<const double> values) noexcept {
+  std::uint8_t nan = 0;
+  for (const double v : values) {
+    nan |= static_cast<std::uint8_t>(std::isnan(v));
+  }
+  return nan != 0;
 }
 
 /// (x)^+ = max(0, x).

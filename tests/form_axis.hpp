@@ -1,0 +1,121 @@
+// The input form as a test axis: one instance, given as a run-grouped
+// RleProblem, is fed to every corridor consumer in each of the four forms
+// a core::SlotSource wraps — the expanded Problem, its DenseProblem table,
+// its PwlProblem forms (when every slot converts within the auto budget)
+// and the RleProblem itself.
+//
+// Contracts checked (DESIGN.md §8):
+//   * compute_bounds and run_lcp: bitwise equal across all forms and every
+//     backend a form accepts (the tie rule makes the backend a performance
+//     choice);
+//   * DpSolver solve/solve_cost and LowMemorySolver: bitwise equal within
+//     a backend family — rows vs streamed dense (kDense), and forms vs
+//     kConvexAuto.  The one exception is the convex DP cost of an RLE
+//     source: its PWL runs fast-forward the work-function values, which
+//     matches stepping up to FP association order only, so that cost is
+//     compared to tolerance (its schedule, derived from the bitwise
+//     corridor, is still compared exactly).
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <optional>
+#include <string>
+
+#include "core/dense_problem.hpp"
+#include "core/problem.hpp"
+#include "core/pwl_problem.hpp"
+#include "core/rle_problem.hpp"
+#include "offline/dp_solver.hpp"
+#include "offline/low_memory_solver.hpp"
+#include "offline/work_function.hpp"
+#include "online/lcp.hpp"
+
+namespace rs::test_support {
+
+inline void expect_forms_agree(const rs::core::RleProblem& rle,
+                               const std::string& label) {
+  using Backend = rs::offline::WorkFunctionTracker::Backend;
+  using rs::offline::DpSolver;
+  using rs::offline::LowMemorySolver;
+  const rs::core::Problem p = rle.expand();
+  const rs::core::DenseProblem dense(p);
+  const std::optional<rs::core::PwlProblem> pwl =
+      rs::core::PwlProblem::try_convert(p);
+  SCOPED_TRACE(label + (pwl ? " (converts)" : " (no compact forms)"));
+
+  // Corridor and LCP: one reference, every form, every accepted backend.
+  const rs::offline::BoundTrajectory ref =
+      rs::offline::compute_bounds(p, Backend::kDense);
+  const rs::core::Schedule lcp_ref = rs::online::run_lcp(p, Backend::kDense);
+  ASSERT_EQ(ref.lower.size(), static_cast<std::size_t>(p.horizon()));
+  const auto expect_bounds = [&](const rs::core::SlotSource& source,
+                                 Backend backend, const char* form) {
+    const rs::offline::BoundTrajectory got =
+        rs::offline::compute_bounds(source, backend);
+    EXPECT_EQ(got.lower, ref.lower) << form << " " << static_cast<int>(backend);
+    EXPECT_EQ(got.upper, ref.upper) << form << " " << static_cast<int>(backend);
+    EXPECT_EQ(rs::online::run_lcp(source, backend), lcp_ref)
+        << form << " " << static_cast<int>(backend);
+  };
+  for (const Backend backend :
+       {Backend::kAuto, Backend::kDense, Backend::kPwl}) {
+    if (backend == Backend::kPwl && !pwl) continue;
+    expect_bounds(p, backend, "problem");
+    expect_bounds(rle, backend, "rle");
+  }
+  expect_bounds(dense, Backend::kAuto, "dense");
+  if (pwl) expect_bounds(*pwl, Backend::kAuto, "pwl");
+
+  // Dense family: table rows vs rows streamed per slot or per run.
+  const DpSolver dp_dense(DpSolver::Backend::kDense);
+  const rs::offline::OfflineResult dp_ref = dp_dense.solve(p);
+  const double dp_cost_ref = dp_dense.solve_cost(p);
+  const LowMemorySolver lm_dense(LowMemorySolver::Backend::kDense);
+  const rs::offline::OfflineResult lm_ref = lm_dense.solve(p);
+  const auto expect_dense_family = [&](const rs::core::SlotSource& source,
+                                       const char* form) {
+    const rs::offline::OfflineResult dp = dp_dense.solve(source);
+    EXPECT_EQ(dp.cost, dp_ref.cost) << form;
+    EXPECT_EQ(dp.schedule, dp_ref.schedule) << form;
+    EXPECT_EQ(dp_dense.solve_cost(source), dp_cost_ref) << form;
+    const rs::offline::OfflineResult lm = lm_dense.solve(source);
+    EXPECT_EQ(lm.cost, lm_ref.cost) << form;
+    EXPECT_EQ(lm.schedule, lm_ref.schedule) << form;
+  };
+  expect_dense_family(dense, "dense");
+  expect_dense_family(rle, "rle");
+
+  // Convex family: cached forms vs kConvexAuto over the cost functions.
+  const DpSolver dp_convex(DpSolver::Backend::kConvexAuto);
+  const rs::offline::OfflineResult cx_ref = dp_convex.solve(p);
+  const double cx_cost_ref = dp_convex.solve_cost(p);
+  EXPECT_EQ(cx_ref.cost, cx_cost_ref);
+  const LowMemorySolver lm_convex(LowMemorySolver::Backend::kConvexAuto);
+  const rs::offline::OfflineResult lmx_ref = lm_convex.solve(p);
+  if (pwl) {
+    const rs::offline::OfflineResult cx = dp_convex.solve(*pwl);
+    EXPECT_EQ(cx.cost, cx_ref.cost);
+    EXPECT_EQ(cx.schedule, cx_ref.schedule);
+    EXPECT_EQ(dp_convex.solve_cost(*pwl), cx_cost_ref);
+    const rs::offline::OfflineResult lmx = lm_convex.solve(*pwl);
+    EXPECT_EQ(lmx.cost, lmx_ref.cost);
+    EXPECT_EQ(lmx.schedule, lmx_ref.schedule);
+  }
+  const rs::offline::OfflineResult cx_rle = dp_convex.solve(rle);
+  const double tolerance = 1e-9 * std::max(1.0, std::fabs(cx_ref.cost));
+  if (std::isfinite(cx_ref.cost)) {
+    EXPECT_NEAR(cx_rle.cost, cx_ref.cost, tolerance);
+    EXPECT_NEAR(dp_convex.solve_cost(rle), cx_cost_ref, tolerance);
+  } else {
+    EXPECT_EQ(cx_rle.cost, cx_ref.cost);
+  }
+  EXPECT_EQ(cx_rle.schedule, cx_ref.schedule);
+  const rs::offline::OfflineResult lmx_rle = lm_convex.solve(rle);
+  EXPECT_EQ(lmx_rle.cost, lmx_ref.cost);
+  EXPECT_EQ(lmx_rle.schedule, lmx_ref.schedule);
+}
+
+}  // namespace rs::test_support

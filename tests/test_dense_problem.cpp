@@ -138,17 +138,13 @@ TEST(DenseProblem, RowsAndMinimizersMatchPerPointScans) {
       const Problem p = rs::workload::random_instance(instance_rng, family,
                                                       size.T, size.m, 2.0);
       const DenseProblem eager(p);
-      const DenseProblem lazy(p, DenseProblem::Mode::kLazy);
       ASSERT_EQ(eager.horizon(), p.horizon());
       ASSERT_EQ(eager.max_servers(), p.max_servers());
       for (int t = 1; t <= p.horizon(); ++t) {
         const std::vector<double> expected = row_by_at(p.f(t), p.max_servers());
         const std::span<const double> eager_row = eager.row(t);
-        const std::span<const double> lazy_row = lazy.row(t);
         for (int x = 0; x <= p.max_servers(); ++x) {
           EXPECT_EQ(eager_row[static_cast<std::size_t>(x)],
-                    expected[static_cast<std::size_t>(x)]);
-          EXPECT_EQ(lazy_row[static_cast<std::size_t>(x)],
                     expected[static_cast<std::size_t>(x)]);
         }
         EXPECT_EQ(eager.smallest_minimizer(t),
@@ -159,20 +155,6 @@ TEST(DenseProblem, RowsAndMinimizersMatchPerPointScans) {
     }
   }
   (void)rng;
-}
-
-TEST(DenseProblem, LazyMaterializesOnlyTouchedRows) {
-  rs::util::Rng rng(21);
-  const Problem p = rs::workload::random_instance(
-      rng, rs::workload::InstanceFamily::kQuadratic, 6, 8, 1.0);
-  const DenseProblem lazy(p, DenseProblem::Mode::kLazy);
-  for (int t = 1; t <= 6; ++t) EXPECT_FALSE(lazy.materialized(t));
-  (void)lazy.row(3);
-  EXPECT_TRUE(lazy.materialized(3));
-  EXPECT_FALSE(lazy.materialized(2));
-  EXPECT_FALSE(lazy.materialized(4));  // no-lookahead: f_4 untouched
-  const DenseProblem eager(p);
-  for (int t = 1; t <= 6; ++t) EXPECT_TRUE(eager.materialized(t));
 }
 
 TEST(DenseProblem, EdgeCases) {
@@ -279,9 +261,9 @@ TEST(DenseEquivalence, OnlineAlgorithmsMatchPerPointPath) {
           rs::online::run_online(lcp_per_point, q);
       EXPECT_EQ(dense_schedule, per_point_schedule) << label;
 
-      // Table-backed replay (lazy, preserving reveal order) agrees too.
-      const DenseProblem lazy(p, DenseProblem::Mode::kLazy);
-      EXPECT_EQ(rs::online::run_lcp_dense(lazy), dense_schedule) << label;
+      // Table-backed replay agrees too.
+      const DenseProblem table(p);
+      EXPECT_EQ(rs::online::run_lcp_dense(table), dense_schedule) << label;
 
       // Pinned to the dense backend on both sides: this suite isolates the
       // dense-row-vs-per-point evaluation layer.  (Auto would take the

@@ -259,16 +259,6 @@ TEST(SolverEngine, ValidatesJobs) {
   EXPECT_THROW(
       engine.run({SolveJob{nullptr, dense, SolverKind::kLowMemory}}),
       std::invalid_argument);
-  // Lazy tables materialize unsynchronized; only the inline engine may run
-  // them.
-  const auto lazy =
-      std::make_shared<const DenseProblem>(p, DenseProblem::Mode::kLazy);
-  EXPECT_THROW(SolverEngine({.threads = 2})
-                   .run({SolveJob{nullptr, lazy, SolverKind::kDpCost}}),
-               std::invalid_argument);
-  const rs::engine::BatchResult lazy_inline =
-      engine.run({SolveJob{nullptr, lazy, SolverKind::kDpCost}});
-  EXPECT_EQ(lazy_inline.outcomes[0].cost, rs::offline::DpSolver().solve_cost(p));
   // Empty batches are legal and report zero throughput.
   const BatchResult empty = engine.run(std::vector<SolveJob>{});
   EXPECT_TRUE(empty.outcomes.empty());
@@ -378,10 +368,6 @@ TEST(MonteCarlo, DenseOverloadMatchesProblemOverloadAndReportsBatch) {
   EXPECT_EQ(a.optimal_cost, b.optimal_cost);
   EXPECT_EQ(a.cost.mean, b.cost.mean);
   EXPECT_EQ(a.batch.jobs, 32u);
-  // Lazy tables cannot be shared across concurrent trials.
-  const DenseProblem lazy(p, DenseProblem::Mode::kLazy);
-  EXPECT_THROW(rs::analysis::monte_carlo(lazy, 4, 1, trial),
-               std::invalid_argument);
 }
 
 TEST(MeasureRatio, SharedDenseOverloadMatches) {

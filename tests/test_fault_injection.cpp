@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -25,6 +26,7 @@
 #include "core/problem.hpp"
 #include "core/schedule.hpp"
 #include "engine/solver_engine.hpp"
+#include "offline/dp_solver.hpp"
 #include "offline/work_function.hpp"
 #include "scenario/fault_plan.hpp"
 #include "util/fault_injection.hpp"
@@ -374,19 +376,14 @@ TEST(BatchIsolation, PoisonedJobsFailAloneRestBitIdentical) {
 }
 
 TEST(BatchIsolation, NaNPoisonFailsEverySolverKind) {
-  // Regression guard for NaN laundering: the cost-only DP and the
-  // low-memory sweep fold labels with std::min, which discards NaN — a
-  // poisoned slot anywhere but the last used to come back as a clean
-  // "+inf infeasible" kOk.  Every solver kind must classify a NaN-poisoned
-  // instance as kInvalidInput no matter which slots the seed poisons.
-  const Problem p = table_problem(8, 2.0, 24, 100);
-  FaultPlan plan;
-  plan.poison = PoisonKind::kNaN;
-  plan.period = 8;  // sparse: typically poisons interior slots only
-  for (std::uint64_t offset : {0ull, 1ull, 2ull, 3ull}) {
-    plan.seed = base_seed() + 1000 + offset;
-    if (rs::scenario::poisoned_slots(plan, p.horizon()).empty()) continue;
-    const Problem poisoned = rs::scenario::apply_fault_plan(p, plan);
+  // Regression guard for NaN laundering: the DP and the low-memory sweep
+  // fold labels with std::min (or strict comparisons), which discard NaN —
+  // a poisoned slot anywhere but the last used to come back as a clean
+  // finite or "+inf infeasible" kOk.  Every solver kind must classify a
+  // NaN-poisoned instance as kInvalidInput no matter which slots are
+  // poisoned.
+  const auto expect_every_kind_fails = [](const Problem& poisoned,
+                                          const std::string& label) {
     for (SolverKind kind : {SolverKind::kDpCost, SolverKind::kDpSchedule,
                             SolverKind::kLcp, SolverKind::kLowMemory}) {
       SolveJob job;
@@ -396,12 +393,35 @@ TEST(BatchIsolation, NaNPoisonFailsEverySolverKind) {
       const BatchResult result = engine.run(std::vector<SolveJob>{job});
       ASSERT_EQ(result.outcomes.size(), 1u);
       EXPECT_EQ(result.outcomes[0].status, SolveStatus::kInvalidInput)
-          << "kind " << static_cast<int>(kind) << " seed offset " << offset;
+          << "kind " << static_cast<int>(kind) << " " << label;
       EXPECT_FALSE(result.outcomes[0].error.empty());
       EXPECT_TRUE(result.outcomes[0].schedule.empty());
       EXPECT_EQ(result.stats.failed_jobs, 1u);
     }
+  };
+  const Problem p = table_problem(8, 2.0, 24, 100);
+  FaultPlan plan;
+  plan.poison = PoisonKind::kNaN;
+  plan.period = 8;  // sparse: typically poisons interior slots only
+  for (std::uint64_t offset : {0ull, 1ull, 2ull, 3ull}) {
+    plan.seed = base_seed() + 1000 + offset;
+    if (rs::scenario::poisoned_slots(plan, p.horizon()).empty()) continue;
+    expect_every_kind_fails(rs::scenario::apply_fault_plan(p, plan),
+                            "seed offset " + std::to_string(offset));
   }
+  // One NaN at a single interior state: the parent-tracking DP's argmin
+  // comparisons skip it, so the schedule DP used to return a finite cost.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Problem single_point = rs::core::make_table_problem(
+      3, 2.0,
+      {{3.0, 2.0, 1.0, 2.0},
+       {3.0, 2.0, 1.0, 2.0},
+       {3.0, nan, 1.0, 2.0},
+       {3.0, 2.0, 1.0, 2.0},
+       {3.0, 2.0, 1.0, 2.0},
+       {3.0, 2.0, 1.0, 2.0}});
+  expect_every_kind_fails(single_point, "single-point NaN table");
+  EXPECT_TRUE(std::isnan(rs::offline::DpSolver().solve(single_point).cost));
 }
 
 TEST(BatchIsolation, ThrowingJobLeavesRestValid) {

@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "form_axis.hpp"
 #include "rightsizer/rightsizer.hpp"
 
 namespace {
@@ -275,7 +276,25 @@ TEST(PwlProblem, CachedLcpAndBoundsMatchStreamingBackends) {
                 1e-9 * std::max(1.0, cached_dp.cost));
     EXPECT_NEAR(cached_dp.cost, rs::offline::DpSolver().solve_cost(p),
                 1e-9 * std::max(1.0, cached_dp.cost));
+
+    // The same slots as runs of 1-3 repeats, through every input form.
+    std::vector<rs::core::RleProblem::Run> runs;
+    for (int t = 1; t <= p.horizon(); ++t) {
+      runs.push_back({p.f_ptr(t), 1 + t % 3});
+    }
+    rs::test_support::expect_forms_agree(
+        rs::core::RleProblem(p.max_servers(), p.beta(), std::move(runs)),
+        rs::workload::family_name(family));
   }
+  // Degenerate horizons and fleets ride the same axis.
+  rs::test_support::expect_forms_agree(rs::core::RleProblem(8, 1.5, {}),
+                                       "T = 0");
+  rs::test_support::expect_forms_agree(
+      rs::core::RleProblem(
+          0, 1.5,
+          {{std::make_shared<rs::core::AffineAbsCost>(1.0, 0.0), 4},
+           {std::make_shared<rs::core::QuadraticCost>(0.5, 2.0, 0.0), 2}}),
+      "m = 0");
 }
 
 // --- conversion-count regressions (the bugfixes) -----------------------------

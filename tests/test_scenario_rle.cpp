@@ -1,4 +1,5 @@
-// Property suite for the run-length-encoded replay (scenario/rle.hpp):
+// Property suite for the run-length-encoded replay (core/rle_problem.hpp,
+// scenario/rle.hpp):
 // schedules, bounds, and costs must be bit-identical to the slot-by-slot
 // replay of the expanded instance on the same backend, across cost
 // families, backends, run shapes (single-slot, all-constant), and the
@@ -20,6 +21,7 @@
 #include "online/lcp.hpp"
 #include "online/lcp_window.hpp"
 #include "online/online_algorithm.hpp"
+#include "form_axis.hpp"
 #include "scenario/rle.hpp"
 #include "util/rng.hpp"
 #include "workload/trace.hpp"
@@ -162,14 +164,14 @@ TEST(RleReplay, BitIdenticalAcrossFamiliesAndBackends) {
     const Problem expanded = rle.expand();
     for (Backend backend : {Backend::kAuto, Backend::kDense, Backend::kPwl}) {
       if (backend == Backend::kPwl && !family.pwl_capable) {
-        EXPECT_THROW(rs::scenario::replay_lcp(rle, backend),
+        EXPECT_THROW(rs::online::run_lcp(rle, backend),
                      std::invalid_argument)
             << family.name;
         continue;
       }
       rs::online::Lcp reference(backend);
       const Schedule expected = rs::online::run_online(reference, expanded);
-      const Schedule actual = rs::scenario::replay_lcp(rle, backend);
+      const Schedule actual = rs::online::run_lcp(rle, backend);
       EXPECT_EQ(actual, expected)
           << family.name << " backend " << static_cast<int>(backend);
       EXPECT_DOUBLE_EQ(rs::core::total_cost(expanded, actual),
@@ -199,31 +201,34 @@ TEST(RleReplay, SingleSlotRunsAndAllConstant) {
     const Problem expanded = rle.expand();
     for (Backend backend : {Backend::kAuto, Backend::kDense, Backend::kPwl}) {
       rs::online::Lcp reference(backend);
-      EXPECT_EQ(rs::scenario::replay_lcp(rle, backend),
+      EXPECT_EQ(rs::online::run_lcp(rle, backend),
                 rs::online::run_online(reference, expanded));
     }
   }
   // Degenerate: zero runs.
-  EXPECT_TRUE(rs::scenario::replay_lcp(RleProblem(m, 4.0, {})).empty());
+  EXPECT_TRUE(rs::online::run_lcp(RleProblem(m, 4.0, {})).empty());
 }
 
-TEST(RleReplay, BoundsMatchSlotBySlot) {
+// The input form as a test axis: every family's blocky instance, plus the
+// degenerate T = 0 and m = 0 instances, through every corridor consumer in
+// all four SlotSource forms (tests/form_axis.hpp lists the contracts).
+TEST(RleReplay, EveryInputFormAgrees) {
   const int m = 10;
-  const Trace trace = blocky_trace(7, 120, 9.0);
-  const RleProblem rle = rs::scenario::rle_problem_from_trace(
-      rs::scenario::rle_encode(trace), m, 2.5, [](double lambda) -> CostPtr {
-        return std::make_shared<rs::core::LinearLoadSlotCost>(0.5, 1.0,
-                                                              lambda);
-      });
-  const Problem expanded = rle.expand();
-  for (Backend backend : {Backend::kDense, Backend::kPwl}) {
-    const rs::offline::BoundTrajectory expected =
-        rs::offline::compute_bounds(expanded, backend);
-    const rs::offline::BoundTrajectory actual =
-        rs::scenario::compute_bounds(rle, backend);
-    EXPECT_EQ(actual.lower, expected.lower);
-    EXPECT_EQ(actual.upper, expected.upper);
+  const RleTrace rle_trace =
+      rs::scenario::rle_encode(blocky_trace(7, 120, 9.0));
+  for (const Family& family : all_families(m)) {
+    rs::test_support::expect_forms_agree(
+        rs::scenario::rle_problem_from_trace(rle_trace, m, 2.5,
+                                             family.cost_of),
+        family.name);
   }
+  rs::test_support::expect_forms_agree(RleProblem(m, 2.5, {}), "T = 0");
+  const auto zero = std::make_shared<rs::core::TableCost>(
+      std::vector<double>{1.5});
+  const auto one = std::make_shared<rs::core::TableCost>(
+      std::vector<double>{0.25});
+  rs::test_support::expect_forms_agree(
+      RleProblem(0, 2.5, {{zero, 3}, {one, 1}, {zero, 5}}), "m = 0");
 }
 
 // Direct advance_repeated checks, including the chat values after a

@@ -137,7 +137,7 @@ TEST(ZooPaperInvariants, LcpWithinThreeTimesOpt) {
                  std::to_string(scenario.problem.horizon()));
     const double opt =
         rs::offline::DpSolver().solve_cost(scenario.problem);
-    const rs::core::Schedule schedule = rs::scenario::replay_lcp(scenario.rle);
+    const rs::core::Schedule schedule = rs::online::run_lcp(scenario.rle);
     rs::online::Lcp dense(Backend::kDense);
     rs::online::Lcp automatic(Backend::kAuto);
     EXPECT_EQ(rs::online::run_online(dense, scenario.problem), schedule);
@@ -197,7 +197,7 @@ TEST(ZooPaperInvariants, AdversarialRatioApproachesThree) {
         rs::scenario::make_scenario(ScenarioKind::kAdversarial, params, 0);
     const double opt = rs::offline::DpSolver().solve_cost(scenario.problem);
     const double lcp = rs::core::total_cost(
-        scenario.problem, rs::scenario::replay_lcp(scenario.rle));
+        scenario.problem, rs::online::run_lcp(scenario.rle));
     ASSERT_GT(opt, 0.0);
     ratios.push_back(lcp / opt);
   }
