@@ -47,10 +47,11 @@ struct ScalingRow {
   double table_ms = -1.0;  // -1: skipped (memory budget)
   int max_breakpoints = 0;
   double dp_pwl_ms = -1.0;  // DpSolver kConvexAuto cost-only pass
-  // Newly covered solvers (PR 5), measured on a T-256 sub-instance against
-  // the shared PwlProblem cache: the low-memory D&C (dense arm is
-  // O(T·m·log T), skipped at m = 10⁶) and the grid-restricted bounded DP
-  // (dense arm enumerates |grid|² transitions per step).
+  // Offline solvers measured on a T-256 sub-instance against the shared
+  // PwlProblem cache: the low-memory corridor solve (dense arm: the same
+  // corridor pass pinned to dense labels, O(T·m), skipped at m = 10⁶) and
+  // the grid-restricted bounded DP (dense arm enumerates |grid|²
+  // transitions per step).
   int sub_T = 0;
   double lowmem_pwl_ms = -1.0;
   double lowmem_dense_ms = -1.0;  // -1: skipped (memory/time budget)
@@ -263,9 +264,9 @@ int main(int argc, char** argv) {
         row.table_ms = best;
       }
 
-      // Newly covered solvers: low-memory D&C and grid-restricted bounded
-      // DP on one shared PwlProblem (the conversion cache: T conversions
-      // total, every arm below replays from the same forms).
+      // Offline solvers: the low-memory corridor solve and grid-restricted
+      // bounded DP on one shared PwlProblem (the conversion cache: T
+      // conversions total, every arm below replays from the same forms).
       row.sub_T = smoke ? 64 : 256;
       {
         const rs::core::Problem sub = family.make(row.sub_T, m, beta);
@@ -280,12 +281,13 @@ int main(int argc, char** argv) {
           lm_fast = rs::offline::LowMemorySolver().solve(*cache);
           row.lowmem_pwl_ms = watch.milliseconds();
         }
-        if (m <= 100000) {  // dense D&C is O(T·m·log T): out of budget at 1e6
+        if (m <= 100000) {  // dense arm is O(T·m): kept out of the 1e6 row
           rs::util::Stopwatch watch;
-          const rs::offline::OfflineResult lm_dense =
-              rs::offline::LowMemorySolver().solve(sub);
+          const rs::core::Schedule lm_dense = rs::offline::backward_schedule(
+              rs::offline::compute_bounds(
+                  sub, rs::offline::WorkFunctionTracker::Backend::kDense));
           row.lowmem_dense_ms = watch.milliseconds();
-          rs::bench::check(lm_fast.schedule == lm_dense.schedule,
+          rs::bench::check(lm_fast.schedule == lm_dense,
                            "PWL and dense low-memory schedules identical on " +
                                family.name + " m=" + std::to_string(m));
         }
@@ -346,7 +348,7 @@ int main(int argc, char** argv) {
          rs::util::TextTable::num(row.bdp_dense_ms, 3),
          rs::util::TextTable::num(row.bdp_speedup(), 1) + "x"});
   }
-  std::cout << "newly covered solvers (T=" << (smoke ? 64 : 256)
+  std::cout << "offline solvers (T=" << (smoke ? 64 : 256)
             << " sub-instances, shared PwlProblem cache)\n"
             << solvers_table << "\n";
 
@@ -363,7 +365,8 @@ int main(int argc, char** argv) {
                            "PWL >= 10x faster than dense streaming at m=1e5 "
                            "on " + family.name);
           rs::bench::check(row.lowmem_speedup() >= 10.0,
-                           "PWL low-memory D&C >= 10x over dense at m=1e5 "
+                           "PWL low-memory solve >= 10x over the dense corridor "
+                           "pass at m=1e5 "
                            "on " + family.name);
           rs::bench::check(row.bdp_speedup() >= 10.0,
                            "PWL grid bounded-DP >= 10x over dense at m=1e5 "
@@ -376,8 +379,8 @@ int main(int argc, char** argv) {
                            "PWL backend runs at m=1e6 on " + family.name);
           rs::bench::check(row.lowmem_pwl_ms >= 0.0 &&
                                row.lowmem_dense_ms < 0.0,
-                           "PWL low-memory D&C runs at m=1e6, where the "
-                           "dense O(T·m·log T) arm is out of budget, on " +
+                           "PWL low-memory solve runs at m=1e6, where the "
+                           "dense O(T·m) arm is skipped, on " +
                                family.name);
         }
       }

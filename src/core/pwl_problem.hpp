@@ -2,7 +2,7 @@
 //
 // The ConvexPwl analog of DenseProblem.  The m-independent backends
 // (work-function tracker, LCP, the DP fast path, the grid-restricted
-// bounded DP, the low-memory divide-and-conquer) all consume the exact
+// bounded DP, the low-memory corridor solve) all consume the exact
 // convex piecewise-linear form of each slot cost.  Without a cache the
 // conversions leak work: SolverEngine's capability probe converts every
 // slot and discards the forms, each routed job re-converts per advance,

@@ -257,10 +257,6 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
     if (job.problem == nullptr && job.dense == nullptr) {
       throw std::invalid_argument("SolverEngine::run: job has no instance");
     }
-    if (job.kind == SolverKind::kLowMemory && job.problem == nullptr) {
-      throw std::invalid_argument(
-          "SolverEngine::run: kLowMemory streams from a Problem");
-    }
     if (job.kind == SolverKind::kDeltaResolve) {
       if (job.problem == nullptr) {
         throw std::invalid_argument(
@@ -348,14 +344,14 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
           cache;
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SolveJob& job = jobs[i];
-        if (job.kind == SolverKind::kLowMemory ||
-            job.kind == SolverKind::kDeltaResolve) {
-          continue;
-        }
+        if (job.kind == SolverKind::kDeltaResolve) continue;
         if (job.dense) {
           dense_of[i] = job.dense;
           continue;
         }
+        // kLowMemory runs from a caller's table but never gets one built:
+        // its O(m + T) memory contract streams the Problem instead.
+        if (job.kind == SolverKind::kLowMemory) continue;
         if (pwl_of[i]) continue;  // served without rows
         auto [it, inserted] = cache.try_emplace(job.problem, nullptr);
         if (inserted) {
@@ -378,9 +374,7 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
       }
     } else {
       for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (jobs[i].kind != SolverKind::kLowMemory) {
-          dense_of[i] = jobs[i].dense;
-        }
+        dense_of[i] = jobs[i].dense;
       }
     }
 

@@ -45,15 +45,16 @@ enum class SolverKind {
   kDpCost,        // DpSolver::solve_cost — O(m) memory, cost only
   kDpSchedule,    // DpSolver::solve — cost + optimal schedule
   kLcp,           // LCP replay — schedule + its total cost
-  kLowMemory,     // LowMemorySolver — streams from the Problem by design
+  kLowMemory,     // LowMemorySolver — O(m + T) memory, no table built
   kDeltaResolve,  // what-if probe on a shared DpDeltaSession (see SolveJob)
 };
 
 /// One batch entry.  `problem` is non-owning and must outlive run(); jobs
 /// may alternatively (or additionally) carry a pre-built dense table.
-/// kLowMemory requires `problem` (its O(m)-memory contract precludes a
-/// table); the other kinds use `dense` when present, else the engine's
-/// shared materialization of `problem`.
+/// Every kind but kDeltaResolve uses `dense` when present; otherwise the
+/// engine serves `problem` from its shared materialization, except that
+/// kLowMemory is never given a table it did not bring (its O(m + T)
+/// memory contract) and streams the Problem instead.
 ///
 /// kDeltaResolve answers "what if slot `edit_slot` of `problem` cost
 /// `edit_cost` instead?": the batch lazily base-solves each distinct
@@ -179,10 +180,10 @@ class SolverEngine {
 
   /// Runs every job and returns outcomes by job index plus batch stats.
   ///
-  /// Fault isolation: *structural* job errors — no instance, kLowMemory
-  /// or kDeltaResolve without a Problem — are caller bugs and throw
-  /// std::invalid_argument before anything runs.  Faults
-  /// *during* execution (throwing cost functions, NaN costs, backend
+  /// Fault isolation: *structural* job errors — no instance, a
+  /// kDeltaResolve job without a Problem or with a malformed edit — are
+  /// caller bugs and throw std::invalid_argument before anything runs.
+  /// Faults *during* execution (throwing cost functions, NaN costs, backend
   /// failures) never escape: the affected job's outcome carries a non-kOk
   /// SolveStatus and the error message, every other job completes
   /// unaffected, and stats.failed_jobs counts the casualties.  Jobs routed

@@ -26,6 +26,23 @@ rs::core::Schedule backward_schedule(const BoundTrajectory& bounds) {
   return x;
 }
 
+OfflineResult corridor_solve(const rs::core::SlotSource& source,
+                             bool want_schedule) {
+  OfflineResult result;
+  if (source.horizon() == 0) {
+    result.cost = 0.0;
+    return result;
+  }
+  BoundTrajectory bounds;
+  result.cost = track_slots(source, WorkFunctionTracker::Backend::kAuto,
+                            want_schedule ? &bounds : nullptr)
+                    .chat_min();
+  if (want_schedule && result.feasible()) {
+    result.schedule = backward_schedule(bounds);
+  }
+  return result;
+}
+
 OfflineResult BackwardSolver::solve(const rs::core::Problem& p) const {
   OfflineResult result;
   if (p.horizon() == 0) {

@@ -8,11 +8,14 @@
 // witness for the Lemma-6/11 property tests.
 #pragma once
 
+#include "core/slot_source.hpp"
 #include "offline/solver.hpp"
 #include "offline/work_function.hpp"
 
 namespace rs::offline {
 
+/// The reference solver: an explicit bound pass over a materialized table,
+/// the schedule priced by total_cost (the property tests' witness).
 class BackwardSolver final : public OfflineSolver {
  public:
   OfflineResult solve(const rs::core::Problem& p) const override;
@@ -21,5 +24,17 @@ class BackwardSolver final : public OfflineSolver {
 
 /// The Lemma-11 schedule for precomputed bounds (exposed for tests).
 rs::core::Schedule backward_schedule(const BoundTrajectory& bounds);
+
+/// The one offline corridor solve, over any input form.  The DP labels
+/// coincide with the bound work function Ĉ^L (eq. 11), so one tracker pass
+/// (track_slots, kAuto) yields the optimal cost min Ĉ^L_T and the per-slot
+/// corridor, whose backward projection (backward_schedule) is an optimal
+/// schedule — no parent table.  Time O(T·B log K) on the PWL backend, else
+/// O(T·m); memory O(T) corridor ints plus O(K) or O(m) labels, and no
+/// corridor at all without `want_schedule`.  The schedule follows the
+/// shared tie rule (core/tie_rule.hpp), so it is bitwise the same for every
+/// input form and backend.  A NaN slot cost throws std::invalid_argument.
+OfflineResult corridor_solve(const rs::core::SlotSource& source,
+                             bool want_schedule = true);
 
 }  // namespace rs::offline

@@ -81,6 +81,7 @@ OfflineResult BinarySearchSolver::solve_with_stats(
   for (int k = K; k >= 0; --k) {
     ++stats.iterations;
     result = solve_bounded(q, columns, &stats.dp);
+    if (std::isnan(result.cost)) return result;  // a NaN value poisons all
     if (!result.feasible()) {
       // The refinement invariant (Lemma 5) needs an optimum of P_k.  With
       // finite convex costs the five-row grid always contains one, but

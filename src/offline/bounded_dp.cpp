@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <stdexcept>
 
@@ -157,6 +158,9 @@ OfflineResult solve_bounded_impl(const Problem& p,
   static constexpr int kOrigin[] = {0};  // x_0 = 0
   std::span<const int> previous_column{kOrigin};
   previous_labels[0] = 0.0;
+  // The label relax skips a NaN candidate value like any `<` fold would,
+  // so the evaluated values' NaN report decides a poisoned result.
+  bool poisoned = false;
 
   for (int t = 1; t <= T; ++t) {
     const std::vector<int>& column = states[static_cast<std::size_t>(t - 1)];
@@ -166,6 +170,8 @@ OfflineResult solve_bounded_impl(const Problem& p,
     std::fill(parent_row, parent_row + column.size(), std::int32_t{-1});
 
     eval_column(t, column, fvals.span());
+    poisoned =
+        poisoned || rs::util::any_nan(fvals.span().first(column.size()));
     if (stats != nullptr) {
       stats->function_evaluations += static_cast<std::int64_t>(column.size());
     }
@@ -193,6 +199,10 @@ OfflineResult solve_bounded_impl(const Problem& p,
     }
     previous_column = column;
     std::swap(labels.vec(), previous_labels.vec());
+  }
+  if (poisoned) {
+    result.cost = std::numeric_limits<double>::quiet_NaN();
+    return result;
   }
 
   const std::size_t final_size = previous_column.size();

@@ -1,6 +1,7 @@
 #include "offline/brute_force.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace rs::offline {
@@ -25,7 +26,13 @@ OfflineResult BruteForceSolver::solve(const Problem& p) const {
 
   // Up to (m+1)^T schedules are scored against the same T·(m+1) values;
   // materialize them once so each evaluation is a table lookup.
+  // A NaN value loses every `<` below, so the search would skip it and
+  // return a finite optimum; the table's NaN report poisons the result.
   const rs::core::DenseProblem dense(p);
+  if (dense.has_nan()) {
+    best.cost = std::numeric_limits<double>::quiet_NaN();
+    return best;
+  }
   Schedule current(static_cast<std::size_t>(T), 0);
   for (;;) {
     const double cost = rs::core::total_cost(dense, current);

@@ -11,7 +11,6 @@
 #include <span>
 
 #include "offline/backward_solver.hpp"
-#include "offline/work_function.hpp"
 #include "util/math_util.hpp"
 #include "util/workspace.hpp"
 
@@ -183,25 +182,6 @@ double solve_cost_dense(const SlotSource& source) {
   return *std::min_element(labels.begin(), labels.end());
 }
 
-// The convex fast path: the DP labels coincide with the bound work
-// function Ĉ^L (same relax, same f_t addition), so one tracker pass yields
-// the optimal cost (min Ĉ^L_T) and the per-step bound corridor, from which
-// the Lemma-11 backward projection reconstructs an optimal schedule
-// without any parent table.  With the PWL backend this is O(T·B log K)
-// time and O(T + K) memory (O(K) without the schedule); on the kAuto
-// dense fallback it is the usual O(T·m).
-OfflineResult solve_convex(const SlotSource& source, bool want_schedule) {
-  OfflineResult result;
-  BoundTrajectory bounds;
-  result.cost = track_slots(source, WorkFunctionTracker::Backend::kAuto,
-                            want_schedule ? &bounds : nullptr)
-                    .chat_min();
-  if (want_schedule && result.feasible()) {
-    result.schedule = backward_schedule(bounds);
-  }
-  return result;
-}
-
 }  // namespace
 
 bool DpSolver::runs_convex(const SlotSource& source) const noexcept {
@@ -211,14 +191,13 @@ bool DpSolver::runs_convex(const SlotSource& source) const noexcept {
 
 OfflineResult DpSolver::solve(const SlotSource& source) const {
   if (source.horizon() == 0) return OfflineResult{{}, 0.0};
-  return runs_convex(source) ? solve_convex(source, /*want_schedule=*/true)
-                             : solve_dense(source);
+  return runs_convex(source) ? corridor_solve(source) : solve_dense(source);
 }
 
 double DpSolver::solve_cost(const SlotSource& source) const {
   if (source.horizon() == 0) return 0.0;
   return runs_convex(source)
-             ? solve_convex(source, /*want_schedule=*/false).cost
+             ? corridor_solve(source, /*want_schedule=*/false).cost
              : solve_cost_dense(source);
 }
 

@@ -10,15 +10,17 @@
 // Backends:
 //   kDense      — the O(T·m) table DP above with parent-pointer schedule
 //                 reconstruction; the reference tie-breaking.
-//   kConvexAuto — convex fast path: W_t is exactly the bound work function
-//                 Ĉ^L_t (eq. 11), so when every slot admits a compact
-//                 convex-PWL form the labels are maintained as convex
-//                 piecewise-linear functions (per-step cost independent of
-//                 m), the optimal cost is min Ĉ^L_T, and an optimal
-//                 schedule follows from the Lemma-11 backward projection
-//                 through the per-step bound corridor.  Instances that do
-//                 not convert fall back to the same work-function recursion
-//                 on dense rows (still O(T·m), no parent table).  The cost
+//   kConvexAuto — convex fast path, the Lemma-11 corridor solve
+//                 (corridor_solve, offline/backward_solver.hpp): W_t is
+//                 exactly the bound work function Ĉ^L_t (eq. 11), so when
+//                 every slot admits a compact convex-PWL form the labels
+//                 are maintained as convex piecewise-linear functions
+//                 (per-step cost independent of m), the optimal cost is
+//                 min Ĉ^L_T, and an optimal schedule follows from the
+//                 Lemma-11 backward projection through the per-step bound
+//                 corridor.  Instances that do not convert fall back to
+//                 the same work-function recursion on dense rows (still
+//                 O(T·m), no parent table).  The cost
 //                 agrees with kDense up to FP association order
 //                 (bit-identical on integer instances); the schedule is
 //                 optimal but tie-breaks per Lemma 11 rather than per the

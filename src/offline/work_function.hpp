@@ -399,8 +399,8 @@ struct BoundTrajectory {
 /// `rewind_capacity` > 0 the tracker records its rewind buffer from the
 /// start (one entry per advance).  The per-slot corridor lands in `bounds`
 /// (resized to T) when non-null.  The one feed-and-collect loop behind
-/// compute_bounds, the DpSolver convex path and DpDeltaSession's base
-/// solve.
+/// compute_bounds, corridor_solve (offline/backward_solver.hpp) and
+/// DpDeltaSession's base solve.
 WorkFunctionTracker track_slots(const rs::core::SlotSource& source,
                                 WorkFunctionTracker::Backend backend,
                                 BoundTrajectory* bounds,

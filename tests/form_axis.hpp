@@ -8,13 +8,16 @@
 //   * compute_bounds and run_lcp: bitwise equal across all forms and every
 //     backend a form accepts (the tie rule makes the backend a performance
 //     choice);
-//   * DpSolver solve/solve_cost and LowMemorySolver: bitwise equal within
-//     a backend family — rows vs streamed dense (kDense), and forms vs
-//     kConvexAuto.  The one exception is the convex DP cost of an RLE
-//     source: its PWL runs fast-forward the work-function values, which
-//     matches stepping up to FP association order only, so that cost is
-//     compared to tolerance (its schedule, derived from the bitwise
-//     corridor, is still compared exactly).
+//   * DpSolver solve/solve_cost: bitwise equal within a backend family —
+//     rows vs streamed dense (kDense), and forms vs kConvexAuto.  The one
+//     exception is the convex DP cost of an RLE source: its PWL runs
+//     fast-forward the work-function values, which matches stepping up to
+//     FP association order only, so that cost is compared to tolerance
+//     (its schedule, derived from the bitwise corridor, is still compared
+//     exactly);
+//   * LowMemorySolver: one schedule across all four forms, the Lemma-11
+//     projection of the shared corridor; its cost is bitwise the convex
+//     DP's on every source that runs the same labels.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -28,6 +31,7 @@
 #include "core/problem.hpp"
 #include "core/pwl_problem.hpp"
 #include "core/rle_problem.hpp"
+#include "offline/backward_solver.hpp"
 #include "offline/dp_solver.hpp"
 #include "offline/low_memory_solver.hpp"
 #include "offline/work_function.hpp"
@@ -73,17 +77,12 @@ inline void expect_forms_agree(const rs::core::RleProblem& rle,
   const DpSolver dp_dense(DpSolver::Backend::kDense);
   const rs::offline::OfflineResult dp_ref = dp_dense.solve(p);
   const double dp_cost_ref = dp_dense.solve_cost(p);
-  const LowMemorySolver lm_dense(LowMemorySolver::Backend::kDense);
-  const rs::offline::OfflineResult lm_ref = lm_dense.solve(p);
   const auto expect_dense_family = [&](const rs::core::SlotSource& source,
                                        const char* form) {
     const rs::offline::OfflineResult dp = dp_dense.solve(source);
     EXPECT_EQ(dp.cost, dp_ref.cost) << form;
     EXPECT_EQ(dp.schedule, dp_ref.schedule) << form;
     EXPECT_EQ(dp_dense.solve_cost(source), dp_cost_ref) << form;
-    const rs::offline::OfflineResult lm = lm_dense.solve(source);
-    EXPECT_EQ(lm.cost, lm_ref.cost) << form;
-    EXPECT_EQ(lm.schedule, lm_ref.schedule) << form;
   };
   expect_dense_family(dense, "dense");
   expect_dense_family(rle, "rle");
@@ -93,16 +92,11 @@ inline void expect_forms_agree(const rs::core::RleProblem& rle,
   const rs::offline::OfflineResult cx_ref = dp_convex.solve(p);
   const double cx_cost_ref = dp_convex.solve_cost(p);
   EXPECT_EQ(cx_ref.cost, cx_cost_ref);
-  const LowMemorySolver lm_convex(LowMemorySolver::Backend::kConvexAuto);
-  const rs::offline::OfflineResult lmx_ref = lm_convex.solve(p);
   if (pwl) {
     const rs::offline::OfflineResult cx = dp_convex.solve(*pwl);
     EXPECT_EQ(cx.cost, cx_ref.cost);
     EXPECT_EQ(cx.schedule, cx_ref.schedule);
     EXPECT_EQ(dp_convex.solve_cost(*pwl), cx_cost_ref);
-    const rs::offline::OfflineResult lmx = lm_convex.solve(*pwl);
-    EXPECT_EQ(lmx.cost, lmx_ref.cost);
-    EXPECT_EQ(lmx.schedule, lmx_ref.schedule);
   }
   const rs::offline::OfflineResult cx_rle = dp_convex.solve(rle);
   const double tolerance = 1e-9 * std::max(1.0, std::fabs(cx_ref.cost));
@@ -113,9 +107,28 @@ inline void expect_forms_agree(const rs::core::RleProblem& rle,
     EXPECT_EQ(cx_rle.cost, cx_ref.cost);
   }
   EXPECT_EQ(cx_rle.schedule, cx_ref.schedule);
-  const rs::offline::OfflineResult lmx_rle = lm_convex.solve(rle);
-  EXPECT_EQ(lmx_rle.cost, lmx_ref.cost);
-  EXPECT_EQ(lmx_rle.schedule, lmx_ref.schedule);
+
+  // LowMemorySolver: the backend is a performance choice, so every form
+  // yields the projection of the one corridor.  Its cost is the tracker's
+  // min Ĉ^L: bitwise the convex DP's on the cost functions and forms, the
+  // cost-only table DP's on a table (the same two-pass relax).
+  const LowMemorySolver lm;
+  const rs::offline::OfflineResult lm_ref = lm.solve(p);
+  EXPECT_EQ(lm_ref.cost, cx_ref.cost);
+  if (lm_ref.feasible()) {
+    EXPECT_EQ(lm_ref.schedule, rs::offline::backward_schedule(ref));
+  } else {
+    EXPECT_TRUE(lm_ref.schedule.empty());
+  }
+  const auto expect_low_memory = [&](const rs::core::SlotSource& source,
+                                     double cost, const char* form) {
+    const rs::offline::OfflineResult got = lm.solve(source);
+    EXPECT_EQ(got.cost, cost) << form;
+    EXPECT_EQ(got.schedule, lm_ref.schedule) << form;
+  };
+  expect_low_memory(dense, dp_cost_ref, "dense");
+  if (pwl) expect_low_memory(*pwl, cx_ref.cost, "pwl");
+  expect_low_memory(rle, cx_rle.cost, "rle");
 }
 
 }  // namespace rs::test_support

@@ -9,6 +9,7 @@
 // exactly the seed evaluation path on exactly the same values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -208,9 +209,18 @@ TEST(DenseEquivalence, OfflineSolversMatchPerPointPathAcrossFamilies) {
       EXPECT_EQ(dp.solve(dense).schedule, dense_result.schedule) << label;
       EXPECT_EQ(dp.solve_cost(dense), dense_result.cost) << label;
 
+      // The per-point view has no convex-PWL forms, so its low-memory
+      // solve runs dense labels: bitwise the table's, and the same
+      // schedule as the (possibly PWL-backed) original.
       const rs::offline::LowMemorySolver low_memory;
-      EXPECT_EQ(low_memory.solve(p).cost, low_memory.solve(q).cost) << label;
+      EXPECT_EQ(low_memory.solve(dense).cost, low_memory.solve(q).cost)
+          << label;
+      EXPECT_EQ(low_memory.solve(dense).schedule, low_memory.solve(q).schedule)
+          << label;
       EXPECT_EQ(low_memory.solve(p).schedule, low_memory.solve(q).schedule)
+          << label;
+      EXPECT_NEAR(low_memory.solve(p).cost, low_memory.solve(q).cost,
+                  1e-9 * std::max(1.0, low_memory.solve(q).cost))
           << label;
 
       const rs::offline::BackwardSolver backward;

@@ -93,10 +93,7 @@ rs::engine::SolveOutcome solo_solve(const Problem& p, SolverKind kind) {
     }
     case SolverKind::kLowMemory: {
       const rs::offline::OfflineResult r =
-          rs::offline::LowMemorySolver(
-              admits ? rs::offline::LowMemorySolver::Backend::kConvexAuto
-                     : rs::offline::LowMemorySolver::Backend::kDense)
-              .solve(p);
+          rs::offline::LowMemorySolver().solve(p);
       outcome.cost = r.cost;
       outcome.schedule = r.schedule;
       break;
@@ -255,10 +252,17 @@ TEST(SolverEngine, ValidatesJobs) {
   const Problem p = rs::workload::random_instance(
       rng, rs::workload::InstanceFamily::kConvexTable, 4, 3, 1.0);
   const auto dense = std::make_shared<const DenseProblem>(p);
-  // kLowMemory cannot run from a table alone.
-  EXPECT_THROW(
-      engine.run({SolveJob{nullptr, dense, SolverKind::kLowMemory}}),
-      std::invalid_argument);
+  // kLowMemory runs from a table alone, like every other table kind: the
+  // same corridor (so the same schedule) as the streamed Problem, and the
+  // table's own labels for the cost.
+  const BatchResult table_run =
+      engine.run({SolveJob{nullptr, dense, SolverKind::kLowMemory}});
+  ASSERT_TRUE(table_run.outcomes[0].ok()) << table_run.outcomes[0].error;
+  EXPECT_EQ(table_run.outcomes[0].schedule,
+            rs::offline::LowMemorySolver().solve(p).schedule);
+  EXPECT_EQ(table_run.outcomes[0].cost,
+            rs::offline::LowMemorySolver().solve(*dense).cost);
+  EXPECT_EQ(table_run.stats.dense_tables_built, 0u);
   // Empty batches are legal and report zero throughput.
   const BatchResult empty = engine.run(std::vector<SolveJob>{});
   EXPECT_TRUE(empty.outcomes.empty());

@@ -1,6 +1,6 @@
-// Tests for the extension components: the low-memory divide-and-conquer
-// solver, the receding-horizon / AFHC baselines, piecewise-linear cost
-// functions, and the DOT exporter.
+// Tests for the extension components: the low-memory corridor solver, the
+// receding-horizon / AFHC baselines, piecewise-linear cost functions, and
+// the DOT exporter.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -26,7 +26,13 @@
 #include "core/problem.hpp"
 #include "core/schedule.hpp"
 #include "engine/solver_engine.hpp"
+#include "offline/backward_solver.hpp"
+#include "offline/binary_search_solver.hpp"
+#include "offline/bounded_dp.hpp"
+#include "offline/brute_force.hpp"
 #include "offline/dp_solver.hpp"
+#include "offline/graph_solver.hpp"
+#include "offline/low_memory_solver.hpp"
 #include "offline/work_function.hpp"
 #include "scenario/fault_plan.hpp"
 #include "util/fault_injection.hpp"
@@ -376,12 +382,11 @@ TEST(BatchIsolation, PoisonedJobsFailAloneRestBitIdentical) {
 }
 
 TEST(BatchIsolation, NaNPoisonFailsEverySolverKind) {
-  // Regression guard for NaN laundering: the DP and the low-memory sweep
-  // fold labels with std::min (or strict comparisons), which discard NaN —
-  // a poisoned slot anywhere but the last used to come back as a clean
-  // finite or "+inf infeasible" kOk.  Every solver kind must classify a
-  // NaN-poisoned instance as kInvalidInput no matter which slots are
-  // poisoned.
+  // Regression guard for NaN laundering: the DPs fold labels with std::min
+  // (or strict comparisons), which discard NaN — a poisoned slot anywhere
+  // but the last used to come back as a clean finite or "+inf infeasible"
+  // kOk.  Every solver kind must classify a NaN-poisoned instance as
+  // kInvalidInput no matter which slots are poisoned.
   const auto expect_every_kind_fails = [](const Problem& poisoned,
                                           const std::string& label) {
     for (SolverKind kind : {SolverKind::kDpCost, SolverKind::kDpSchedule,
@@ -421,7 +426,39 @@ TEST(BatchIsolation, NaNPoisonFailsEverySolverKind) {
        {3.0, 2.0, 1.0, 2.0},
        {3.0, 2.0, 1.0, 2.0}});
   expect_every_kind_fails(single_point, "single-point NaN table");
-  EXPECT_TRUE(std::isnan(rs::offline::DpSolver().solve(single_point).cost));
+
+  // Every exact offline solver, outside the engine: a NaN cost with no
+  // schedule, or std::invalid_argument — never a finite cost.  The
+  // candidate-column DP under BinarySearchSolver and the exhaustive search
+  // both used to skip the NaN state and return 10.
+  const rs::offline::DpSolver dp_dense;
+  const rs::offline::DpSolver dp_convex(
+      rs::offline::DpSolver::Backend::kConvexAuto);
+  const rs::offline::BinarySearchSolver binary_search;
+  const rs::offline::BruteForceSolver brute_force;
+  const rs::offline::GraphSolver graph;
+  const rs::offline::BackwardSolver backward;
+  const rs::offline::LowMemorySolver low_memory;
+  for (const rs::offline::OfflineSolver* solver :
+       std::vector<const rs::offline::OfflineSolver*>{
+           &dp_dense, &dp_convex, &binary_search, &brute_force, &graph,
+           &backward, &low_memory}) {
+    try {
+      const rs::offline::OfflineResult result = solver->solve(single_point);
+      EXPECT_TRUE(std::isnan(result.cost))
+          << solver->name() << " returned " << result.cost;
+      EXPECT_TRUE(result.schedule.empty()) << solver->name();
+    } catch (const std::invalid_argument&) {
+      // Rejecting the poisoned instance is the other legal answer.
+    }
+  }
+  for (const rs::offline::OfflineResult& result :
+       {binary_search.solve(single_point), brute_force.solve(single_point),
+        rs::offline::solve_phi_restricted(single_point, 0)}) {
+    EXPECT_TRUE(std::isnan(result.cost));
+    EXPECT_TRUE(result.schedule.empty());
+  }
+  EXPECT_TRUE(std::isnan(dp_dense.solve(single_point).cost));
 }
 
 TEST(BatchIsolation, ThrowingJobLeavesRestValid) {

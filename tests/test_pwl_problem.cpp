@@ -1,11 +1,11 @@
 // The PwlProblem conversion cache and the consumers rewired onto it:
 // exactly one as_convex_pwl conversion per slot per batch (instrumented
 // regression tests for the windowed-LCP sliding window and the engine's
-// capability probe), plus the convex-PWL extensions of bounded_dp and
-// the low-memory divide-and-conquer, which must reproduce their dense
-// paths' schedules — bit-identically on integer-valued instances, with
-// the documented plateau-tie caveat on the flat_regions family
-// (DESIGN.md §8).
+// capability probe), plus the convex-PWL extension of bounded_dp, which
+// must reproduce its dense path's schedules — bit-identically on
+// integer-valued instances, with the documented plateau-tie caveat on the
+// flat_regions family (DESIGN.md §8) — and the low-memory corridor solve,
+// whose schedule is bitwise the same for every input form and backend.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -472,10 +472,13 @@ TEST(BoundedDpPwl, ValidatesMismatchedCache) {
                std::invalid_argument);
 }
 
-// --- low-memory divide-and-conquer on the cache ------------------------------
+// --- low-memory corridor solve on the cache ---------------------------------
 
 TEST(LowMemoryPwl, MatchesDenseAcrossFamilies) {
-  const rs::offline::LowMemorySolver dense_solver;  // kDense
+  // The cached forms run PWL labels; the Problem runs them too where every
+  // slot converts within the auto budget, else dense labels.  One tie rule
+  // makes the schedule bitwise the same either way, plateaus included.
+  const rs::offline::LowMemorySolver solver;
   for (InstanceFamily family : rs::workload::all_instance_families()) {
     rs::util::Rng rng(607 + static_cast<std::uint64_t>(family));
     for (int trial = 0; trial < 3; ++trial) {
@@ -486,17 +489,15 @@ TEST(LowMemoryPwl, MatchesDenseAcrossFamilies) {
       const std::optional<PwlProblem> pwl =
           PwlProblem::try_convert(p, rs::core::kUnboundedBreakpoints);
       ASSERT_TRUE(pwl.has_value());
-      const rs::offline::OfflineResult dense = dense_solver.solve(p);
-      const rs::offline::OfflineResult fast = dense_solver.solve(*pwl);
+      const rs::offline::OfflineResult dense = solver.solve(p);
+      const rs::offline::OfflineResult fast = solver.solve(*pwl);
       EXPECT_NEAR(fast.cost, dense.cost, 1e-9 * std::max(1.0, dense.cost))
           << rs::workload::family_name(family);
-      if (family == InstanceFamily::kFlatRegions) {
-        EXPECT_NEAR(rs::core::total_cost(p, fast.schedule), dense.cost,
-                    1e-9 * std::max(1.0, dense.cost));
-      } else {
-        EXPECT_EQ(fast.schedule, dense.schedule)
-            << rs::workload::family_name(family) << " T=" << T << " m=" << m;
-      }
+      EXPECT_EQ(fast.schedule, dense.schedule)
+          << rs::workload::family_name(family) << " T=" << T << " m=" << m;
+      EXPECT_EQ(solver.solve(rs::core::DenseProblem(p)).schedule,
+                dense.schedule)
+          << rs::workload::family_name(family) << " T=" << T << " m=" << m;
     }
   }
 }
@@ -520,28 +521,30 @@ TEST(LowMemoryPwl, BitIdenticalOnIntegerInstances) {
 }
 
 TEST(LowMemoryPwl, ConvexAutoBackendSelectsAndFallsBack) {
-  // Compact instance: kConvexAuto converts once per slot and runs PWL.
+  // Compact instance: the solve converts once per slot and runs PWL.
   const CountedInstance counted = counted_affine_instance(10, 7);
-  const rs::offline::LowMemorySolver auto_solver(
-      rs::offline::LowMemorySolver::Backend::kConvexAuto);
-  const rs::offline::OfflineResult fast = auto_solver.solve(counted.problem);
+  const rs::offline::LowMemorySolver solver;
+  const rs::offline::OfflineResult fast = solver.solve(counted.problem);
   for (const auto& counter : counted.conversions) {
     EXPECT_EQ(counter->load(), 1);
   }
-  const rs::offline::OfflineResult dense =
-      rs::offline::LowMemorySolver().solve(counted.problem);
-  EXPECT_NEAR(fast.cost, dense.cost, 1e-9 * std::max(1.0, dense.cost));
-  EXPECT_EQ(fast.schedule, dense.schedule);
+  const rs::offline::BoundTrajectory dense_bounds = rs::offline::compute_bounds(
+      counted.problem, rs::offline::WorkFunctionTracker::Backend::kDense);
+  const double dense_cost =
+      rs::offline::DpSolver().solve_cost(counted.problem);
+  EXPECT_NEAR(fast.cost, dense_cost, 1e-9 * std::max(1.0, dense_cost));
+  EXPECT_EQ(fast.schedule, rs::offline::backward_schedule(dense_bounds));
 
-  // Opaque instance: kConvexAuto falls back to the dense path.
+  // Opaque instance: the solve falls back to dense labels.
   std::vector<CostPtr> fs = {
       std::make_shared<rs::core::FunctionCost>([](int x) { return 1.0 * x; }),
       std::make_shared<rs::core::FunctionCost>(
           [](int x) { return 2.0 * (x > 2 ? x - 2 : 2 - x); }),
   };
   const Problem opaque(5, 1.0, std::move(fs));
-  EXPECT_EQ(auto_solver.solve(opaque).schedule,
-            rs::offline::LowMemorySolver().solve(opaque).schedule);
+  EXPECT_EQ(solver.solve(opaque).schedule,
+            rs::offline::backward_schedule(rs::offline::compute_bounds(
+                opaque, rs::offline::WorkFunctionTracker::Backend::kDense)));
 }
 
 TEST(LowMemoryPwl, HandlesEdgeInstances) {
