@@ -26,6 +26,7 @@ namespace {
 using rs::core::CostPtr;
 using rs::core::Problem;
 using rs::offline::DpDeltaSession;
+using rs::offline::WorkFunctionTracker;
 
 // Integer-parameter affine-abs costs: compact exact PWL forms (the session
 // runs m-independent) and integer work-function values, so repair and
@@ -64,7 +65,7 @@ DeltaRow measure(int T, int m, int edits, int verify_every) {
   costs.reserve(static_cast<std::size_t>(T));
   for (int t = 1; t <= T; ++t) costs.push_back(base.f_ptr(t));
 
-  DpDeltaSession session(base, DpDeltaSession::Backend::kPwl);
+  DpDeltaSession session(base, WorkFunctionTracker::Backend::kPwl);
 
   // Edit stream: single-slot edits uniform over the trailing 10%.
   rs::util::Rng rng(0xED17ull);
@@ -104,7 +105,7 @@ DeltaRow measure(int T, int m, int edits, int verify_every) {
       costs[static_cast<std::size_t>(slot - 1)] = replacement;
       Problem edited(m, 4.0, costs);
       rs::util::Stopwatch watch;
-      DpDeltaSession fresh(edited, DpDeltaSession::Backend::kPwl);
+      DpDeltaSession fresh(edited, WorkFunctionTracker::Backend::kPwl);
       replay_seconds += watch.seconds();
       ++replays;
       costs[static_cast<std::size_t>(slot - 1)] = base.f_ptr(slot);

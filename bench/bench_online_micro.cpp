@@ -24,12 +24,12 @@ void BM_LcpDecide(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * p.horizon());
 }
 
-void BM_WindowedLcpDecide(benchmark::State& state) {
+void BM_LcpWindowDecide(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const int w = static_cast<int>(state.range(1));
   const rs::core::Problem p = make_instance(512, m);
   for (auto _ : state) {
-    rs::online::WindowedLcp lcp;
+    rs::online::Lcp lcp;
     benchmark::DoNotOptimize(rs::online::run_online(lcp, p, w).back());
   }
   state.SetItemsProcessed(state.iterations() * p.horizon());
@@ -59,7 +59,7 @@ void BM_RandomizedRoundingDecide(benchmark::State& state) {
 
 BENCHMARK(BM_LcpDecide)->Arg(64)->Arg(512)->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_WindowedLcpDecide)->Args({256, 1})->Args({256, 8})
+BENCHMARK(BM_LcpWindowDecide)->Args({256, 1})->Args({256, 8})
     ->Args({256, 32})->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_LevelFlowDecide)->Arg(64)->Arg(512)->Arg(4096)
     ->Unit(benchmark::kMicrosecond);

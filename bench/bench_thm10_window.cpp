@@ -24,7 +24,7 @@ int main() {
     const int factor = std::max(1, 8 * w);
     const rs::core::Problem stretched =
         rs::lowerbound::stretch_for_window(base.problem, factor);
-    rs::online::WindowedLcp windowed;
+    rs::online::Lcp windowed;
     const rs::core::Schedule x = rs::online::run_online(windowed, stretched, w);
     const double optimal = rs::offline::DpSolver().solve_cost(stretched);
     const double ratio = rs::core::total_cost(stretched, x) / optimal;
@@ -49,7 +49,7 @@ int main() {
   double w0_ratio = 0.0;
   double w16_ratio = 0.0;
   for (int w : {0, 1, 4, 16}) {
-    rs::online::WindowedLcp windowed;
+    rs::online::Lcp windowed;
     const rs::core::Schedule x =
         rs::online::run_online(windowed, trace_problem, w);
     const double ratio = rs::core::total_cost(trace_problem, x) / optimal;

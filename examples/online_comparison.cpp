@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   add_report(rs::analysis::measure_ratio(lcp, p), "lcp");
 
   for (int w : {1, 4, 16}) {
-    rs::online::WindowedLcp windowed;
+    rs::online::Lcp windowed;
     add_report(rs::analysis::measure_ratio(windowed, p, w),
                "lcp(w=" + std::to_string(w) + ")");
   }

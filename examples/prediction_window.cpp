@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   rs::util::TextTable table({"window w", "lcp(w)", "lcp ratio", "rhc(w)",
                              "rhc ratio"});
   for (int w : {0, 1, 2, 4, 8, 16, 32}) {
-    rs::online::WindowedLcp windowed;
+    rs::online::Lcp windowed;
     const rs::core::Schedule lcp_x = rs::online::run_online(windowed, p, w);
     const double lcp_cost = rs::core::total_cost(p, lcp_x);
     rs::online::RecedingHorizon rhc;
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     const int factor = 8 * w;  // n = 8
     const rs::core::Problem stretched =
         rs::lowerbound::stretch_for_window(base.problem, factor);
-    rs::online::WindowedLcp windowed;
+    rs::online::Lcp windowed;
     const rs::core::Schedule x = rs::online::run_online(windowed, stretched, w);
     const double ratio = rs::core::total_cost(stretched, x) /
                          rs::offline::DpSolver().solve_cost(stretched);

@@ -69,7 +69,11 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 /// tag rather than a container version bump, so checkpoints of the other
 /// kinds stay readable: kLegacyTrackerCheckpointKind is the two-label
 /// tracker layout (Ĉ^L and Ĉ^U), still accepted by the tracker's restore;
-/// kTrackerCheckpointKind carries Ĉ^L only.
+/// kTrackerCheckpointKind carries Ĉ^L only.  kWindowedLcpCheckpointKind
+/// is read-only legacy too: the former separate windowed LCP session wrote
+/// it (the kLcpCheckpointKind layout plus the snapshotted m and beta), and
+/// Lcp::restore still accepts it; every session now writes
+/// kLcpCheckpointKind.
 inline constexpr std::uint32_t kLegacyTrackerCheckpointKind = 0x01;
 inline constexpr std::uint32_t kLcpCheckpointKind = 0x02;
 inline constexpr std::uint32_t kWindowedLcpCheckpointKind = 0x03;

@@ -5,13 +5,15 @@
 // bounded DP, the low-memory corridor solve) all consume the exact
 // convex piecewise-linear form of each slot cost.  Without a cache the
 // conversions leak work: SolverEngine's capability probe converts every
-// slot and discards the forms, each routed job re-converts per advance,
-// and a windowed-LCP lookahead slot is converted up to w times as the
-// window slides.  PwlProblem converts each slot of an instance exactly
-// once (pool-parallel for long horizons, mirroring the eager DenseProblem
-// fill) and hands out `const ConvexPwl&` views that are immutable after
+// slot and discards the forms, and each routed job re-converts per
+// advance.  PwlProblem converts each slot of an instance exactly once
+// (pool-parallel for long horizons, mirroring the eager DenseProblem fill)
+// and hands out `const ConvexPwl&` views that are immutable after
 // construction, hence safe to share across a batch's worker threads the
-// way eager DenseProblems are.
+// way eager DenseProblems are.  (Streaming consumers that see slots one at
+// a time keep their own memo: Lcp::decide's sliding form cache converts
+// each prediction-window slot once as the window slides, and the fleet's
+// SlotFormCache shares forms across tenants.)
 //
 // Construction is all-or-nothing: try_convert returns nullopt as soon as
 // any slot has no exact convex-PWL form within the per-slot breakpoint

@@ -339,43 +339,37 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
     // happens up front on the calling thread; the eager constructor
     // parallelizes internally over the global pool for large instances.
     std::vector<std::shared_ptr<const DenseProblem>> dense_of(jobs.size());
-    if (options_.share_dense) {
-      std::unordered_map<const Problem*, std::shared_ptr<const DenseProblem>>
-          cache;
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const SolveJob& job = jobs[i];
-        if (job.kind == SolverKind::kDeltaResolve) continue;
-        if (job.dense) {
-          dense_of[i] = job.dense;
-          continue;
-        }
-        // kLowMemory runs from a caller's table but never gets one built:
-        // its O(m + T) memory contract streams the Problem instead.
-        if (job.kind == SolverKind::kLowMemory) continue;
-        if (pwl_of[i]) continue;  // served without rows
-        auto [it, inserted] = cache.try_emplace(job.problem, nullptr);
-        if (inserted) {
-          // Rows only: the batch kinds never query the minimizer caches,
-          // and skipping them trims two O(m) scans per row off
-          // materialization.  A materialization fault (throwing cost
-          // function) leaves the instance's jobs streaming from the
-          // Problem, where the per-job isolation classifies the error.
-          try {
-            it->second = std::make_shared<DenseProblem>(
-                *job.problem, DenseProblem::Mode::kEager,
-                DenseProblem::MinimizerCache::kOnDemand);
-            ++stats.dense_tables_built;
-          } catch (...) {  // rs-lint: catch-all-ok (shared-table build: a
-                           // failure falls back to per-job isolation)
-            it->second = nullptr;
-          }
-        }
-        dense_of[i] = it->second;
+    std::unordered_map<const Problem*, std::shared_ptr<const DenseProblem>>
+        cache;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const SolveJob& job = jobs[i];
+      if (job.kind == SolverKind::kDeltaResolve) continue;
+      if (job.dense) {
+        dense_of[i] = job.dense;
+        continue;
       }
-    } else {
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        dense_of[i] = jobs[i].dense;
+      // kLowMemory runs from a caller's table but never gets one built:
+      // its O(m + T) memory contract streams the Problem instead.
+      if (job.kind == SolverKind::kLowMemory) continue;
+      if (pwl_of[i]) continue;  // served without rows
+      auto [it, inserted] = cache.try_emplace(job.problem, nullptr);
+      if (inserted) {
+        // Rows only: the batch kinds never query the minimizer caches, and
+        // skipping them trims two O(m) scans per row off materialization.
+        // A materialization fault (throwing cost function) leaves the
+        // instance's jobs streaming from the Problem, where the per-job
+        // isolation classifies the error.
+        try {
+          it->second = std::make_shared<DenseProblem>(
+              *job.problem, DenseProblem::Mode::kEager,
+              DenseProblem::MinimizerCache::kOnDemand);
+          ++stats.dense_tables_built;
+        } catch (...) {  // rs-lint: catch-all-ok (shared-table build: a
+                         // failure falls back to per-job isolation)
+          it->second = nullptr;
+        }
       }
+      dense_of[i] = it->second;
     }
 
     std::mutex stats_mutex;

@@ -169,10 +169,6 @@ class SolverEngine {
     /// thread (deterministic, no cross-thread handoff); N > 1 = dedicated
     /// pool with N workers owned by this engine.
     std::size_t threads = 0;
-    /// Materialize one shared DenseProblem per distinct Problem in a batch.
-    /// Off, jobs stream rows per solve (the naive baseline the throughput
-    /// benchmarks compare against).
-    bool share_dense = true;
   };
 
   SolverEngine() : SolverEngine(Options{}) {}

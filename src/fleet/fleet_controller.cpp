@@ -13,7 +13,7 @@ namespace rs::fleet {
 FleetController::FleetController(FleetOptions options)
     : options_(std::move(options)),
       store_(options_.checkpoint_dir),
-      engine_(rs::engine::SolverEngine::Options{options_.threads, true}) {
+      engine_(rs::engine::SolverEngine::Options{options_.threads}) {
   if (options_.tick_budget_seconds < 0.0) {
     throw std::invalid_argument(
         "FleetOptions: tick_budget_seconds must be >= 0");

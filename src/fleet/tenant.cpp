@@ -115,8 +115,13 @@ const char* to_string(FleetEventKind kind) noexcept {
 
 TenantSession::TenantSession(TenantConfig config, std::size_t ordinal,
                              rs::core::CheckpointStore* resume_from)
-    : config_(std::move(config)), ordinal_(ordinal) {
+    : config_(std::move(config)),
+      ordinal_(ordinal),
+      session_(config_.backend) {
   validate_config(config_);
+  if (config_.what_if_slots > 0) {
+    session_.enable_what_if(config_.what_if_slots);
+  }
   reset_session_locked();
   if (resume_from == nullptr) return;
   const std::optional<std::vector<std::uint8_t>> saved =
@@ -124,19 +129,15 @@ TenantSession::TenantSession(TenantConfig config, std::size_t ordinal,
   if (!saved.has_value()) return;
   try {
     TenantCheckpoint ck = decode_checkpoint(*saved);
-    const rs::online::OnlineContext context{config_.m, config_.beta};
-    if (lcp_ != nullptr) {
-      lcp_->restore(context, ck.session);
-    } else {
-      windowed_->restore(context, ck.session);
-    }
+    session_.restore(rs::online::OnlineContext{config_.m, config_.beta},
+                     ck.session);
     stats_.steps = ck.steps;
     stats_.degraded_to_dense = ck.degraded;
     set_state_locked(ck.degraded ? TenantState::kDegraded
                                  : TenantState::kHealthy,
                      "TenantSession::TenantSession/resume");
     resume_steps_ = ck.steps;
-    resume_state_ = lcp_ != nullptr ? lcp_->current_state() : 0;
+    resume_state_ = session_.current_state();
     emit_locked(FleetEventKind::kResumed,
                 "restored " + std::to_string(ck.steps) +
                     " decided slots from the checkpoint store");
@@ -248,7 +249,7 @@ bool TenantSession::offer_run(double lambda, int count) {
     // Windowed lookahead is slot-granular: expand the run, sharing the one
     // CostPtr across its slots.
     for (int i = 0; i < count; ++i) {
-      queue_.push_back(QueueEntry{lambda, 1, cost, nullptr});
+      queue_.push_back(QueueEntry{lambda, 1, cost, nullptr, {}});
     }
   } else {
     // Fetch (or convert once, fleet-wide) the shared convex-PWL form.
@@ -262,7 +263,7 @@ bool TenantSession::offer_run(double lambda, int count) {
       form = config_.form_cache->form_for(cost, config_.m);
     }
     queue_.push_back(
-        QueueEntry{lambda, count, std::move(cost), std::move(form)});
+        QueueEntry{lambda, count, std::move(cost), std::move(form), {}});
   }
   queued_slots_ += static_cast<std::size_t>(count);
   stats_.offered += slots;
@@ -323,8 +324,7 @@ int TenantSession::step(rs::core::CheckpointStore& store) {
     try {
       recover_locked(store, failure);
       if (fail_streak_ >= config_.degrade_after &&
-          !stats_.degraded_to_dense && lcp_ != nullptr &&
-          lcp_->degrade_to_dense()) {
+          !stats_.degraded_to_dense && session_.degrade_to_dense()) {
         // Dense rung taken: checkpoint immediately so every future
         // recovery restores a snapshot whose tracker mode matches the mode
         // the replay-buffer slots were (and will be) decided in.
@@ -347,14 +347,12 @@ int TenantSession::decide_front_locked() {
   if (rs::util::fault_fires(rs::util::FaultSite::kFleetTick, index)) {
     throw rs::engine::BackendFailureError("injected fault: fleet tick");
   }
-  const QueueEntry& entry = queue_.front();
-  std::vector<rs::core::CostPtr> lookahead;
-  if (windowed_ != nullptr) lookahead = lookahead_after_locked(1);
-  return session_decide_locked(entry, lookahead);
+  QueueEntry& entry = queue_.front();
+  if (config_.window > 0) entry.lookahead = lookahead_locked();
+  return session_decide_locked(entry);
 }
 
-int TenantSession::session_decide_locked(
-    const QueueEntry& entry, std::span<const rs::core::CostPtr> lookahead) {
+int TenantSession::session_decide_locked(const QueueEntry& entry) {
   const std::size_t need = static_cast<std::size_t>(
       entry.count > 1 ? entry.count : 1);
   if (decisions_scratch_.size() < need) {
@@ -362,30 +360,30 @@ int TenantSession::session_decide_locked(
     lower_scratch_.resize(need);
     upper_scratch_.resize(need);
   }
-  if (lcp_ != nullptr) {
-    // Consume the shared cached form only while the tracker is on (or can
-    // still choose) the PWL path: there decide_run(ConvexPwl) is
-    // bit-identical to the CostFunction overload (the tracker would derive
-    // the identical form).  After a dense fallback the CostFunction path
-    // evaluates rows directly, so forms are bypassed.  The gate re-evaluates
-    // identically during recovery replay — the restored tracker is in the
-    // mode the slot was originally decided in.
-    const rs::offline::WorkFunctionTracker* tracker = lcp_->tracker();
-    const bool pwl_path =
-        tracker != nullptr && (tracker->using_pwl() || tracker->tau() == 0);
-    if (entry.form != nullptr && pwl_path) {
-      lcp_->decide_run(*entry.form, entry.count, decisions_scratch_,
-                       lower_scratch_, upper_scratch_);
-    } else {
-      lcp_->decide_run(*entry.cost, entry.count, decisions_scratch_,
-                       lower_scratch_, upper_scratch_);
-    }
-    return entry.count;
+  if (config_.window > 0) {
+    decisions_scratch_[0] = session_.decide(entry.cost, entry.lookahead);
+    lower_scratch_[0] = session_.last_lower();
+    upper_scratch_[0] = session_.last_upper();
+    return 1;
   }
-  decisions_scratch_[0] = windowed_->decide(entry.cost, lookahead);
-  lower_scratch_[0] = windowed_->last_lower();
-  upper_scratch_[0] = windowed_->last_upper();
-  return 1;
+  // Consume the shared cached form only while the tracker is on (or can
+  // still choose) the PWL path: there decide_run(ConvexPwl) is
+  // bit-identical to the CostFunction overload (the tracker would derive
+  // the identical form).  After a dense fallback the CostFunction path
+  // evaluates rows directly, so forms are bypassed.  The gate re-evaluates
+  // identically during recovery replay — the restored tracker is in the
+  // mode the slot was originally decided in.
+  const rs::offline::WorkFunctionTracker* tracker = session_.tracker();
+  const bool pwl_path =
+      tracker != nullptr && (tracker->using_pwl() || tracker->tau() == 0);
+  if (entry.form != nullptr && pwl_path) {
+    session_.decide_run(*entry.form, entry.count, decisions_scratch_,
+                        lower_scratch_, upper_scratch_);
+  } else {
+    session_.decide_run(*entry.cost, entry.count, decisions_scratch_,
+                        lower_scratch_, upper_scratch_);
+  }
+  return entry.count;
 }
 
 void TenantSession::commit_front_locked(int advanced,
@@ -428,33 +426,18 @@ void TenantSession::recover_locked(rs::core::CheckpointStore& store,
       store.latest(store_key());
   if (saved.has_value()) {
     const TenantCheckpoint ck = decode_checkpoint(*saved);
-    const rs::online::OnlineContext context{config_.m, config_.beta};
-    if (lcp_ != nullptr) {
-      lcp_->restore(context, ck.session);
-    } else {
-      windowed_->restore(context, ck.session);
-    }
+    session_.restore(rs::online::OnlineContext{config_.m, config_.beta},
+                     ck.session);
   }
   // Replay the gap between the restored checkpoint and the failure point.
   // No fault sites are consulted here: recovery itself is deterministic,
   // and the replayed decisions overwrite their original positions (they
-  // are bit-identical by the checkpoint round-trip contract).
+  // are bit-identical by the checkpoint round-trip contract, each entry
+  // carrying the lookahead its slot was decided with).
   std::size_t pos = schedule_.size() -
                     static_cast<std::size_t>(slots_since_checkpoint_);
-  for (std::size_t i = 0; i < replay_.size(); ++i) {
-    std::vector<rs::core::CostPtr> lookahead;
-    if (windowed_ != nullptr) {
-      const std::size_t w = static_cast<std::size_t>(config_.window);
-      for (std::size_t j = i + 1; j < replay_.size() && lookahead.size() < w;
-           ++j) {
-        lookahead.push_back(replay_[j].cost);
-      }
-      for (std::size_t q = 0; q < queue_.size() && lookahead.size() < w;
-           ++q) {
-        lookahead.push_back(queue_[q].cost);
-      }
-    }
-    const int n = session_decide_locked(replay_[i], lookahead);
+  for (const QueueEntry& entry : replay_) {
+    const int n = session_decide_locked(entry);
     for (int k = 0; k < n; ++k) {
       const std::size_t j = static_cast<std::size_t>(k);
       schedule_[pos + j] = decisions_scratch_[j];
@@ -470,26 +453,15 @@ void TenantSession::recover_locked(rs::core::CheckpointStore& store,
 }
 
 void TenantSession::reset_session_locked() {
-  const rs::online::OnlineContext context{config_.m, config_.beta};
-  if (config_.window > 0) {
-    lcp_.reset();
-    windowed_ = std::make_unique<rs::online::WindowedLcp>(config_.backend);
-    windowed_->reset(context);
-  } else {
-    windowed_.reset();
-    lcp_ = std::make_unique<rs::online::Lcp>(config_.backend);
-    if (config_.what_if_slots > 0) lcp_->enable_what_if(config_.what_if_slots);
-    lcp_->reset(context);
-  }
+  session_.reset(rs::online::OnlineContext{config_.m, config_.beta});
 }
 
-std::vector<rs::core::CostPtr> TenantSession::lookahead_after_locked(
-    std::size_t skip_queue_front) const {
+std::vector<rs::core::CostPtr> TenantSession::lookahead_locked() const {
+  // The next w queued slots after the front one.
   std::vector<rs::core::CostPtr> lookahead;
   const std::size_t w = static_cast<std::size_t>(config_.window);
   lookahead.reserve(w);
-  for (std::size_t q = skip_queue_front;
-       q < queue_.size() && lookahead.size() < w; ++q) {
+  for (std::size_t q = 1; q < queue_.size() && lookahead.size() < w; ++q) {
     lookahead.push_back(queue_[q].cost);
   }
   return lookahead;
@@ -514,8 +486,7 @@ std::vector<std::uint8_t> TenantSession::snapshot_bytes_locked() const {
   rs::core::CheckpointWriter writer;
   writer.u64(stats_.steps);
   writer.u8(stats_.degraded_to_dense ? 1 : 0);
-  const std::vector<std::uint8_t> session =
-      lcp_ != nullptr ? lcp_->snapshot() : windowed_->snapshot();
+  const std::vector<std::uint8_t> session = session_.snapshot();
   writer.u64(session.size());
   writer.bytes(session);
   return writer.seal(rs::core::kTenantCheckpointKind);
@@ -549,10 +520,10 @@ void TenantSession::note_deferred() {
 std::optional<WhatIfResult> TenantSession::what_if(int slot,
                                                    double lambda) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (lcp_ == nullptr || config_.what_if_slots <= 0) return std::nullopt;
+  if (config_.what_if_slots <= 0) return std::nullopt;
   if (state_ == TenantState::kQuarantined) return std::nullopt;
   if (!std::isfinite(lambda) || lambda < 0.0) return std::nullopt;
-  const rs::offline::WorkFunctionTracker* live = lcp_->tracker();
+  const rs::offline::WorkFunctionTracker* live = session_.tracker();
   if (live == nullptr || !live->rewind_covers(slot)) return std::nullopt;
   try {
     const rs::core::CostPtr cost = config_.cost_of(lambda);

@@ -1,9 +1,11 @@
 // One fleet tenant: a long-lived LCP serving session wrapped in a fault
 // domain (DESIGN.md §11).
 //
-// A tenant owns an Lcp (window = 0) or WindowedLcp (window > 0) session, a
-// bounded ingest queue of λ samples, and a replay buffer of everything
-// decided since its last checkpoint.  The contract robustness rests on:
+// A tenant owns one Lcp session (a prediction window is just the lookahead
+// each decision is handed), a bounded ingest queue of λ samples, and a
+// replay buffer of everything decided since its last checkpoint — each
+// windowed slot with the lookahead it was decided with.  The contract
+// robustness rests on:
 //
 //   * input hardening — offer() validates the λ sample (NaN / inf /
 //     negative) and probes the built slot cost (NaN / throwing) before
@@ -14,12 +16,15 @@
 //     (injected via FaultSite::kFleetTick or real) it restores the latest
 //     good checkpoint, replays the gap from the replay buffer, and retries
 //     — decisions and corridor bounds stay bit-identical to an undisturbed
-//     run (the chaos drill pins this);
+//     run, even when overflow evicted queued samples a windowed slot saw
+//     as lookahead (the chaos drill and the drop-oldest regression test
+//     pin this);
 //   * a degradation ladder — after `degrade_after` consecutive failed
-//     attempts a kAuto/kDense session is pinned to the dense streaming
-//     backend (one typed kDegradedToDense event + an immediate checkpoint,
-//     so later recoveries replay in the right mode); recoveries exhausted
-//     on both rungs end in quarantine, never a wedged controller.
+//     attempts a kAuto/kDense session, windowed or not, is pinned to the
+//     dense streaming backend (one typed kDegradedToDense event + an
+//     immediate checkpoint, so later recoveries replay in the right mode);
+//     recoveries exhausted on both rungs end in quarantine, never a wedged
+//     controller.
 //
 // Every public member takes the tenant mutex, so a checkpoint taken from
 // the controller thread while the session is mid-advance_repeated
@@ -42,7 +47,6 @@
 #include "core/schedule.hpp"
 #include "offline/work_function.hpp"
 #include "online/lcp.hpp"
-#include "online/lcp_window.hpp"
 
 namespace rs::fleet {
 
@@ -129,8 +133,8 @@ struct TenantConfig {
   std::string name;
   int m = 0;
   double beta = 1.0;
-  /// 0 = plain Lcp; w > 0 = WindowedLcp deciding each slot with the next w
-  /// queued samples as its prediction window.
+  /// 0 = plain LCP; w > 0 = LCP deciding each slot with the next w queued
+  /// samples as its prediction window.
   int window = 0;
   rs::offline::WorkFunctionTracker::Backend backend =
       rs::offline::WorkFunctionTracker::Backend::kAuto;
@@ -301,6 +305,11 @@ class TenantSession {
     // entries carry the same pointer, so a recovery consumes the identical
     // input and stays bit-identical.
     std::shared_ptr<const rs::core::ConvexPwl> form;
+    // Windowed tenants: the prediction window the slot is decided with,
+    // set from the queue when the decision is attempted.  Replay entries
+    // keep it, so a recovery re-decides with exactly what the slot saw
+    // even if overflow has since evicted those samples from the queue.
+    std::vector<rs::core::CostPtr> lookahead;
   };
 
   // All *_locked members require mutex_ held.
@@ -317,22 +326,16 @@ class TenantSession {
   void checkpoint_locked(rs::core::CheckpointStore& store);
   void recover_locked(rs::core::CheckpointStore& store,
                       const std::string& reason);
-  void replay_entry_locked(const QueueEntry& entry, std::size_t replay_pos,
-                           std::size_t slot_base);
-  std::vector<rs::core::CostPtr> lookahead_after_locked(
-      std::size_t skip_queue_front) const;
+  std::vector<rs::core::CostPtr> lookahead_locked() const;
   std::vector<std::uint8_t> snapshot_bytes_locked() const;
   void reset_session_locked();
-  int session_decide_locked(const QueueEntry& entry,
-                            std::span<const rs::core::CostPtr> lookahead);
+  int session_decide_locked(const QueueEntry& entry);
 
   mutable std::mutex mutex_;
   TenantConfig config_;
   std::size_t ordinal_ = 0;
 
-  // Exactly one of the two sessions is live, chosen by config_.window.
-  std::unique_ptr<rs::online::Lcp> lcp_;
-  std::unique_ptr<rs::online::WindowedLcp> windowed_;
+  rs::online::Lcp session_;
 
   std::deque<QueueEntry> queue_;
   std::size_t queued_slots_ = 0;

@@ -10,8 +10,8 @@ namespace rs::offline {
 
 DpDeltaSession DpSolver::begin_delta(const rs::core::Problem& p) const {
   return DpDeltaSession(p, backend_ == Backend::kDense
-                               ? DpDeltaSession::Backend::kDense
-                               : DpDeltaSession::Backend::kAuto);
+                               ? WorkFunctionTracker::Backend::kDense
+                               : WorkFunctionTracker::Backend::kAuto);
 }
 
 namespace {
@@ -30,19 +30,8 @@ WorkFunctionTracker make_base_tracker(const rs::core::Problem& p,
 
 }  // namespace
 
-WorkFunctionTracker::Backend DpDeltaSession::tracker_backend() const noexcept {
-  switch (backend_) {
-    case Backend::kDense:
-      return WorkFunctionTracker::Backend::kDense;
-    case Backend::kPwl:
-      return WorkFunctionTracker::Backend::kPwl;
-    case Backend::kAuto:
-      break;
-  }
-  return WorkFunctionTracker::Backend::kAuto;
-}
-
-DpDeltaSession::DpDeltaSession(const rs::core::Problem& p, Backend backend)
+DpDeltaSession::DpDeltaSession(const rs::core::Problem& p,
+                               WorkFunctionTracker::Backend backend)
     : m_(p.max_servers()),
       beta_(p.beta()),
       backend_(backend),
@@ -52,14 +41,14 @@ DpDeltaSession::DpDeltaSession(const rs::core::Problem& p, Backend backend)
         for (int t = 1; t <= p.horizon(); ++t) costs.push_back(p.f_ptr(t));
         return costs;
       }()),
-      tracker_(make_base_tracker(p, tracker_backend(), bounds_)) {
+      tracker_(make_base_tracker(p, backend_, bounds_)) {
   cost_ = tracker_.chat_min();
 }
 
 void DpDeltaSession::rebuild() {
   BoundTrajectory bounds;
   WorkFunctionTracker fresh = make_base_tracker(
-      rs::core::Problem(m_, beta_, costs_), tracker_backend(), bounds);
+      rs::core::Problem(m_, beta_, costs_), backend_, bounds);
   tracker_ = std::move(fresh);
   bounds_ = std::move(bounds);
   cost_ = tracker_.chat_min();

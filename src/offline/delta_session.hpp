@@ -32,11 +32,6 @@ namespace rs::offline {
 
 class DpDeltaSession {
  public:
-  /// Which label representation carries the session; maps onto
-  /// WorkFunctionTracker::Backend (kAuto = PWL while every slot converts
-  /// compactly, dense after the first that does not).
-  enum class Backend { kDense, kPwl, kAuto };
-
   /// Per-edit repair statistics.
   struct DeltaStats {
     int slots_repaired = 0;  // slots re-advanced by the repair
@@ -47,13 +42,17 @@ class DpDeltaSession {
   /// Solves `p` from scratch and keeps the session live.  Requires a
   /// non-empty horizon.  The slot costs are retained (shared_ptr copies);
   /// the Problem itself is not referenced after construction.
+  /// `backend` picks the label representation that carries the session
+  /// (kAuto = PWL while every slot converts compactly, dense after the
+  /// first that does not).
   explicit DpDeltaSession(const rs::core::Problem& p,
-                          Backend backend = Backend::kAuto);
+                          WorkFunctionTracker::Backend backend =
+                              WorkFunctionTracker::Backend::kAuto);
 
   int horizon() const noexcept { return static_cast<int>(costs_.size()); }
   int max_servers() const noexcept { return m_; }
   double beta() const noexcept { return beta_; }
-  Backend backend() const noexcept { return backend_; }
+  WorkFunctionTracker::Backend backend() const noexcept { return backend_; }
 
   /// Cost of the current (possibly edited) instance; O(1).
   double cost() const noexcept { return cost_; }
@@ -81,12 +80,11 @@ class DpDeltaSession {
                             DeltaStats* stats = nullptr);
 
  private:
-  WorkFunctionTracker::Backend tracker_backend() const noexcept;
   void rebuild();  // full from-scratch solve of costs_; strong guarantee
 
   int m_;
   double beta_;
-  Backend backend_;
+  WorkFunctionTracker::Backend backend_;
   std::vector<rs::core::CostPtr> costs_;  // costs_[t-1] = current f_t
   BoundTrajectory bounds_;  // declared before tracker_: the base solve
                             // fills it while constructing the tracker

@@ -33,8 +33,8 @@
 // tie rule absorbs that noise, so the bounds agree exactly: the backend is
 // a performance choice, never a semantic one (DESIGN.md §8).
 //
-// This tracker powers the discrete LCP algorithm (Section 3), the
-// prediction-window variant, the Lemma-11 offline construction, and the
+// This tracker powers the discrete LCP algorithm (Section 3) with and
+// without a prediction window, the Lemma-11 offline construction, and the
 // DpSolver convex fast path.
 #pragma once
 
@@ -153,6 +153,13 @@ class WorkFunctionTracker {
   /// and after any fallback to dense).
   bool using_pwl() const noexcept { return mode_ == Mode::kPwl; }
 
+  /// True while the next advance may still run on the PWL backend: PWL is
+  /// live, or nothing was advanced yet and neither the constructed backend
+  /// nor ensure_dense_backend() pinned the tracker dense.
+  bool takes_pwl() const noexcept {
+    return mode_ != Mode::kDense && backend_ != Backend::kDense;
+  }
+
   /// Live breakpoints of Ĉ^L (0 on the dense backend); diagnostics for the
   /// K-vs-m scaling story.
   int breakpoint_count() const noexcept;
@@ -175,9 +182,9 @@ class WorkFunctionTracker {
   const rs::core::ConvexPwl& chat_lower_pwl() const;
 
   /// Permanently switches to the dense backend (no-op if already dense),
-  /// materializing the current Ĉ^L.  Mixed consumers (e.g. a windowed LCP
-  /// whose lookahead does not convert) use this to keep every per-x query
-  /// O(1).
+  /// materializing the current Ĉ^L.  Mixed consumers (e.g. an LCP window
+  /// pass whose lookahead does not convert) use this to keep every per-x
+  /// query O(1).
   void ensure_dense_backend();
 
   /// The online bounds x^L_τ and x^U_τ (Section 3.1 under the tie rule of
@@ -285,10 +292,6 @@ class WorkFunctionTracker {
   void require_started() const;
   void init_dense();
   std::span<double> scratch_row();
-  // True while inputs resolve to the PWL backend.
-  bool takes_pwl() const noexcept {
-    return mode_ != Mode::kDense && backend_ != Backend::kDense;
-  }
   // The one backend-resolution step of every advance and repair entry
   // point: conversion (within the compact budget) or row evaluation into
   // the scratch row.  `converted` owns a fresh conversion for the view.

@@ -1,4 +1,5 @@
-// Discrete Lazy Capacity Provisioning (Section 3, Theorem 2).
+// Discrete Lazy Capacity Provisioning (Section 3, Theorem 2), with an
+// optional finite prediction window (Sections 3 and 5.4).
 //
 //   x^LCP_0 = 0,   x^LCP_τ = [ x^LCP_{τ-1} ]^{x^U_τ}_{x^L_τ}   (eq. 13)
 //
@@ -13,11 +14,31 @@
 // O(B log K) in breakpoint counts — independent of m, the configuration
 // that scales LCP to 10⁵-10⁶ servers (see bench_scaling, E13) — and
 // otherwise it runs the dense O(m) three-pass update.
+//
+// A prediction window is simply the lookahead decide() is handed.  When at
+// time τ the session also knows f_{τ+1}..f_{τ+w}, the bounds become, after
+// Lin et al., the τ-th components of optimal solutions of the
+// horizon-(τ+w) truncated problems:
+//
+//   x^{L,w}_τ = smallest x_τ over minimizers of C^L_{τ+w}
+//   x^{U,w}_τ = largest  x_τ over minimizers of C^U_{τ+w}
+//
+// computed as argmin_x [ Ĉ^B_τ(x) + D^B_τ(x) ], where D^B_τ(x) is the
+// optimal completion cost of serving the window starting from state x under
+// accounting B (up-charging for L, down-charging for U), with Ĉ^U = Ĉ^L − βx
+// and ties decided by core/tie_rule.hpp.  The completion pass costs O(w·m)
+// per step on the dense backend and O(w·B log K) on the PWL one; an empty
+// lookahead is plain LCP.  Theorem 10 shows no constant window improves the
+// competitive ratio on stretched instances; the E9 experiment reproduces
+// this, while the E10 trace study shows the practical benefit on
+// real-shaped workloads.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "offline/work_function.hpp"
@@ -30,13 +51,23 @@ class Lcp final : public OnlineAlgorithm {
   /// `backend` pins the tracker backend; kAuto (default) selects per
   /// instance as described above.  kDense is the reference path (and the
   /// baseline the scaling benchmarks compare against); kPwl throws on
-  /// costs without a compact convex-PWL form.
+  /// costs without a compact convex-PWL form.  With a lookahead, kAuto
+  /// runs the m-independent convex-PWL window pass while the revealed cost
+  /// and the whole lookahead convert compactly, and the dense pass
+  /// (permanently) from the first step where they do not.  Both passes
+  /// decide corridor ties by the one rule of core/tie_rule.hpp, so the
+  /// backend is a performance choice only.
   explicit Lcp(rs::offline::WorkFunctionTracker::Backend backend =
                    rs::offline::WorkFunctionTracker::Backend::kAuto)
       : backend_(backend) {}
 
   std::string name() const override { return "lcp"; }
   void reset(const OnlineContext& context) override;
+  /// Decides slot τ given f_τ and the prediction window f_{τ+1}..  An
+  /// empty lookahead is plain LCP on the tracker's corridor.  A non-empty
+  /// one adds the window's completion costs before the tie rule; with
+  /// predictions the corridor may invert on pathological ties, and the
+  /// state is then projected into [min, max] of the two bounds.
   int decide(const rs::core::CostPtr& f,
              std::span<const rs::core::CostPtr> lookahead) override;
 
@@ -81,18 +112,23 @@ class Lcp final : public OnlineAlgorithm {
   /// The eq. 13 projection state x^LCP of the most recent slot.
   int current_state() const noexcept { return current_; }
 
-  /// Permanently switches the underlying tracker to the dense streaming
-  /// backend, materializing the current work function — the fleet
-  /// controller's PWL → dense degradation rung.  Returns false when this
-  /// session cannot degrade (constructed with the forced-kPwl backend, or
-  /// not reset yet); subsequent decisions agree with the PWL path up to FP
-  /// association order (bitwise on integer-valued instances, DESIGN.md §8).
+  /// Permanently switches the underlying tracker (and the window pass) to
+  /// the dense streaming backend, materializing the current work function
+  /// — the fleet controller's PWL → dense degradation rung.  Returns false
+  /// when this session cannot degrade (constructed with the forced-kPwl
+  /// backend, or not reset yet); subsequent decisions agree with the PWL
+  /// path up to FP association order (bitwise on integer-valued instances,
+  /// DESIGN.md §8).
   bool degrade_to_dense();
 
   /// Serialized session state (core/checkpoint.hpp container, kind
   /// kLcpCheckpointKind): the eq. 13 projection state plus the embedded
   /// work-function tracker snapshot.  A session restored at slot t decides
-  /// the remaining slots bitwise-identically to the uninterrupted run.
+  /// the remaining slots bitwise-identically to the uninterrupted run.  The
+  /// window's sliding form cache is *not* serialized — it is a pure
+  /// conversion memo, so a restored session re-converts its first window
+  /// and then re-warms; decisions are unaffected, including snapshots
+  /// taken mid-window.
   std::vector<std::uint8_t> snapshot() const;
 
   /// Replaces this session's state from snapshot() bytes, the crash-recovery
@@ -100,7 +136,10 @@ class Lcp final : public OnlineAlgorithm {
   /// — same m, beta, and constructed backend — else
   /// core::CheckpointMismatchError; malformed or corrupted bytes raise the
   /// reader's typed errors and leave no partially-restored state observable
-  /// (the session is only mutated after full validation).
+  /// (the session is only mutated after full validation).  Also accepts
+  /// the read-only legacy kind kWindowedLcpCheckpointKind written by the
+  /// former windowed session class, whose payload additionally records
+  /// (m, beta); those are checked against `context`.
   void restore(const OnlineContext& context,
                std::span<const std::uint8_t> bytes);
 
@@ -110,6 +149,13 @@ class Lcp final : public OnlineAlgorithm {
   void decide_run_impl(const Slot& f, int count, std::span<int> decisions,
                        std::span<int> lower, std::span<int> upper);
 
+  // The prediction-window corridor of decide(): tracker advance plus the
+  // completion passes, on the PWL path while everything converts.
+  rs::core::Corridor window_corridor(
+      const rs::core::CostPtr& f, std::span<const rs::core::CostPtr> lookahead);
+  // Records the corridor and projects the current state into it.
+  int project_onto(rs::core::Corridor corridor);
+
   rs::offline::WorkFunctionTracker::Backend backend_;
   // In-place tracker (workspace-backed): reset() re-emplaces without a heap
   // allocation, so replay harnesses can reset per run for free.
@@ -118,13 +164,21 @@ class Lcp final : public OnlineAlgorithm {
   int last_lower_ = 0;
   int last_upper_ = 0;
   int what_if_capacity_ = 0;  // > 0: keep a rewind buffer on the tracker
+  // Sliding conversion cache for the window pass: the forms of the previous
+  // step's [revealed, lookahead...] sequence, keyed by cost identity.  As
+  // the window slides by one slot, this step's revealed cost and all but
+  // the last lookahead slot are cache hits, so each slot of a streaming
+  // replay is converted exactly once instead of up to w+1 times (the
+  // regression test counts as_convex_pwl calls).  Entries hold the CostPtr
+  // so a key address can never be recycled while cached.
+  std::deque<std::pair<rs::core::CostPtr, rs::core::ConvexPwl>> form_cache_;
 };
 
 /// Eq. 13 over a corridor sequence: starting from `state` (x^LCP_{τ-1}),
 /// projects into [lower[i], upper[i]] for each slot i in order, writes each
 /// x^LCP into decisions[i] when `decisions` is non-empty, and returns the
 /// final state.  The one implementation of the LCP projection: Lcp,
-/// run_lcp, WindowedLcp and the fleet's what-if probes all call it.
+/// run_lcp and the fleet's what-if probes all call it.
 /// Requires lower.size() == upper.size() (and decisions, when given, at
 /// least as long).
 int project_corridor(int state, std::span<const int> lower,
@@ -146,5 +200,28 @@ rs::core::Schedule run_lcp_dense(const rs::core::DenseProblem& dense);
 
 /// run_lcp over cached convex-PWL forms.
 rs::core::Schedule run_lcp_pwl(const rs::core::PwlProblem& pwl);
+
+/// Optimal completion cost D^B(x) over the window under the two accounting
+/// schemes (exposed for tests).  `window` holds f_{τ+1}.. in order; the
+/// horizon end after the window is free.  Returned vector has m+1 entries.
+std::vector<double> completion_costs(
+    std::span<const rs::core::CostPtr> window, int m, double beta,
+    bool charge_up);
+
+/// In-place variant writing into `d` (m+1 entries); scratch comes from the
+/// thread workspace, so the per-step window pass is allocation-free.
+void completion_costs(std::span<const rs::core::CostPtr> window, double beta,
+                      bool charge_up, std::span<double> d);
+
+/// Convex-PWL form of the same backward recursion: the window rows are
+/// exact convex PWL functions, each backward step is an add plus a slope
+/// clip into [−β, 0] (L-accounting) or [0, β] (U-accounting), so the whole
+/// window pass is O(w·B log K) — independent of m.  Lcp::decide takes this
+/// path automatically whenever the revealed cost and the entire lookahead
+/// convert compactly (and falls back to the dense pass, permanently, on
+/// the first step where they do not).
+rs::core::ConvexPwl completion_costs_pwl(
+    std::span<const rs::core::ConvexPwl> window, int m, double beta,
+    bool charge_up);
 
 }  // namespace rs::online

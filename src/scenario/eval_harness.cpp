@@ -107,7 +107,7 @@ MonteCarloReport run_monte_carlo(const HarnessConfig& config) {
   std::vector<PerSample> results(kinds * samples);
 
   rs::engine::SolverEngine engine(
-      rs::engine::SolverEngine::Options{config.threads, true});
+      rs::engine::SolverEngine::Options{config.threads});
   MonteCarloReport report;
   engine.for_each(
       results.size(),

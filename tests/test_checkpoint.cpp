@@ -3,10 +3,12 @@
 // the kill-and-resume property — a session snapshotted at any slot t,
 // destroyed, and restored continues bitwise-identically (schedule, corridor
 // bounds, cost) to the uninterrupted run, on both backends, including
-// WindowedLcp mid-window and trackers snapshotted mid-advance_repeated.
+// LCP snapshotted mid-prediction-window and trackers snapshotted
+// mid-advance_repeated.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -26,7 +28,6 @@
 #include "core/schedule.hpp"
 #include "offline/work_function.hpp"
 #include "online/lcp.hpp"
-#include "online/lcp_window.hpp"
 #include "scenario/trace_zoo.hpp"
 #include "util/fault_injection.hpp"
 #include "util/math_util.hpp"
@@ -46,7 +47,7 @@ using rs::core::Problem;
 using rs::offline::WorkFunctionTracker;
 using rs::online::Lcp;
 using rs::online::OnlineContext;
-using rs::online::WindowedLcp;
+using rs::online::Lcp;
 using rs::util::corrupt_bit;
 using rs::util::truncate_bytes;
 using Backend = WorkFunctionTracker::Backend;
@@ -654,7 +655,7 @@ TEST(LcpCheckpoint, CorruptedSessionBytesRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// WindowedLcp: mid-window resume
+// LCP with a prediction window: mid-window resume
 // ---------------------------------------------------------------------------
 
 SessionRun run_windowed_with_crash(const Problem& p, Backend backend,
@@ -666,13 +667,13 @@ SessionRun run_windowed_with_crash(const Problem& p, Backend backend,
   for (int t = 1; t <= p.horizon(); ++t) costs.push_back(p.f_ptr(t));
 
   SessionRun run;
-  auto session = std::make_unique<WindowedLcp>(backend);
+  auto session = std::make_unique<Lcp>(backend);
   session->reset(context);
   for (int t = 1; t <= p.horizon(); ++t) {
     if (split != 0 && t == split + 1) {
       const std::vector<std::uint8_t> bytes = session->snapshot();
       session.reset();
-      session = std::make_unique<WindowedLcp>(backend);
+      session = std::make_unique<Lcp>(backend);
       session->restore(context, bytes);
     }
     const std::size_t begin = static_cast<std::size_t>(t);
@@ -688,7 +689,7 @@ SessionRun run_windowed_with_crash(const Problem& p, Backend backend,
   return run;
 }
 
-TEST(WindowedLcpCheckpoint, MidWindowResumeBitwise) {
+TEST(LcpWindowCheckpoint, MidWindowResumeBitwise) {
   const int window = 5;
   const Problem hinge = hinge_problem(10, 2.0, 48, 18);
   const Problem table = table_problem(8, 1.5, 48, 19);
@@ -715,9 +716,9 @@ TEST(WindowedLcpCheckpoint, MidWindowResumeBitwise) {
   }
 }
 
-TEST(WindowedLcpCheckpoint, RestoreRejectsMismatchedTarget) {
+TEST(LcpWindowCheckpoint, RestoreRejectsMismatchedTarget) {
   const Problem p = hinge_problem(10, 2.0, 20, 20);
-  WindowedLcp session(Backend::kAuto);
+  Lcp session(Backend::kAuto);
   session.reset(OnlineContext{10, 2.0});
   std::vector<rs::core::CostPtr> costs;
   for (int t = 1; t <= p.horizon(); ++t) costs.push_back(p.f_ptr(t));
@@ -727,17 +728,85 @@ TEST(WindowedLcpCheckpoint, RestoreRejectsMismatchedTarget) {
                                                       std::min(3, 20 - t)));
   }
   const std::vector<std::uint8_t> bytes = session.snapshot();
-  WindowedLcp target(Backend::kAuto);
+  Lcp target(Backend::kAuto);
   EXPECT_THROW(target.restore(OnlineContext{9, 2.0}, bytes),
                CheckpointMismatchError);
   EXPECT_THROW(target.restore(OnlineContext{10, 1.0}, bytes),
                CheckpointMismatchError);
-  WindowedLcp wrong_backend(Backend::kDense);
+  Lcp wrong_backend(Backend::kDense);
   EXPECT_THROW(wrong_backend.restore(OnlineContext{10, 2.0}, bytes),
                CheckpointMismatchError);
-  Lcp not_windowed(Backend::kAuto);
-  EXPECT_THROW(not_windowed.restore(OnlineContext{10, 2.0}, bytes),
-               CheckpointFormatError);  // kind tag mismatch
+}
+
+// Session bytes sealed by the former windowed session class (kind
+// kWindowedLcpCheckpointKind, which adds (m, beta) to the Lcp layout),
+// taken mid-window: m = 5, β = 1.5, window 2, after the first three slots
+// of legacy_fixture_costs(), on the auto backend (PWL forms) and on the
+// dense backend (label rows).
+constexpr const char* kLegacyWindowedAutoHex =
+    "5253434b0100000003000000910000000000000001bcda610005000000000000"
+    "000000f83f030000000300000004000000016f000000000000005253434b0100"
+    "0000050000005700000000000000ce05704b05000000000000000000f83f0001"
+    "03000000000000000000000000050000000000000000801b409a9999999999d9"
+    "bf03000000010000009a9999999999e93f02000000989999999999c93f040000"
+    "00cdccccccccccf43f";
+constexpr const char* kLegacyWindowedDenseHex =
+    "5253434b0100000003000000800000000000000024d5f3510105000000000000"
+    "000000f83f030000000300000004000000015e000000000000005253434b0100"
+    "00000500000046000000000000009177c86905000000000000000000f83f0102"
+    "03000000000000000000000000801b406666666666e619400000000000801b40"
+    "6666666666e61d4066666666662620403333333333f32340";
+
+TEST(LcpWindowCheckpoint, LegacyWindowedPayloadsRestoreAndResume) {
+  const std::vector<rs::core::CostPtr> costs = legacy_fixture_costs();
+  const OnlineContext context{5, 1.5};
+  const std::size_t window = 2;
+  const auto lookahead = [&](std::size_t t) {
+    return std::span<const rs::core::CostPtr>(
+        costs.data() + t + 1, std::min(window, costs.size() - t - 1));
+  };
+  for (const auto& [backend, hex] :
+       {std::pair<Backend, const char*>{Backend::kAuto,
+                                        kLegacyWindowedAutoHex},
+        {Backend::kDense, kLegacyWindowedDenseHex}}) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    const std::vector<std::uint8_t> bytes = from_hex(hex);
+    ASSERT_EQ(rs::core::checkpoint_kind(bytes),
+              rs::core::kWindowedLcpCheckpointKind);
+    Lcp restored(backend);
+    restored.restore(context, bytes);
+    Lcp reference(backend);
+    reference.reset(context);
+    for (std::size_t t = 0; t < 3; ++t) {
+      reference.decide(costs[t], lookahead(t));
+    }
+    // Re-sealing writes the one session kind, bit for bit what the
+    // uninterrupted session writes.
+    EXPECT_EQ(restored.snapshot(), reference.snapshot());
+    // The writing session's own continuation, (x, x^L, x^U) per slot.
+    const std::vector<std::array<int, 3>> written = {
+        {3, 3, 3}, {3, 3, 3}, {3, 0, 3}};
+    for (std::size_t t = 3; t < costs.size(); ++t) {
+      ASSERT_EQ(restored.decide(costs[t], lookahead(t)),
+                reference.decide(costs[t], lookahead(t)))
+          << "t=" << t;
+      ASSERT_EQ(restored.last_lower(), reference.last_lower());
+      ASSERT_EQ(restored.last_upper(), reference.last_upper());
+      EXPECT_EQ((std::array<int, 3>{restored.current_state(),
+                                    restored.last_lower(),
+                                    restored.last_upper()}),
+                written[t - 3])
+          << "t=" << t;
+    }
+  }
+  // The legacy kind records (m, beta) itself; both are checked.
+  Lcp target(Backend::kAuto);
+  EXPECT_THROW(target.restore(OnlineContext{6, 1.5},
+                              from_hex(kLegacyWindowedAutoHex)),
+               CheckpointMismatchError);
+  EXPECT_THROW(target.restore(OnlineContext{5, 2.0},
+                              from_hex(kLegacyWindowedAutoHex)),
+               CheckpointMismatchError);
 }
 
 }  // namespace

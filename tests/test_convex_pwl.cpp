@@ -582,7 +582,7 @@ TEST(PwlTracker, ForcedBackendsValidateTheirInputs) {
   EXPECT_THROW(forced.advance(opaque), std::invalid_argument);
 
   // Forced-kPwl windowed LCP names the non-compact cost the same way.
-  rs::online::WindowedLcp forced_window(Backend::kPwl);
+  rs::online::Lcp forced_window(Backend::kPwl);
   forced_window.reset(rs::online::OnlineContext{4, 1.0});
   const CostPtr opaque_ptr = std::make_shared<rs::core::FunctionCost>(
       [](int x) { return 1.0 * x; });
@@ -624,7 +624,7 @@ TEST(PwlBackend, LcpSchedulesMatchDenseAcrossFamilies) {
   }
 }
 
-TEST(PwlBackend, WindowedLcpMatchesDenseOnIntegerTieInstances) {
+TEST(PwlBackend, LcpWindowMatchesDenseOnIntegerTieInstances) {
   // Exact plateaus everywhere: integer values make both backends' tie
   // decisions exact, so the windowed corridors must coincide bit for bit.
   rs::util::Rng rng(53);
@@ -635,8 +635,8 @@ TEST(PwlBackend, WindowedLcpMatchesDenseOnIntegerTieInstances) {
     for (int window : {0, 1, 3}) {
       // Forced kPwl keeps the PWL pass engaged even where the auto budget
       // would prefer the dense rows for these table costs.
-      rs::online::WindowedLcp pwl_lcp(Backend::kPwl);
-      rs::online::WindowedLcp dense_lcp(Backend::kDense);
+      rs::online::Lcp pwl_lcp(Backend::kPwl);
+      rs::online::Lcp dense_lcp(Backend::kDense);
       EXPECT_EQ(rs::online::run_online(pwl_lcp, p, window),
                 rs::online::run_online(dense_lcp, p, window))
           << "trial=" << trial << " w=" << window;
@@ -644,7 +644,7 @@ TEST(PwlBackend, WindowedLcpMatchesDenseOnIntegerTieInstances) {
   }
 }
 
-TEST(PwlBackend, WindowedLcpMatchesDenseOnSlaInstances) {
+TEST(PwlBackend, LcpWindowMatchesDenseOnSlaInstances) {
   // Integer parameters keep every windowed sum exact, so the corridors
   // must coincide bit for bit even on the hinges' exact-0 plateaus
   // (fractional parameters: the zoo suite of test_scenario_zoo, and
@@ -665,8 +665,8 @@ TEST(PwlBackend, WindowedLcpMatchesDenseOnSlaInstances) {
                     std::move(fs));
     ASSERT_TRUE(rs::core::admits_compact_pwl(p));
     for (int window : {1, 4}) {
-      rs::online::WindowedLcp auto_lcp;
-      rs::online::WindowedLcp dense_lcp(Backend::kDense);
+      rs::online::Lcp auto_lcp;
+      rs::online::Lcp dense_lcp(Backend::kDense);
       EXPECT_EQ(rs::online::run_online(auto_lcp, p, window),
                 rs::online::run_online(dense_lcp, p, window))
           << "trial=" << trial << " w=" << window;

@@ -39,7 +39,7 @@ using rs::offline::DpDeltaSession;
 using rs::offline::OfflineResult;
 using rs::offline::WorkFunctionTracker;
 using rs::workload::InstanceFamily;
-using Backend = DpDeltaSession::Backend;
+using Backend = WorkFunctionTracker::Backend;
 
 const std::vector<Backend>& all_backends() {
   static const std::vector<Backend> backends = {Backend::kDense, Backend::kPwl,
@@ -608,7 +608,7 @@ TEST(EngineDelta, ProbesMatchFromScratchAndAreOrderIndependent) {
   }
 
   rs::engine::SolverEngine inline_engine(rs::engine::SolverEngine::Options{
-      .threads = 1, .share_dense = true});
+      .threads = 1});
   const auto inline_result = inline_engine.run(jobs);
   ASSERT_EQ(inline_result.outcomes.size(), jobs.size());
   EXPECT_GT(inline_result.stats.slots_repaired, 0u);
@@ -626,7 +626,7 @@ TEST(EngineDelta, ProbesMatchFromScratchAndAreOrderIndependent) {
   // Threaded batches share one session per instance under a mutex; probes
   // restore it bitwise, so outcomes are independent of probe order.
   rs::engine::SolverEngine threaded(rs::engine::SolverEngine::Options{
-      .threads = 4, .share_dense = true});
+      .threads = 4});
   const auto threaded_result = threaded.run(jobs);
   for (std::size_t k = 0; k < jobs.size(); ++k) {
     EXPECT_EQ(threaded_result.outcomes[k].cost, inline_result.outcomes[k].cost);

@@ -281,9 +281,9 @@ TEST(DenseEquivalence, OnlineAlgorithmsMatchPerPointPath) {
       // on exact-tie instances the windowed corridor may tie-break
       // differently across backends — see DESIGN.md §8; the cross-backend
       // equivalence suite lives in test_convex_pwl.cpp.)
-      rs::online::WindowedLcp windowed_dense(
+      rs::online::Lcp windowed_dense(
           rs::offline::WorkFunctionTracker::Backend::kDense);
-      rs::online::WindowedLcp windowed_per_point(
+      rs::online::Lcp windowed_per_point(
           rs::offline::WorkFunctionTracker::Backend::kDense);
       EXPECT_EQ(rs::online::run_online(windowed_dense, p, /*window=*/3),
                 rs::online::run_online(windowed_per_point, q, /*window=*/3))

@@ -216,20 +216,6 @@ TEST(SolverEngine, DeterministicUnderThreadCountVariation) {
   }
 }
 
-TEST(SolverEngine, SharedDenseAndNaiveModesAgree) {
-  const std::vector<Problem> instances = fleet_instances();
-  const std::vector<SolveJob> jobs = fleet_jobs(instances);
-  const BatchResult shared = SolverEngine({.threads = 1}).run(jobs);
-  const BatchResult naive =
-      SolverEngine({.threads = 1, .share_dense = false}).run(jobs);
-  EXPECT_EQ(naive.stats.dense_tables_built, 0u);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(shared.outcomes[i].cost, naive.outcomes[i].cost) << "job " << i;
-    EXPECT_EQ(shared.outcomes[i].schedule, naive.outcomes[i].schedule)
-        << "job " << i;
-  }
-}
-
 TEST(SolverEngine, AcceptsPreBuiltDenseTables) {
   rs::util::Rng rng(5);
   const Problem p = rs::workload::random_instance(

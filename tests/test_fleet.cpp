@@ -23,6 +23,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -287,6 +288,48 @@ TEST(FleetTenant, OverflowPoliciesBoundTheQueue) {
   }
 }
 
+TEST(FleetTenant, WindowedRecoveryReplaysTheLookaheadEachSlotSaw) {
+  // A windowed slot sees the next w queued samples as its lookahead.  When
+  // kDropOldest overflow later evicts some of them, a recovery must still
+  // re-decide that slot with what it saw, not with what the queue holds by
+  // then — else the replayed slot and every later one drift.
+  const std::vector<double> lambdas = {6, 3, 0, 5, 3, 4, 5, 4, 5, 0};
+  // One kFleetTick kill at attempt 1 and no ingest fault (both predicted
+  // from the plan below).
+  const FaultPlan plan{299497, 4, PoisonKind::kNaN};
+  ASSERT_TRUE(rs::scenario::corrupted_offers(plan, 0, lambdas.size()).empty());
+  ASSERT_EQ(rs::scenario::killed_attempts(plan, 0, 8),
+            std::vector<std::uint64_t>{1});
+
+  const auto run = [&](bool kill) {
+    TenantConfig config = basic_config("windowed", 6);
+    config.window = 2;
+    config.queue_capacity = 3;
+    config.overflow = OverflowPolicy::kDropOldest;
+    config.checkpoint_every = 1000;
+    TenantSession tenant(config, 0);
+    CheckpointStore store;
+    std::optional<ScopedFaultInjection> guard;
+    if (kill) guard.emplace(rs::scenario::make_injector(plan));
+    std::size_t next = 0;
+    for (; next < 3; ++next) tenant.offer(lambdas[next]);
+    while (next < lambdas.size()) {
+      tenant.step(store);
+      for (int k = 0; k < 2 && next < lambdas.size(); ++k) {
+        tenant.offer(lambdas[next++]);
+      }
+    }
+    tenant.finish_stream();
+    while (!tenant.drained()) tenant.step(store);
+    EXPECT_EQ(tenant.stats().recoveries, kill ? 1u : 0u);
+    EXPECT_GT(tenant.stats().overflow_drops, 0u);
+    return tenant.schedule();
+  };
+  const rs::core::Schedule undisturbed = run(false);
+  EXPECT_EQ(undisturbed, (rs::core::Schedule{3, 3, 3, 5, 5, 5, 5}));
+  EXPECT_EQ(run(true), undisturbed);
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint cadence and RLE ingest
 // ---------------------------------------------------------------------------
@@ -519,6 +562,62 @@ TEST(FleetLadder, PersistentFailuresDegradeThenQuarantine) {
   EXPECT_TRUE(has_event(events, a, FleetEventKind::kDegradedToDense));
   EXPECT_FALSE(fleet.tenant(p).stats().degraded_to_dense);
   EXPECT_FALSE(has_event(events, p, FleetEventKind::kDegradedToDense));
+}
+
+TEST(FleetLadder, DenseRungKeepsWindowedTenantsBitIdentical) {
+  // Every tenant that can degrade takes the dense rung on its first failed
+  // attempt, windowed ones included, and then stays bit-identical to its
+  // undisturbed run: integer slot costs make dense and PWL agree exactly.
+  const int kSlots = 40;
+  struct Rung {
+    const char* name;
+    Backend backend;
+    int window;
+  };
+  const std::vector<Rung> rungs = {{"plain", Backend::kAuto, 0},
+                                   {"windowed", Backend::kAuto, 2},
+                                   {"windowed-dense", Backend::kDense, 3}};
+  const std::vector<double> trace = integer_trace(8, kSlots, 77);
+  const auto feed_and_drain = [&](FleetController& fleet, bool faults) {
+    for (const Rung& r : rungs) {
+      TenantConfig config = basic_config(r.name, 8);
+      config.backend = r.backend;
+      config.window = r.window;
+      config.checkpoint_every = 5;
+      config.degrade_after = 1;
+      config.max_recoveries = 30;  // a 1-in-3 fault never exhausts this
+      fleet.add_tenant(config);
+    }
+    // Offers go in before the injector, so only tick attempts can fail.
+    for (double lambda : trace) {
+      for (std::size_t i = 0; i < rungs.size(); ++i) fleet.offer(i, lambda);
+    }
+    fleet.finish_streams();
+    std::optional<ScopedFaultInjection> guard;
+    if (faults) {
+      guard.emplace(rs::scenario::make_injector(
+          FaultPlan{base_seed(), 3, PoisonKind::kNaN}));
+    }
+    fleet.run_until_drained();
+  };
+
+  FleetController reference;
+  feed_and_drain(reference, false);
+  FleetController fleet;
+  feed_and_drain(fleet, true);
+  const std::vector<FleetEvent> events = fleet.events();
+  for (std::size_t i = 0; i < rungs.size(); ++i) {
+    SCOPED_TRACE(rungs[i].name);
+    const TenantSession& tenant = fleet.tenant(i);
+    ASSERT_GT(tenant.stats().recoveries, 0u);
+    EXPECT_EQ(tenant.state(), TenantState::kDegraded);
+    EXPECT_TRUE(tenant.stats().degraded_to_dense);
+    EXPECT_TRUE(has_event(events, i, FleetEventKind::kDegradedToDense));
+    EXPECT_EQ(tenant.steps(), static_cast<std::uint64_t>(kSlots));
+    EXPECT_EQ(tenant.schedule(), reference.tenant(i).schedule());
+    EXPECT_EQ(tenant.lower_bounds(), reference.tenant(i).lower_bounds());
+    EXPECT_EQ(tenant.upper_bounds(), reference.tenant(i).upper_bounds());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@
 #include "offline/low_memory_solver.hpp"
 #include "offline/work_function.hpp"
 #include "online/lcp.hpp"
-#include "online/lcp_window.hpp"
 #include "online/level_flow.hpp"
 #include "online/randomized_rounding.hpp"
 #include "online/receding_horizon.hpp"
@@ -92,7 +91,7 @@ TEST_P(IntegrationSweep, FullConsistencyWeb) {
 
   // --- LCP with prediction windows ---
   for (int w : {1, 3}) {
-    rs::online::WindowedLcp windowed;
+    rs::online::Lcp windowed;
     const Schedule x = rs::online::run_online(windowed, p, w);
     EXPECT_TRUE(rs::core::is_feasible(p, x));
     if (optimum > 0.0) {

@@ -4,14 +4,16 @@
 // at most 3) across instance families.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "core/schedule.hpp"
 #include "offline/backward_solver.hpp"
 #include "offline/dp_solver.hpp"
 #include "offline/work_function.hpp"
 #include "online/lcp.hpp"
-#include "online/lcp_window.hpp"
 #include "util/math_util.hpp"
 #include "util/rng.hpp"
 #include "workload/random_instance.hpp"
@@ -181,25 +183,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- prediction window -------------------------------------------------------
 
-TEST(WindowedLcp, ZeroWindowEqualsLcp) {
+TEST(LcpWindow, ZeroWindowEqualsLcp) {
   rs::util::Rng rng(5);
   for (int trial = 0; trial < 15; ++trial) {
     const int T = static_cast<int>(rng.uniform_int(1, 20));
     const int m = static_cast<int>(rng.uniform_int(1, 8));
     const Problem p = rs::workload::random_instance(
         rng, InstanceFamily::kConvexTable, T, m, rng.uniform(0.3, 2.0));
-    WindowedLcp windowed;
+    Lcp windowed;
     EXPECT_EQ(run_online(windowed, p, /*window=*/0), run_lcp(p));
   }
 }
 
-TEST(WindowedLcp, CompletionCostsBaseCase) {
+TEST(LcpWindow, CompletionCostsBaseCase) {
   // Empty window: zero completion everywhere.
   const std::vector<double> d = completion_costs({}, 3, 1.0, true);
   for (double v : d) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST(WindowedLcp, CompletionCostsSingleSlot) {
+TEST(LcpWindow, CompletionCostsSingleSlot) {
   // One future function f; under L-accounting D(x) = min_x' β(x'-x)^+ + f(x').
   const auto f = std::make_shared<rs::core::TableCost>(
       std::vector<double>{4.0, 1.0, 3.0});
@@ -220,7 +222,7 @@ TEST(WindowedLcp, CompletionCostsSingleSlot) {
   EXPECT_DOUBLE_EQ(d_down[2], 3.0);
 }
 
-TEST(WindowedLcp, FullLookaheadStillThreeCompetitive) {
+TEST(LcpWindow, FullLookaheadStillThreeCompetitive) {
   rs::util::Rng rng(6);
   const rs::offline::DpSolver dp;
   for (int trial = 0; trial < 10; ++trial) {
@@ -230,7 +232,7 @@ TEST(WindowedLcp, FullLookaheadStillThreeCompetitive) {
         rng, InstanceFamily::kQuadratic, T, m, rng.uniform(0.3, 2.0));
     const double optimal = dp.solve_cost(p);
     for (int w : {1, 3, T}) {
-      WindowedLcp windowed;
+      Lcp windowed;
       const Schedule x = run_online(windowed, p, w);
       EXPECT_LE(rs::core::total_cost(p, x), 3.0 * optimal + 1e-9)
           << "w=" << w;
@@ -238,7 +240,31 @@ TEST(WindowedLcp, FullLookaheadStillThreeCompetitive) {
   }
 }
 
-TEST(WindowedLcp, LookaheadHelpsOnSpikeTrace) {
+TEST(LcpWindow, DegradeBeforeTheFirstSlotTakesTheDensePass) {
+  // The fleet's dense rung may fire before a session has decided a slot;
+  // the window pass must then run dense, exactly like a kDense session.
+  rs::util::Rng rng(8);
+  const Problem p = rs::workload::random_instance(
+      rng, InstanceFamily::kAffineAbs, 12, 6, 1.0);
+  std::vector<rs::core::CostPtr> costs;
+  for (int t = 1; t <= p.horizon(); ++t) costs.push_back(p.f_ptr(t));
+  const OnlineContext context{p.max_servers(), p.beta()};
+  Lcp degraded;
+  degraded.reset(context);
+  ASSERT_TRUE(degraded.degrade_to_dense());
+  Lcp dense(rs::offline::WorkFunctionTracker::Backend::kDense);
+  dense.reset(context);
+  for (std::size_t t = 0; t < costs.size(); ++t) {
+    const std::span<const rs::core::CostPtr> window(
+        costs.data() + t + 1, std::min<std::size_t>(2, costs.size() - t - 1));
+    ASSERT_EQ(degraded.decide(costs[t], window), dense.decide(costs[t], window))
+        << "t=" << t;
+    ASSERT_EQ(degraded.last_lower(), dense.last_lower());
+    ASSERT_EQ(degraded.last_upper(), dense.last_upper());
+  }
+}
+
+TEST(LcpWindow, LookaheadHelpsOnSpikeTrace) {
   // A single expensive spike with advance warning: with w >= 1 LCP can
   // pre-provision and avoid the spike penalty that w = 0 pays.
   // f_t prefers 0 servers except slot 3 which strongly prefers 2.
@@ -246,7 +272,7 @@ TEST(WindowedLcp, LookaheadHelpsOnSpikeTrace) {
       {0.0, 1.0, 2.0}, {0.0, 1.0, 2.0}, {8.0, 4.0, 0.0},
       {0.0, 1.0, 2.0}, {0.0, 1.0, 2.0}};
   const Problem p = rs::core::make_table_problem(2, 1.0, rows);
-  WindowedLcp w0, w2;
+  Lcp w0, w2;
   const double cost0 = rs::core::total_cost(p, run_online(w0, p, 0));
   const double cost2 = rs::core::total_cost(p, run_online(w2, p, 2));
   EXPECT_LE(cost2, cost0 + 1e-12);

@@ -11,7 +11,6 @@
 #include "offline/dp_solver.hpp"
 #include "online/gradient_flow.hpp"
 #include "online/lcp.hpp"
-#include "online/lcp_window.hpp"
 #include "online/level_flow.hpp"
 #include "online/baselines.hpp"
 
@@ -117,7 +116,7 @@ TEST(RandomizedAdversary, DrivesRoundingToTwo) {
   EXPECT_LE(outcome.ratio, 2.0 + 1e-6);
 }
 
-TEST(WindowStretching, PreservesAdversaryStrengthAgainstWindowedLcp) {
+TEST(WindowStretching, PreservesAdversaryStrengthAgainstLcpWindow) {
   // Theorem 10: replicate each adversary function n·w times at scale
   // 1/(n·w); an algorithm with window w still cannot beat 3 − δ.
   Lcp lcp;
@@ -128,7 +127,7 @@ TEST(WindowStretching, PreservesAdversaryStrengthAgainstWindowedLcp) {
   const rs::core::Problem stretched =
       stretch_for_window(base.problem, n * w);
 
-  rs::online::WindowedLcp windowed;
+  rs::online::Lcp windowed;
   const rs::core::Schedule play =
       rs::online::run_online(windowed, stretched, w);
   const double algorithm_cost = rs::core::total_cost(stretched, play);

@@ -299,13 +299,13 @@ TEST(PwlProblem, CachedLcpAndBoundsMatchStreamingBackends) {
 
 // --- conversion-count regressions (the bugfixes) -----------------------------
 
-TEST(WindowedLcp, SlidingWindowConvertsEachSlotExactlyOnce) {
+TEST(LcpWindow, SlidingWindowConvertsEachSlotExactlyOnce) {
   // Before the sliding form cache, a lookahead slot was converted on every
   // slide — up to w+1 conversions per slot (once per window position plus
   // once as the revealed cost).
   for (int window : {1, 3, 5}) {
     const CountedInstance counted = counted_affine_instance(14, 8);
-    rs::online::WindowedLcp lcp;  // kAuto, PWL path throughout
+    rs::online::Lcp lcp;  // kAuto, PWL path throughout
     const Schedule schedule =
         rs::online::run_online(lcp, counted.problem, window);
     EXPECT_EQ(schedule.size(), 14u);
@@ -316,7 +316,7 @@ TEST(WindowedLcp, SlidingWindowConvertsEachSlotExactlyOnce) {
   }
 }
 
-TEST(WindowedLcp, SlidingCacheKeepsSchedulesIdentical) {
+TEST(LcpWindow, SlidingCacheKeepsSchedulesIdentical) {
   // The cache must be a pure memoization: schedules equal the forced-PWL
   // and dense replays on integer instances (exact ties).
   rs::util::Rng rng(59);
@@ -325,9 +325,9 @@ TEST(WindowedLcp, SlidingCacheKeepsSchedulesIdentical) {
     const int m = static_cast<int>(rng.uniform_int(2, 9));
     const Problem p = integer_instance(rng, T, m, 1.0);
     for (int window : {0, 2, 4}) {
-      rs::online::WindowedLcp pwl_lcp(
+      rs::online::Lcp pwl_lcp(
           rs::offline::WorkFunctionTracker::Backend::kPwl);
-      rs::online::WindowedLcp dense_lcp(
+      rs::online::Lcp dense_lcp(
           rs::offline::WorkFunctionTracker::Backend::kDense);
       EXPECT_EQ(rs::online::run_online(pwl_lcp, p, window),
                 rs::online::run_online(dense_lcp, p, window))

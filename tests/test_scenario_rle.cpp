@@ -3,7 +3,7 @@
 // schedules, bounds, and costs must be bit-identical to the slot-by-slot
 // replay of the expanded instance on the same backend, across cost
 // families, backends, run shapes (single-slot, all-constant), and the
-// WindowedLcp sliding conversion cache with duplicate CostPtrs.
+// windowed Lcp sliding conversion cache with duplicate CostPtrs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,7 +19,6 @@
 #include "core/schedule.hpp"
 #include "offline/work_function.hpp"
 #include "online/lcp.hpp"
-#include "online/lcp_window.hpp"
 #include "online/online_algorithm.hpp"
 #include "form_axis.hpp"
 #include "scenario/rle.hpp"
@@ -311,11 +310,11 @@ TEST(AdvanceRepeated, Validation) {
       std::logic_error);
 }
 
-// WindowedLcp over an RLE-expanded instance: runs straddle the prediction
+// Windowed Lcp over an RLE-expanded instance: runs straddle the prediction
 // window, so the sliding form cache sees the SAME CostPtr at several
 // window positions at once.  The replay must match the one over a
 // per-slot-unique but structurally identical instance.
-TEST(RleReplay, WindowedLcpStraddlesRunBoundaries) {
+TEST(RleReplay, LcpWindowStraddlesRunBoundaries) {
   const int m = 9;
   const Trace trace = blocky_trace(11, 90, 8.0);
   const RleTrace rle_trace = rs::scenario::rle_encode(trace);
@@ -332,8 +331,8 @@ TEST(RleReplay, WindowedLcpStraddlesRunBoundaries) {
 
   for (Backend backend : {Backend::kDense, Backend::kAuto, Backend::kPwl}) {
     for (int window : {1, 3, 7}) {
-      rs::online::WindowedLcp on_shared(backend);
-      rs::online::WindowedLcp on_unique(backend);
+      rs::online::Lcp on_shared(backend);
+      rs::online::Lcp on_unique(backend);
       EXPECT_EQ(rs::online::run_online(on_shared, shared, window),
                 rs::online::run_online(on_unique, unique, window))
           << "backend " << static_cast<int>(backend) << " window " << window;

@@ -13,7 +13,6 @@
 #include "core/schedule.hpp"
 #include "offline/dp_solver.hpp"
 #include "online/lcp.hpp"
-#include "online/lcp_window.hpp"
 #include "online/online_algorithm.hpp"
 #include "online/randomized_rounding.hpp"
 #include "scenario/rle.hpp"
@@ -143,8 +142,8 @@ TEST(ZooPaperInvariants, LcpWithinThreeTimesOpt) {
     EXPECT_EQ(rs::online::run_online(dense, scenario.problem), schedule);
     EXPECT_EQ(rs::online::run_online(automatic, scenario.problem), schedule);
     for (int window : {1, 4}) {
-      rs::online::WindowedLcp dense_window(Backend::kDense);
-      rs::online::WindowedLcp auto_window(Backend::kAuto);
+      rs::online::Lcp dense_window(Backend::kDense);
+      rs::online::Lcp auto_window(Backend::kAuto);
       EXPECT_EQ(rs::online::run_online(dense_window, scenario.problem, window),
                 rs::online::run_online(auto_window, scenario.problem, window))
           << "w=" << window;
