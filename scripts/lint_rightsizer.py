@@ -26,6 +26,12 @@ shipped or explicitly guards against:
                             — a silent O(m) virtual-call regression on every
                             dense row build.  Intentional fallbacks carry
                             `rs-lint: eval-row-ok`.
+  RS005 value-key-override  A CostFunction subclass without a value_key_impl
+                            override is opaque by default: the fleet form
+                            cache and rle_compress fall back to pointer
+                            identity and never share it.  Families whose
+                            values a key cannot capture carry
+                            `rs-lint: opaque-cost`.
 
 Suppressions are read from raw source text (comments included): a file
 marker applies anywhere in the file; line annotations apply on the flagged
@@ -50,6 +56,7 @@ OK_MINMAX = "rs-lint: minmax-ok"
 OK_FLOAT_EQ = "rs-lint: float-eq-ok"
 OK_CATCH_ALL = "rs-lint: catch-all-ok"
 OK_EVAL_ROW = "rs-lint: eval-row-ok"
+OK_OPAQUE_COST = "rs-lint: opaque-cost"
 
 # How many lines above a flagged line an annotation still applies.
 ANNOTATION_REACH = 2
@@ -181,30 +188,47 @@ def check_catch_all(path: str, raw: list[str], code: list[str],
                 "classifies or rethrows"))
 
 
-def check_eval_row(path: str, raw: list[str], code: list[str],
-                   findings: list[Finding]) -> None:
+def cost_subclasses(raw: list[str], code: list[str], tag: str,
+                    member: str):
+    """(line index, class name) of each CostFunction subclass whose body
+    lacks `member` and whose declaration is not annotated with `tag`."""
     for i, line in enumerate(code):
         match = COST_SUBCLASS.search(line)
-        if not match:
-            continue
-        if annotated(raw, i, OK_EVAL_ROW):
+        if not match or annotated(raw, i, tag):
             continue
         # The class body runs to the first subsequent line that closes a
         # brace at column 0 (the repo's formatting contract).
         body_end = next(
             (j for j in range(i + 1, len(code))
              if code[j].startswith("};")), len(code))
-        body = code[i:body_end]
-        if not any("eval_row" in body_line for body_line in body):
-            findings.append(Finding(
-                path, i + 1, "RS004",
-                f"CostFunction subclass {match.group(1)} does not override "
-                "eval_row: dense row builds fall back to the per-point at() "
-                f"loop. Override it, or annotate '{OK_EVAL_ROW}'"))
+        if not any(member in body_line for body_line in code[i:body_end]):
+            yield i, match.group(1)
+
+
+def check_eval_row(path: str, raw: list[str], code: list[str],
+                   findings: list[Finding]) -> None:
+    for i, name in cost_subclasses(raw, code, OK_EVAL_ROW, "eval_row"):
+        findings.append(Finding(
+            path, i + 1, "RS004",
+            f"CostFunction subclass {name} does not override "
+            "eval_row: dense row builds fall back to the per-point at() "
+            f"loop. Override it, or annotate '{OK_EVAL_ROW}'"))
+
+
+def check_value_key(path: str, raw: list[str], code: list[str],
+                    findings: list[Finding]) -> None:
+    for i, name in cost_subclasses(raw, code, OK_OPAQUE_COST,
+                                   "value_key_impl"):
+        findings.append(Finding(
+            path, i + 1, "RS005",
+            f"CostFunction subclass {name} does not override "
+            "value_key_impl: it is silently opaque, so the form cache and "
+            "rle_compress never share it. Override it, or annotate "
+            f"'{OK_OPAQUE_COST} (<why>)'"))
 
 
 CHECKS = (check_minmax_folds, check_float_eq, check_catch_all,
-          check_eval_row)
+          check_eval_row, check_value_key)
 
 
 def lint_text(path: str, text: str) -> list[Finding]:
@@ -309,6 +333,27 @@ SELF_TESTS = (
      "  void eval_row(int m, std::span<double> out) const override;\n"
      "};\n",
      "RS004", False),
+    ("RS005 fires on a CostFunction subclass without a value key",
+     "class Anonymous final : public CostFunction {\n"
+     " public:\n"
+     "  double at(int x) const override { return x; }\n"
+     "  void eval_row(int m, std::span<double> out) const override;\n"
+     "};\n",
+     "RS005", True),
+    ("RS005 quiet with the override",
+     "class Keyed final : public rs::core::CostFunction {\n"
+     " public:\n"
+     "  double at(int x) const override { return x; }\n"
+     "  bool value_key_impl(ValueKey& key) const override;\n"
+     "};\n",
+     "RS005", False),
+    ("RS005 quiet on a declared opaque family",
+     "// rs-lint: opaque-cost (wraps a callable)\n"
+     "class Callable final : public CostFunction {\n"
+     " public:\n"
+     "  double at(int x) const override { return fn_(x); }\n"
+     "};\n",
+     "RS005", False),
 )
 
 

@@ -188,6 +188,13 @@ std::optional<ConvexPwl> TableCost::as_convex_pwl_impl(int m,
   return builder.finish(max_breakpoints);
 }
 
+bool TableCost::value_key_impl(ValueKey& key) const {
+  key.push_back(value_key_tag("table"));
+  key.push_back(values_.size());
+  for (const double v : values_) append_key_bits(key, v);
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 
 AffineAbsCost::AffineAbsCost(double slope, double center, double offset)
@@ -221,6 +228,14 @@ std::optional<ConvexPwl> AffineAbsCost::as_convex_pwl_impl(
   const long long knee = static_cast<long long>(std::floor(center));
   return convex_pwl_from_kinks(*this, m, {knee - 1, knee, knee + 1, knee + 2},
                         max_breakpoints);
+}
+
+bool AffineAbsCost::value_key_impl(ValueKey& key) const {
+  key.push_back(value_key_tag("affabs"));
+  append_key_bits(key, slope_);
+  append_key_bits(key, center_);
+  append_key_bits(key, offset_);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -266,6 +281,14 @@ std::optional<ConvexPwl> QuadraticCost::as_convex_pwl_impl(
   builder.start(0, at(0));
   for (int x = 0; x < m; ++x) builder.run(at(x + 1) - at(x), x + 1);
   return builder.finish(max_breakpoints);
+}
+
+bool QuadraticCost::value_key_impl(ValueKey& key) const {
+  key.push_back(value_key_tag("quad"));
+  append_key_bits(key, curvature_);
+  append_key_bits(key, center_);
+  append_key_bits(key, offset_);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -398,6 +421,14 @@ std::optional<ConvexPwl> LinearLoadSlotCost::as_convex_pwl_impl(
   return builder.finish(max_breakpoints);
 }
 
+bool LinearLoadSlotCost::value_key_impl(ValueKey& key) const {
+  key.push_back(value_key_tag("linload"));
+  append_key_bits(key, base_);
+  append_key_bits(key, rate_);
+  append_key_bits(key, lambda_);
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 
 ScaledCost::ScaledCost(CostPtr base, double factor)
@@ -439,6 +470,12 @@ std::optional<ConvexPwl> ScaledCost::as_convex_pwl_impl(int m,
 }
 
 std::string ScaledCost::name() const { return "scaled(" + base_->name() + ")"; }
+
+bool ScaledCost::value_key_impl(ValueKey& key) const {
+  key.push_back(value_key_tag("scaled"));
+  append_key_bits(key, factor_);
+  return base_->append_value_key(key);
+}
 
 // ---------------------------------------------------------------------------
 
@@ -505,6 +542,12 @@ std::string StrideCost::name() const {
   return "stride" + std::to_string(stride_) + "(" + base_->name() + ")";
 }
 
+bool StrideCost::value_key_impl(ValueKey& key) const {
+  key.push_back(value_key_tag("stride"));
+  key.push_back(static_cast<std::uint64_t>(stride_));
+  return base_->append_value_key(key);
+}
+
 // ---------------------------------------------------------------------------
 
 PaddedCost::PaddedCost(CostPtr base, int original_m)
@@ -564,6 +607,13 @@ std::optional<ConvexPwl> PaddedCost::as_convex_pwl_impl(int m,
 
 std::string PaddedCost::name() const {
   return "padded(" + base_->name() + ")";
+}
+
+bool PaddedCost::value_key_impl(ValueKey& key) const {
+  // extension_slope_ is derived from the base and original_m_.
+  key.push_back(value_key_tag("padded"));
+  key.push_back(static_cast<std::uint64_t>(original_m_));
+  return base_->append_value_key(key);
 }
 
 // ---------------------------------------------------------------------------

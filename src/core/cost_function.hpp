@@ -11,11 +11,15 @@
 // suffix of its domain but must be finite on a contiguous non-empty range.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/convex_pwl.hpp"
@@ -44,6 +48,25 @@ inline constexpr int compact_pwl_budget_for(int m) noexcept {
   const int relative = m / 8;
   const int capped = relative < kCompactPwlBudget ? relative : kCompactPwlBudget;
   return capped > 8 ? capped : 8;
+}
+
+/// Canonical value identity of a cost function (CostFunction::value_key):
+/// a family tag followed by the bit patterns of the family's parameters.
+using ValueKey = std::vector<std::uint64_t>;
+
+/// The family tag opening a value key: the family name, up to eight ASCII
+/// characters, packed into one word.  Distinct names give distinct tags
+/// with no registry; the empty name (tag 0) is reserved for identity keys
+/// (SlotFormCache files opaque costs under it).
+consteval std::uint64_t value_key_tag(std::string_view family) {
+  if (family.empty() || family.size() > 8) {
+    throw std::invalid_argument("value_key_tag: family name needs 1-8 chars");
+  }
+  std::uint64_t tag = 0;
+  for (const char c : family) {
+    tag = (tag << 8) | static_cast<unsigned char>(c);
+  }
+  return tag;
 }
 
 /// Abstract convex operating-cost function on server counts.
@@ -97,13 +120,42 @@ class CostFunction {
     return as_convex_pwl_impl(m, max_breakpoints);
   }
 
+  /// Value identity.  Appends f's value key to `key` and returns true, or
+  /// returns false when f is opaque (the appended words are then
+  /// unspecified).  The key is the family tag (value_key_tag) plus the bit
+  /// pattern of every parameter that affects at(), at_real(), eval_row(),
+  /// is_convex() or as_convex_pwl(); decorators append their parameters
+  /// and then their children's keys, and are opaque when any child is.
+  /// Contract: equal FULL keys (never a hash of one) mean bitwise-equal
+  /// results from all five at every argument, so either function may stand
+  /// in for the other (the fleet form cache and rle_compress rely on it).
+  /// Bits, not values: +0.0 and −0.0 key apart; name() is not covered.
+  /// Opaque families (a callable the key cannot see into, fault wrappers)
+  /// keep pointer identity.  Non-virtual entry over value_key_impl.
+  bool append_value_key(ValueKey& key) const { return value_key_impl(key); }
+
+  /// The whole value key, or nullopt when f is opaque.
+  std::optional<ValueKey> value_key() const {
+    ValueKey key;
+    if (!value_key_impl(key)) return std::nullopt;
+    return key;
+  }
+
   /// Human-readable family name for diagnostics.
   virtual std::string name() const { return "cost"; }
 
  protected:
   virtual std::optional<ConvexPwl> as_convex_pwl_impl(int m,
                                                       int max_breakpoints) const;
+  /// Keyed families append their tag and parameters (see append_value_key)
+  /// and return true.  The default declares the family opaque.
+  virtual bool value_key_impl(ValueKey& /*key*/) const { return false; }
 };
+
+/// Appends the bit pattern of `value` to a value key.
+inline void append_key_bits(ValueKey& key, double value) {
+  key.push_back(std::bit_cast<std::uint64_t>(value));
+}
 
 using CostPtr = std::shared_ptr<const CostFunction>;
 
@@ -127,6 +179,7 @@ class TableCost final : public CostFunction {
   /// only compact under the budget for tables with few distinct slopes.
   std::optional<ConvexPwl> as_convex_pwl_impl(int m,
                                               int max_breakpoints) const override;
+  bool value_key_impl(ValueKey& key) const override;
   std::string name() const override { return label_; }
   int table_size() const noexcept { return static_cast<int>(values_.size()); }
 
@@ -147,6 +200,7 @@ class AffineAbsCost final : public CostFunction {
   /// At most two breakpoints (around the center), independent of m.
   std::optional<ConvexPwl> as_convex_pwl_impl(int m,
                                               int max_breakpoints) const override;
+  bool value_key_impl(ValueKey& key) const override;
   std::string name() const override { return "affine_abs"; }
   double slope() const noexcept { return slope_; }
   double center() const noexcept { return center_; }
@@ -170,6 +224,7 @@ class QuadraticCost final : public CostFunction {
   /// budget; curvature 0 collapses to a constant.
   std::optional<ConvexPwl> as_convex_pwl_impl(int m,
                                               int max_breakpoints) const override;
+  bool value_key_impl(ValueKey& key) const override;
   std::string name() const override { return "quadratic"; }
 
  private:
@@ -180,6 +235,7 @@ class QuadraticCost final : public CostFunction {
 
 /// Wraps an arbitrary callable; the caller asserts convexity (checked by
 /// validate_cost_function in tests).
+// rs-lint: opaque-cost (the callable is invisible to a value key)
 class FunctionCost final : public CostFunction {
  public:
   explicit FunctionCost(std::function<double(int)> fn,
@@ -199,6 +255,7 @@ class FunctionCost final : public CostFunction {
 /// where f : [0,1] -> R>=0 is convex (cost of one server at load z) and λ is
 /// the incoming workload of the slot.  States x < λ are +inf; the perspective
 /// x·f(λ/x) of a convex f is convex in x, and a +inf prefix keeps convexity.
+// rs-lint: opaque-cost (the load curve is an opaque std::function)
 class RestrictedSlotCost final : public CostFunction {
  public:
   RestrictedSlotCost(std::shared_ptr<const std::function<double(double)>> f,
@@ -239,6 +296,7 @@ class LinearLoadSlotCost final : public CostFunction {
   /// Exact: one affine segment on [⌈λ⌉, m] (all-infinite when λ > m).
   std::optional<ConvexPwl> as_convex_pwl_impl(int m,
                                               int max_breakpoints) const override;
+  bool value_key_impl(ValueKey& key) const override;
   std::string name() const override { return "linear_load"; }
   double base() const noexcept { return base_; }
   double rate() const noexcept { return rate_; }
@@ -263,6 +321,7 @@ class ScaledCost final : public CostFunction {
   /// declines: at() yields NaN there, which the PWL form cannot express).
   std::optional<ConvexPwl> as_convex_pwl_impl(int m,
                                               int max_breakpoints) const override;
+  bool value_key_impl(ValueKey& key) const override;
   std::string name() const override;
 
  private:
@@ -282,6 +341,7 @@ class StrideCost final : public CostFunction {
   /// contract by the stride; the count never grows).
   std::optional<ConvexPwl> as_convex_pwl_impl(int m,
                                               int max_breakpoints) const override;
+  bool value_key_impl(ValueKey& key) const override;
   std::string name() const override;
 
  private:
@@ -302,6 +362,7 @@ class PaddedCost final : public CostFunction {
   /// Base form up to original_m plus one extension segment.
   std::optional<ConvexPwl> as_convex_pwl_impl(int m,
                                               int max_breakpoints) const override;
+  bool value_key_impl(ValueKey& key) const override;
   std::string name() const override;
 
  private:

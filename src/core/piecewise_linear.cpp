@@ -87,6 +87,16 @@ std::optional<ConvexPwl> PiecewiseLinearCost::as_convex_pwl_impl(
   return convex_pwl_from_kinks(*this, m, std::move(kinks), max_breakpoints);
 }
 
+bool PiecewiseLinearCost::value_key_impl(ValueKey& key) const {
+  key.push_back(value_key_tag("pwl"));
+  key.push_back(breakpoints_.size());
+  for (const Breakpoint& b : breakpoints_) {
+    append_key_bits(key, b.x);
+    append_key_bits(key, b.value);
+  }
+  return true;
+}
+
 CostPtr make_hinge(double slope, double knee) {
   if (slope < 0.0) throw std::invalid_argument("make_hinge: slope < 0");
   return std::make_shared<PiecewiseLinearCost>(std::vector<Breakpoint>{
@@ -160,6 +170,14 @@ std::optional<ConvexPwl> SumCost::as_convex_pwl_impl(int m,
     for (int p : form->kink_positions()) kinks.push_back(p);
   }
   return convex_pwl_from_kinks(*this, m, std::move(kinks), max_breakpoints);
+}
+
+bool SumCost::value_key_impl(ValueKey& key) const {
+  key.push_back(value_key_tag("sum"));
+  key.push_back(parts_.size());
+  return std::all_of(parts_.begin(), parts_.end(), [&key](const CostPtr& part) {
+    return part->append_value_key(key);
+  });
 }
 
 }  // namespace rs::core

@@ -33,6 +33,7 @@ class PiecewiseLinearCost final : public CostFunction {
   /// per (possibly fractional) breakpoint, independent of m.
   std::optional<ConvexPwl> as_convex_pwl_impl(int m,
                                               int max_breakpoints) const override;
+  bool value_key_impl(ValueKey& key) const override;
   std::string name() const override { return "piecewise_linear"; }
 
   const std::vector<Breakpoint>& breakpoints() const { return breakpoints_; }
@@ -64,6 +65,7 @@ class SumCost final : public CostFunction {
   /// bit-identical to the dense path), and must fit the budget.
   std::optional<ConvexPwl> as_convex_pwl_impl(int m,
                                               int max_breakpoints) const override;
+  bool value_key_impl(ValueKey& key) const override;
   std::string name() const override { return "sum"; }
 
  private:

@@ -200,7 +200,7 @@ FleetStats FleetController::stats() const {
 std::vector<FleetEvent> FleetController::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
   drain_tenant_events_locked();
-  return events_;
+  return {events_.begin(), events_.end()};
 }
 
 std::uint64_t FleetController::dropped_events() const {
@@ -212,11 +212,11 @@ void FleetController::drain_tenant_events_locked() const {
   for (const auto& session : tenants_) {
     dropped_events_ += session->take_dropped_events();
     for (FleetEvent& event : session->drain_events()) {
-      if (events_.size() >= options_.max_events) {
-        ++dropped_events_;
-        continue;
-      }
       events_.push_back(std::move(event));
+      if (events_.size() > options_.max_events) {
+        events_.pop_front();  // keep the newest
+        ++dropped_events_;
+      }
     }
   }
 }

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -142,7 +143,7 @@ class FleetController {
 
   mutable std::mutex mutex_;  // guards the event log + counters below
   // mutable: events() drains tenant buffers into the log on read.
-  mutable std::vector<FleetEvent> events_;
+  mutable std::deque<FleetEvent> events_;
   mutable std::uint64_t dropped_events_ = 0;
   std::uint64_t ticks_ = 0;
   std::uint64_t total_slots_ = 0;

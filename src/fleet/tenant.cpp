@@ -252,15 +252,19 @@ bool TenantSession::offer_run(double lambda, int count) {
       queue_.push_back(QueueEntry{lambda, 1, cost, nullptr, {}});
     }
   } else {
-    // Fetch (or convert once, fleet-wide) the shared convex-PWL form.
-    // Only non-kDense plain-LCP tenants consume forms — the dense path
-    // materializes rows differently, and bit-identity with the
-    // CostFunction overload holds only on the PWL path.
+    // Resolve through the shared cache: the canonical cost of this value
+    // (converted once, fleet-wide) replaces the fresh one, which dies here
+    // on the offer thread that built it.  Only non-kDense plain-LCP
+    // tenants consume forms — the dense path materializes rows
+    // differently, and bit-identity with the CostFunction overload holds
+    // only on the PWL path.
     std::shared_ptr<const rs::core::ConvexPwl> form;
     if (config_.form_cache != nullptr && config_.window == 0 &&
         config_.backend !=
             rs::offline::WorkFunctionTracker::Backend::kDense) {
-      form = config_.form_cache->form_for(cost, config_.m);
+      SlotForm resolved = config_.form_cache->form_for(cost, config_.m);
+      cost = std::move(resolved.cost);
+      form = std::move(resolved.form);
     }
     queue_.push_back(
         QueueEntry{lambda, count, std::move(cost), std::move(form), {}});
@@ -633,8 +637,9 @@ void TenantSession::audit_invariants_locked(const char* site) const {
 
 void TenantSession::emit_locked(FleetEventKind kind, std::string detail) {
   if (events_.size() >= kMaxPendingEvents) {
+    // Keep the newest: a late quarantine or recovery must stay visible.
+    events_.erase(events_.begin());
     ++dropped_events_;
-    return;
   }
   events_.push_back(
       FleetEvent{ordinal_, stats_.steps, kind, std::move(detail)});

@@ -161,7 +161,8 @@ struct TenantConfig {
   /// Shared conversion cache (fleet/form_cache.hpp); FleetController
   /// injects its fleet-wide cache here on add_tenant when unset.  Used by
   /// window == 0, non-kDense tenants to convert each distinct slot cost
-  /// once fleet-wide; nullptr disables sharing (standalone sessions).
+  /// value once fleet-wide and queue its canonical instance; nullptr
+  /// disables sharing (standalone sessions).
   SlotFormCache* form_cache = nullptr;
 };
 
@@ -299,11 +300,16 @@ class TenantSession {
   struct QueueEntry {
     double lambda = 0.0;
     int count = 0;
+    // The slot cost.  With the shared fleet cache this is the cache's
+    // pinned canonical instance for the cost's value, not the factory's
+    // fresh one (value-equal, so bitwise-equal decisions): queued and
+    // replayable slots hold no graphs of their own, and clearing the
+    // replay buffer on a tick worker frees nothing the client allocated.
     rs::core::CostPtr cost;
     // Cached convex-PWL form from the shared fleet cache (nullptr when the
     // cache is absent/full or the cost has no compact form).  Replay
-    // entries carry the same pointer, so a recovery consumes the identical
-    // input and stays bit-identical.
+    // entries carry the same pinned cost and form, so a recovery consumes
+    // the identical input and stays bit-identical.
     std::shared_ptr<const rs::core::ConvexPwl> form;
     // Windowed tenants: the prediction window the slot is decided with,
     // set from the queue when the decision is attempted.  Replay entries

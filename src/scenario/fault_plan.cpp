@@ -10,8 +10,8 @@ namespace rs::scenario {
 
 namespace {
 
-// rs-lint: eval-row-ok (inherits the per-point default so every poison
-// kind misbehaves identically on the batched path)
+// rs-lint: eval-row-ok (per-point default: poisons misbehave alike in rows)
+// rs-lint: opaque-cost (a poisoned slot never shares a cache entry)
 class PoisonedCost final : public rs::core::CostFunction {
  public:
   PoisonedCost(rs::core::CostPtr base, PoisonKind kind)

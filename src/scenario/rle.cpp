@@ -1,5 +1,6 @@
 #include "scenario/rle.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -47,12 +48,15 @@ RleProblem rle_problem_from_trace(
 
 RleProblem rle_compress(const Problem& p) {
   std::vector<RleProblem::Run> runs;
+  std::optional<rs::core::ValueKey> run_key;  // of runs.back(); none: opaque
   for (int t = 1; t <= p.horizon(); ++t) {
     CostPtr f = p.f_ptr(t);
-    if (!runs.empty() && runs.back().cost.get() == f.get()) {
+    std::optional<rs::core::ValueKey> key = f->value_key();
+    if (!runs.empty() && (runs.back().cost == f || (key && key == run_key))) {
       ++runs.back().length;
     } else {
       runs.push_back(RleProblem::Run{std::move(f), 1});
+      run_key = std::move(key);
     }
   }
   return RleProblem(p.max_servers(), p.beta(), std::move(runs));

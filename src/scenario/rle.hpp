@@ -5,11 +5,12 @@
 // RleTrace collapses those stretches exactly (rle_decode reproduces the
 // trace); rle_problem_from_trace builds the run-grouped instance, a
 // core::RleProblem with one cost per run, and rle_compress groups a
-// Problem's slots by cost-function identity (the same CostPtr repeated is
-// the cheap, unambiguous witness that the slots are equal).  Every corridor
-// consumer takes an RleProblem as a core::SlotSource, so run_lcp(rle)
-// advances the tracker once per run (core/rle_problem.hpp) with schedules
-// bit-identical to the slot-by-slot replay of the expanded instance.
+// Problem's slots by cost value (equal CostFunction::value_key, so
+// factory-fed instances compress too; opaque costs by CostPtr identity).
+// Every corridor consumer takes an RleProblem as a core::SlotSource, so
+// run_lcp(rle) advances the tracker once per run (core/rle_problem.hpp)
+// with schedules bit-identical to the slot-by-slot replay of the expanded
+// instance.
 #pragma once
 
 #include <functional>
@@ -53,9 +54,10 @@ RleProblem rle_problem_from_trace(
     const RleTrace& rle, int m, double beta,
     const std::function<rs::core::CostPtr(double lambda)>& cost_of);
 
-/// Collapses maximal stretches of identical (same CostPtr) slots of `p`.
-/// Identity comparison only — structurally equal but distinct cost objects
-/// stay separate runs, so the compression is always exact.
+/// Collapses maximal stretches of equal slots of `p`: equal value keys
+/// (core/cost_function.hpp — bitwise-equal evaluations, so the run's first
+/// cost stands in exactly for every slot), or the same CostPtr for opaque
+/// costs, whose distinct objects always stay separate runs.
 RleProblem rle_compress(const rs::core::Problem& p);
 
 }  // namespace rs::scenario

@@ -2,10 +2,19 @@
 // validator, minimizer searches, and the continuous extension (eq. 3).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "core/cost_function.hpp"
+#include "core/piecewise_linear.hpp"
+#include "scenario/fault_plan.hpp"
 #include "util/math_util.hpp"
 #include "util/rng.hpp"
 
@@ -316,6 +325,167 @@ TEST(Interpolation, InfinityPropagates) {
 TEST(Interpolation, NegativeArgumentThrows) {
   TableCost f({1.0});
   EXPECT_THROW(f.at_real(-0.5), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Value keys: equal full keys mean bitwise-equal results
+// ---------------------------------------------------------------------------
+
+// A keyed family built from a flat parameter list; `integral` marks the
+// entries that are integers (perturbed by +1, the rest by one ULP).
+struct KeyedFamily {
+  const char* name;
+  std::vector<double> params;
+  std::vector<bool> integral;
+  std::function<CostPtr(const std::vector<double>&)> make;
+};
+
+std::vector<KeyedFamily> keyed_families() {
+  const auto affine = [](double slope, double center) {
+    return std::make_shared<AffineAbsCost>(slope, center, 0.0);
+  };
+  return {
+      {"table", {3.0, 1.0, 0.5, 1.0, 4.0}, {},
+       [](const std::vector<double>& p) -> CostPtr {
+         return std::make_shared<TableCost>(p);
+       }},
+      {"affine_abs", {0.75, 2.5, 0.25}, {},
+       [](const std::vector<double>& p) -> CostPtr {
+         return std::make_shared<AffineAbsCost>(p[0], p[1], p[2]);
+       }},
+      {"quadratic", {0.5, 3.25, 1.0}, {},
+       [](const std::vector<double>& p) -> CostPtr {
+         return std::make_shared<QuadraticCost>(p[0], p[1], p[2]);
+       }},
+      {"linear_load", {1.0, 0.5, 2.5}, {},
+       [](const std::vector<double>& p) -> CostPtr {
+         return std::make_shared<LinearLoadSlotCost>(p[0], p[1], p[2]);
+       }},
+      {"piecewise_linear", {0.0, 4.0, 1.5, 1.0, 4.0, 1.0, 6.5, 6.0}, {},
+       [](const std::vector<double>& p) -> CostPtr {
+         std::vector<Breakpoint> bps;
+         for (std::size_t i = 0; i + 1 < p.size(); i += 2) {
+           bps.push_back({p[i], p[i + 1]});
+         }
+         return std::make_shared<PiecewiseLinearCost>(std::move(bps));
+       }},
+      {"sum", {0.5, 2.0, 0.25, 3.0, 4.5}, {},
+       [](const std::vector<double>& p) -> CostPtr {
+         return std::make_shared<SumCost>(std::vector<CostPtr>{
+             std::make_shared<AffineAbsCost>(p[0], p[1], p[2]),
+             make_shortfall_hinge(p[3], p[4])});
+       }},
+      {"scaled", {1.5, 1.0, 3.0}, {},
+       [affine](const std::vector<double>& p) -> CostPtr {
+         return std::make_shared<ScaledCost>(affine(p[1], p[2]), p[0]);
+       }},
+      {"stride", {2.0, 1.0, 5.0}, {true, false, false},
+       [affine](const std::vector<double>& p) -> CostPtr {
+         return std::make_shared<StrideCost>(affine(p[1], p[2]),
+                                             static_cast<int>(p[0]));
+       }},
+      {"padded", {5.0, 1.0, 2.0}, {true, false, false},
+       [affine](const std::vector<double>& p) -> CostPtr {
+         return std::make_shared<PaddedCost>(affine(p[1], p[2]),
+                                             static_cast<int>(p[0]));
+       }},
+  };
+}
+
+void expect_bitwise_equal(const CostFunction& a, const CostFunction& b,
+                          const std::string& label) {
+  for (int m : {1, 5, 12, 33}) {
+    for (int x = 0; x <= m + 2; ++x) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.at(x)),
+                std::bit_cast<std::uint64_t>(b.at(x)))
+          << label << " at(" << x << ")";
+    }
+    std::vector<double> row_a(static_cast<std::size_t>(m) + 1);
+    std::vector<double> row_b(row_a.size());
+    a.eval_row(m, row_a);
+    b.eval_row(m, row_b);
+    EXPECT_EQ(std::memcmp(row_a.data(), row_b.data(),
+                          row_a.size() * sizeof(double)),
+              0)
+        << label << " eval_row(" << m << ")";
+    for (int budget : {kUnboundedBreakpoints, compact_pwl_budget_for(m), 2}) {
+      const std::optional<ConvexPwl> form_a = a.as_convex_pwl(m, budget);
+      const std::optional<ConvexPwl> form_b = b.as_convex_pwl(m, budget);
+      ASSERT_EQ(form_a.has_value(), form_b.has_value()) << label;
+      if (form_a) {
+        EXPECT_TRUE(form_a->bitwise_equal(*form_b))
+            << label << " as_convex_pwl(" << m << ", " << budget << ")";
+      }
+    }
+  }
+  for (double x : {0.0, 0.25, 1.5, 2.75, 7.125}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.at_real(x)),
+              std::bit_cast<std::uint64_t>(b.at_real(x)))
+        << label << " at_real(" << x << ")";
+  }
+  EXPECT_EQ(a.is_convex(), b.is_convex()) << label;
+}
+
+TEST(ValueKey, EqualParametersGiveEqualKeysAndBitwiseResults) {
+  for (const KeyedFamily& family : keyed_families()) {
+    const CostPtr a = family.make(family.params);
+    const CostPtr b = family.make(family.params);
+    ASSERT_NE(a.get(), b.get());
+    const std::optional<ValueKey> key = a->value_key();
+    ASSERT_TRUE(key.has_value()) << family.name;
+    EXPECT_EQ(key, b->value_key()) << family.name;
+    expect_bitwise_equal(*a, *b, family.name);
+  }
+}
+
+TEST(ValueKey, ChangingAnySingleParameterChangesTheKey) {
+  for (const KeyedFamily& family : keyed_families()) {
+    const std::optional<ValueKey> base =
+        family.make(family.params)->value_key();
+    for (std::size_t i = 0; i < family.params.size(); ++i) {
+      std::vector<double> changed = family.params;
+      const bool integral = i < family.integral.size() && family.integral[i];
+      changed[i] = integral ? changed[i] + 1.0
+                            : std::nextafter(changed[i], 1e300);
+      EXPECT_NE(family.make(changed)->value_key(), base)
+          << family.name << " parameter " << i;
+    }
+  }
+  // Distinct families with the same parameter words never collide.
+  EXPECT_NE(AffineAbsCost(1.0, 2.0, 0.5).value_key(),
+            QuadraticCost(1.0, 2.0, 0.5).value_key());
+}
+
+TEST(ValueKey, SignedZerosKeyApart) {
+  EXPECT_NE(AffineAbsCost(1.0, 0.0, 0.0).value_key(),
+            AffineAbsCost(1.0, -0.0, 0.0).value_key());
+  EXPECT_NE(TableCost({0.0, 1.0}).value_key(),
+            TableCost({-0.0, 1.0}).value_key());
+  // Labels are not values: they never split a key.
+  EXPECT_EQ(TableCost({0.0, 1.0}, "a").value_key(),
+            TableCost({0.0, 1.0}, "b").value_key());
+}
+
+TEST(ValueKey, OpaqueFamiliesAndDecoratorsOverThemHaveNoKey) {
+  const CostPtr function = std::make_shared<FunctionCost>(
+      [](int x) { return static_cast<double>(x); });
+  const CostPtr restricted = std::make_shared<RestrictedSlotCost>(
+      std::make_shared<const std::function<double(double)>>(
+          [](double z) { return 1.0 + z; }),
+      2.0);
+  const CostPtr keyed = std::make_shared<AffineAbsCost>(1.0, 2.0);
+  const std::vector<CostPtr> opaque = {
+      function,
+      restricted,
+      rs::scenario::make_poisoned_cost(keyed, rs::scenario::PoisonKind::kNaN),
+      std::make_shared<SumCost>(std::vector<CostPtr>{keyed, function}),
+      std::make_shared<ScaledCost>(restricted, 2.0),
+      std::make_shared<StrideCost>(function, 2),
+      std::make_shared<PaddedCost>(function, 4),
+  };
+  for (const CostPtr& f : opaque) {
+    EXPECT_FALSE(f->value_key().has_value()) << f->name();
+  }
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -27,6 +29,9 @@
 #include "offline/delta_session.hpp"
 #include "offline/work_function.hpp"
 #include "online/receding_horizon.hpp"
+#include "scenario/fault_plan.hpp"
+#include "scenario/trace_zoo.hpp"
+#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 #include "workload/random_instance.hpp"
 
@@ -561,25 +566,177 @@ TEST(FleetFormCache, CachedFormsDoNotChangeDecisions) {
   EXPECT_EQ(with_cache.snapshot_bytes(), without_cache.snapshot_bytes());
 }
 
+// The perfbench/documented default factory: a fresh hinge-SLA graph per
+// offer, so value identity (not pointer identity) is all the cache has.
+CostPtr fresh_hinge(double lambda) {
+  return rs::scenario::hinge_sla_cost(rs::scenario::ZooParams{}, lambda);
+}
+
+// λ on a half-integer grid over [0, m]: repeats values across a stream,
+// and fractional knees exercise the hinge's two-kink neighbourhood.
+std::vector<double> half_grid_trace(int m, int horizon, std::uint64_t seed) {
+  rs::util::Rng rng(seed);
+  std::vector<double> trace;
+  for (int t = 0; t < horizon; ++t) {
+    trace.push_back(0.5 * static_cast<double>(rng.uniform_int(0, 2 * m)));
+  }
+  return trace;
+}
+
+rs::fleet::TenantConfig hinge_config(std::string name, int m) {
+  rs::fleet::TenantConfig config;
+  config.name = std::move(name);
+  config.m = m;
+  config.beta = 6.0;
+  config.cost_of = fresh_hinge;
+  config.checkpoint_every = 4;
+  config.degrade_after = 100;  // kills recover; none pins the dense rung
+  return config;
+}
+
+TEST(FleetFormCache, FreshCostsPerOfferConvertOncePerValue) {
+  rs::fleet::FleetController fleet;
+  const std::vector<int> sizes = {8, 8, 12};
+  std::vector<std::vector<double>> traces;
+  std::set<std::pair<double, int>> distinct;
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    fleet.add_tenant(hinge_config("fresh" + std::to_string(k), sizes[k]));
+    traces.push_back(half_grid_trace(sizes[k], 60, 0xF5E5ull + k / 2));
+    for (double lambda : traces.back()) distinct.emplace(lambda, sizes[k]);
+  }
+  std::uint64_t offers = 0;
+  for (std::size_t t = 0; t < 60; ++t) {
+    for (std::size_t k = 0; k < sizes.size(); ++k) {
+      ASSERT_TRUE(fleet.offer(k, traces[k][t]));
+      ++offers;
+    }
+    fleet.tick();
+  }
+  // One conversion per distinct (λ, m) fleet-wide; every other offer hits.
+  EXPECT_EQ(fleet.form_cache().conversions(), distinct.size());
+  EXPECT_EQ(fleet.form_cache().size(), distinct.size());
+  EXPECT_EQ(fleet.form_cache().hits(), offers - distinct.size());
+  // Tenants 0 and 1 share m and trace: identical decisions.
+  EXPECT_EQ(fleet.tenant(0).schedule(), fleet.tenant(1).schedule());
+}
+
+TEST(FleetFormCache, CanonicalCostsKeepDecisionsAndRecoveryBitwise) {
+  const int m = 10;
+  const std::vector<double> trace = half_grid_trace(m, 48, 0xCA70ull);
+  // A plan that kills tick attempts but never corrupts an offer.
+  std::optional<rs::scenario::FaultPlan> plan;
+  for (std::uint64_t seed = 1; !plan; ++seed) {
+    const rs::scenario::FaultPlan candidate{seed, 5};
+    if (rs::scenario::corrupted_offers(candidate, 0, trace.size()).empty() &&
+        !rs::scenario::killed_attempts(candidate, 0, trace.size()).empty()) {
+      plan = candidate;
+    }
+  }
+
+  const auto run = [&](bool cached, bool kill) {
+    SlotFormCache cache;
+    rs::fleet::TenantConfig config = hinge_config("canon", m);
+    if (cached) config.form_cache = &cache;
+    rs::fleet::TenantSession tenant(std::move(config), 0);
+    rs::core::CheckpointStore store;
+    std::optional<rs::util::ScopedFaultInjection> guard;
+    if (kill) guard.emplace(rs::scenario::make_injector(*plan));
+    for (double lambda : trace) {
+      EXPECT_TRUE(tenant.offer(lambda));
+      tenant.step(store);
+    }
+    EXPECT_EQ(tenant.state(), rs::fleet::TenantState::kHealthy);
+    EXPECT_EQ(tenant.stats().recoveries > 0, kill);
+    if (cached) {
+      EXPECT_GT(cache.hits(), 0u);
+    }
+    return std::make_tuple(tenant.schedule(), tenant.lower_bounds(),
+                           tenant.upper_bounds(), tenant.snapshot_bytes());
+  };
+  const auto reference = run(/*cached=*/false, /*kill=*/false);
+  EXPECT_EQ(run(true, false), reference);
+  EXPECT_EQ(run(true, true), reference);
+}
+
+// AffineAbs semantics with a live-instance counter and its own value key.
+class LiveCost final : public rs::core::CostFunction {
+ public:
+  LiveCost(double center, std::shared_ptr<std::atomic<int>> live)
+      : inner_(1.0, center, 0.0), center_(center), live_(std::move(live)) {
+    live_->fetch_add(1);
+  }
+  ~LiveCost() override { live_->fetch_sub(1); }
+  double at(int x) const override { return inner_.at(x); }
+  void eval_row(int m, std::span<double> out) const override {
+    inner_.eval_row(m, out);
+  }
+  bool is_convex() const override { return true; }
+
+ protected:
+  std::optional<rs::core::ConvexPwl> as_convex_pwl_impl(
+      int m, int max_breakpoints) const override {
+    return inner_.as_convex_pwl(m, max_breakpoints);
+  }
+  bool value_key_impl(rs::core::ValueKey& key) const override {
+    key.push_back(rs::core::value_key_tag("livetest"));
+    rs::core::append_key_bits(key, center_);
+    return true;
+  }
+
+ private:
+  rs::core::AffineAbsCost inner_;
+  double center_;
+  std::shared_ptr<std::atomic<int>> live_;
+};
+
+TEST(FleetFormCache, OnlyCanonicalInstancesOutliveTheirOffers) {
+  auto live = std::make_shared<std::atomic<int>>(0);
+  {
+    rs::fleet::FleetController fleet;
+    rs::fleet::TenantConfig config;
+    config.name = "live";
+    config.m = 6;
+    config.beta = 2.0;
+    config.checkpoint_every = 1000;  // the replay buffer keeps every slot
+    config.cost_of = [live](double lambda) -> CostPtr {
+      return std::make_shared<LiveCost>(lambda, live);
+    };
+    fleet.add_tenant(std::move(config));
+    const std::vector<double> trace = integer_trace(6, 40, 0x11FEull);
+    for (std::size_t t = 0; t < trace.size(); ++t) {
+      ASSERT_TRUE(fleet.offer(0, trace[t]));
+      if (t % 2 == 1) fleet.tick();  // half queued, half replayable
+    }
+    // Every queued and replayable slot holds a pinned canonical instance;
+    // the fresh graphs died with their offers.
+    EXPECT_EQ(static_cast<std::size_t>(live->load()),
+              fleet.form_cache().size());
+    EXPECT_LT(fleet.form_cache().size(), trace.size());
+    fleet.run_until_drained();
+    EXPECT_EQ(fleet.tenant(0).steps(), trace.size());
+  }
+  EXPECT_EQ(live->load(), 0);
+}
+
 TEST(FormCache, PinsNegativeResultsAndBoundsItsSize) {
   EXPECT_THROW(SlotFormCache(0), std::invalid_argument);
 
   SlotFormCache cache(2);
-  EXPECT_EQ(cache.form_for(nullptr, 4), nullptr);
+  EXPECT_EQ(cache.form_for(nullptr, 4).form, nullptr);
 
   const CostPtr a = std::make_shared<rs::core::AffineAbsCost>(1.0, 2.0, 0.0);
   const CostPtr b = std::make_shared<rs::core::AffineAbsCost>(2.0, 1.0, 0.0);
   const CostPtr c = std::make_shared<rs::core::AffineAbsCost>(1.0, 1.0, 0.0);
-  ASSERT_NE(cache.form_for(a, 8), nullptr);
+  ASSERT_NE(cache.form_for(a, 8).form, nullptr);
   EXPECT_EQ(cache.conversions(), 1u);
-  ASSERT_NE(cache.form_for(a, 8), nullptr);
+  ASSERT_NE(cache.form_for(a, 8).form, nullptr);
   EXPECT_EQ(cache.conversions(), 1u);  // second use is a hit
   EXPECT_EQ(cache.hits(), 1u);
 
-  ASSERT_NE(cache.form_for(b, 8), nullptr);
+  ASSERT_NE(cache.form_for(b, 8).form, nullptr);
   EXPECT_EQ(cache.size(), 2u);
   // Full: new keys degrade to per-use conversion (nullptr), size is capped.
-  EXPECT_EQ(cache.form_for(c, 8), nullptr);
+  EXPECT_EQ(cache.form_for(c, 8).form, nullptr);
   EXPECT_EQ(cache.size(), 2u);
 }
 

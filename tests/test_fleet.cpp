@@ -823,8 +823,35 @@ TEST(FleetController, EventLogIsBoundedAndCountsDrops) {
   fleet.add_tenant(config);
   for (double lambda : integer_trace(6, 8, 8)) fleet.offer(0, lambda);
   fleet.run_until_drained();
-  EXPECT_EQ(fleet.events().size(), 1u);
+  const std::vector<FleetEvent> events = fleet.events();
+  ASSERT_EQ(events.size(), 1u);
   EXPECT_GT(fleet.dropped_events(), 0u);
+  // The log keeps the newest event: the last slot's checkpoint.
+  EXPECT_EQ(events.back().kind, FleetEventKind::kCheckpointed);
+  EXPECT_EQ(events.back().slot, 8u);
+}
+
+TEST(FleetTenant, EventBufferKeepsTheNewestPastItsCap) {
+  TenantConfig config = basic_config("chatty", 6);
+  config.checkpoint_every = 1;
+  TenantSession tenant(config, 0);
+  CheckpointStore store;
+  const std::uint64_t slots = 300;  // past the tenant buffer cap
+  for (double lambda : integer_trace(6, static_cast<int>(slots), 9)) {
+    ASSERT_TRUE(tenant.offer(lambda));
+    ASSERT_EQ(tenant.step(store), 1);
+  }
+  const std::vector<FleetEvent> events = tenant.drain_events();
+  const std::uint64_t dropped = tenant.take_dropped_events();
+  ASSERT_FALSE(events.empty());
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(events.size() + dropped, slots);
+  // The survivors are the newest checkpoints, in order, ending at the last.
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].kind, FleetEventKind::kCheckpointed);
+    EXPECT_EQ(events[i].slot, dropped + i + 1);
+  }
+  EXPECT_EQ(events.back().slot, slots);
 }
 
 }  // namespace

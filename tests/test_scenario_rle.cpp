@@ -22,6 +22,7 @@
 #include "online/online_algorithm.hpp"
 #include "form_axis.hpp"
 #include "scenario/rle.hpp"
+#include "scenario/trace_zoo.hpp"
 #include "util/rng.hpp"
 #include "workload/trace.hpp"
 
@@ -118,10 +119,11 @@ TEST(RleTraceCodec, RoundTripAndGrouping) {
 }
 
 TEST(RleProblemView, CompressExpandRoundTrip) {
-  const auto a = std::make_shared<rs::core::AffineAbsCost>(1.0, 1.0);
-  const auto b = std::make_shared<rs::core::AffineAbsCost>(1.0, 1.0);
-  // a a a b b a — identity grouping: the two structurally-equal cost
-  // objects stay distinct runs.
+  const auto same = [](int x) { return std::fabs(x - 1.0); };
+  const auto a = std::make_shared<rs::core::FunctionCost>(same);
+  const auto b = std::make_shared<rs::core::FunctionCost>(same);
+  // a a a b b a — opaque costs group by identity: the two equal-valued
+  // cost objects stay distinct runs.
   Problem p(4, 2.0, {a, a, a, b, b, a});
   const RleProblem rle = rs::scenario::rle_compress(p);
   ASSERT_EQ(rle.run_count(), 3);
@@ -135,6 +137,37 @@ TEST(RleProblemView, CompressExpandRoundTrip) {
   EXPECT_DOUBLE_EQ(back.beta(), 2.0);
   for (int t = 1; t <= 6; ++t) {
     EXPECT_EQ(back.f_ptr(t).get(), p.f_ptr(t).get()) << "slot " << t;
+  }
+}
+
+// Value grouping: a factory building a fresh cost graph per slot
+// compresses exactly like its interned twin, and the RLE replay stays
+// bitwise the expanded replay.
+TEST(RleProblemView, FactoryFedProblemsCompressByValue) {
+  const int m = 12;
+  const Trace trace = blocky_trace(11, 120, 10.0);
+  const rs::scenario::ZooParams params;
+  std::vector<CostPtr> fresh;
+  for (double lambda : trace.lambda) {
+    fresh.push_back(rs::scenario::hinge_sla_cost(params, lambda));
+  }
+  const Problem factory_fed(m, params.beta, fresh);
+  const RleProblem interned = rs::scenario::rle_problem_from_trace(
+      rs::scenario::rle_encode(trace), m, params.beta,
+      [&params](double lambda) {
+        return rs::scenario::hinge_sla_cost(params, lambda);
+      });
+
+  const RleProblem compressed = rs::scenario::rle_compress(factory_fed);
+  EXPECT_EQ(compressed.run_count(), interned.run_count());
+  EXPECT_EQ(rs::scenario::rle_compress(interned.expand()).run_count(),
+            interned.run_count());
+  EXPECT_LT(compressed.run_count(), trace.horizon() / 2);
+  for (Backend backend : {Backend::kAuto, Backend::kDense, Backend::kPwl}) {
+    rs::online::Lcp reference(backend);
+    EXPECT_EQ(rs::online::run_lcp(compressed, backend),
+              rs::online::run_online(reference, factory_fed))
+        << static_cast<int>(backend);
   }
 }
 
