@@ -80,8 +80,7 @@ DeltaRow measure(int T, int m, int edits, int verify_every) {
   }
 
   // Repair side: apply each edit, then edit the original cost back in so
-  // every edit starts from the base instance (both repairs are timed —
-  // a what-if probe pays exactly this round trip).
+  // every edit starts from the base instance (both repairs are timed).
   long long repairs = 0;
   long long slots_repaired = 0;
   double repair_seconds = 0.0;

@@ -40,9 +40,10 @@ const char* to_string(SolveStatus status) noexcept {
 namespace {
 
 // One shared delta session per distinct instance with kDeltaResolve jobs.
-// The session is stateful (probes repair forward and back), so probes on
-// the same instance serialize on the slot mutex; the base solve happens
-// lazily inside the first probe, behind the same job fault boundary.
+// The mutex guards only the lazy base solve, which happens inside the first
+// probe behind the same job fault boundary.  Probes are const on the
+// session and replay off to the side, so once it exists, probes on one
+// instance run concurrently.
 struct DeltaSlot {
   std::mutex mutex;
   std::optional<rs::offline::DpDeltaSession> session;
@@ -94,13 +95,16 @@ SolveOutcome run_one(const SolveJob& job, const DenseProblem* dense,
       break;
     }
     case SolverKind::kDeltaResolve: {
-      const std::lock_guard<std::mutex> lock(delta->mutex);
-      if (!delta->session.has_value()) {
-        delta->session.emplace(*job.problem);  // one base solve per instance
+      {
+        const std::lock_guard<std::mutex> lock(delta->mutex);
+        if (!delta->session.has_value()) {
+          delta->session.emplace(*job.problem);  // one base solve per instance
+        }
       }
+      const rs::offline::DpDeltaSession& session = *delta->session;
       rs::offline::DpDeltaSession::DeltaStats ds;
       rs::offline::OfflineResult result =
-          delta->session->probe_delta(job.edit_slot, job.edit_cost, &ds);
+          session.probe_delta(job.edit_slot, job.edit_cost, &ds);
       outcome.cost = result.cost;
       outcome.schedule = std::move(result.schedule);
       {

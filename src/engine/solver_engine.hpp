@@ -62,8 +62,8 @@ enum class SolverKind {
 /// shared dense table), and every probe repairs forward from its edited
 /// slot — with the bitwise reconvergence early-exit — instead of
 /// re-solving the horizon.  Outcomes are bit-identical to a from-scratch
-/// solve of the edited instance and independent of probe order (each probe
-/// restores the session bitwise).  Requires `problem`, a non-null
+/// solve of the edited instance and independent of probe order (probes
+/// never write the session).  Requires `problem`, a non-null
 /// `edit_cost`, and `edit_slot` in [1, horizon]; repair work lands in
 /// BatchStats::slots_repaired / early_exits.
 struct SolveJob {

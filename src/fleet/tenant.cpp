@@ -24,6 +24,46 @@ namespace {
 // past it the oldest events drop (counted, never silently).
 constexpr std::size_t kMaxPendingEvents = 256;
 
+// The one admission check on a λ sample and the slot cost built from it,
+// shared by offer_run and what_if: an invalid λ, a throwing or null
+// factory, a cost that is NaN or negative at the domain ends, or a
+// throwing evaluation is poison (+inf is legitimate infeasibility and
+// passes).  Returns the cost, or nullptr with `poison` naming the reason.
+rs::core::CostPtr admit_cost(const TenantConfig& config, double lambda,
+                             std::string& poison) {
+  if (!std::isfinite(lambda) || lambda < 0.0) {
+    poison = "invalid λ sample: " + std::to_string(lambda);
+    return nullptr;
+  }
+  rs::core::CostPtr cost;
+  try {
+    cost = config.cost_of(lambda);
+  } catch (const std::exception& e) {
+    poison = std::string("cost factory threw: ") + e.what();
+    return nullptr;
+  }
+  if (cost == nullptr) {
+    poison = "cost factory returned null";
+    return nullptr;
+  }
+  try {
+    const double at_zero = cost->at(0);
+    const double at_m = cost->at(config.m);
+    if (std::isnan(at_zero) || std::isnan(at_m)) {
+      poison = "slot cost evaluates to NaN";
+      return nullptr;
+    }
+    if (at_zero < 0.0 || at_m < 0.0) {
+      poison = "slot cost is negative";
+      return nullptr;
+    }
+  } catch (const std::exception& e) {
+    poison = std::string("slot cost evaluation threw: ") + e.what();
+    return nullptr;
+  }
+  return cost;
+}
+
 void validate_config(const TenantConfig& config) {
   if (config.name.empty()) {
     throw std::invalid_argument("TenantConfig: name must be non-empty");
@@ -177,45 +217,11 @@ bool TenantSession::offer_run(double lambda, int count) {
     lambda = std::numeric_limits<double>::quiet_NaN();
   }
 
-  // λ hardening: a poisoned sample quarantines with a reason, never crashes
-  // or reaches the session.
-  if (!std::isfinite(lambda) || lambda < 0.0) {
-    stats_.rejected += slots;
-    quarantine_locked("invalid λ sample: " + std::to_string(lambda));
-    return false;
-  }
-
-  // Build and probe the slot cost at the domain ends; NaN or a throwing
-  // evaluation is poison (+inf is legitimate infeasibility and passes).
-  rs::core::CostPtr cost;
-  try {
-    cost = config_.cost_of(lambda);
-  } catch (const std::exception& e) {
-    stats_.rejected += slots;
-    quarantine_locked(std::string("cost factory threw: ") + e.what());
-    return false;
-  }
+  std::string poison;
+  rs::core::CostPtr cost = admit_cost(config_, lambda, poison);
   if (cost == nullptr) {
     stats_.rejected += slots;
-    quarantine_locked("cost factory returned null");
-    return false;
-  }
-  try {
-    const double at_zero = cost->at(0);
-    const double at_m = cost->at(config_.m);
-    if (std::isnan(at_zero) || std::isnan(at_m)) {
-      stats_.rejected += slots;
-      quarantine_locked("slot cost evaluates to NaN");
-      return false;
-    }
-    if (at_zero < 0.0 || at_m < 0.0) {
-      stats_.rejected += slots;
-      quarantine_locked("slot cost is negative");
-      return false;
-    }
-  } catch (const std::exception& e) {
-    stats_.rejected += slots;
-    quarantine_locked(std::string("slot cost evaluation threw: ") + e.what());
+    quarantine_locked(std::move(poison));
     return false;
   }
 
@@ -526,25 +532,24 @@ std::optional<WhatIfResult> TenantSession::what_if(int slot,
   std::lock_guard<std::mutex> lock(mutex_);
   if (config_.what_if_slots <= 0) return std::nullopt;
   if (state_ == TenantState::kQuarantined) return std::nullopt;
-  if (!std::isfinite(lambda) || lambda < 0.0) return std::nullopt;
   const rs::offline::WorkFunctionTracker* live = session_.tracker();
   if (live == nullptr || !live->rewind_covers(slot)) return std::nullopt;
+  // A sample offer() would quarantine gets no answer either.
+  std::string poison;
+  const rs::core::CostPtr cost = admit_cost(config_, lambda, poison);
+  if (cost == nullptr) return std::nullopt;
   try {
-    const rs::core::CostPtr cost = config_.cost_of(lambda);
-    if (cost == nullptr) return std::nullopt;
-
-    // Repair a clone; the live tracker (and with it the session's next
-    // checkpoint) stays bitwise untouched.
-    rs::offline::WorkFunctionTracker probe = live->clone();
+    // The live tracker replays the edit off to the side; it (and with it
+    // the session's next checkpoint) stays bitwise untouched.
     const rs::offline::WorkFunctionTracker::Repair repair =
-        probe.repair_from(slot, *cost);
+        live->probe_from(slot, *cost);
 
     WhatIfResult out;
     out.slots_repaired = repair.slots_replayed;
     out.early_exit = repair.early_exit;
-    out.x_lower = probe.x_lower();
-    out.x_upper = probe.x_upper();
-    out.chat_min = probe.chat_min();
+    out.x_lower = repair.x_lower;
+    out.x_upper = repair.x_upper;
+    out.chat_min = repair.chat_min;
 
     // Re-run the eq. 13 projection from the decision preceding the edit:
     // repaired corridor for the replayed slots, the stored (bitwise
@@ -569,9 +574,9 @@ std::optional<WhatIfResult> TenantSession::what_if(int slot,
     out.projected_state = x;
     return out;
   } catch (const std::exception&) {
-    // Probes never quarantine or throw: a throwing cost factory, a
-    // non-convertible edit on a PWL-mode clone (backend-trajectory flip),
-    // or any other failure simply yields "no answer".
+    // Probes never quarantine or throw: a non-convertible edit of a
+    // PWL-mode slot (backend-trajectory flip), or any other failure,
+    // simply yields "no answer".
     return std::nullopt;
   }
 }

@@ -116,8 +116,8 @@ class SlotFormCache;
 
 /// Answer to a TenantSession::what_if probe: the final-slot corridor and
 /// eq. 13 state the session *would* show had the probed slot carried the
-/// probed λ, plus repair statistics.  Computed on a rewind-buffer clone —
-/// the live session is bitwise untouched.
+/// probed λ, plus repair statistics.  Replayed off to the side from the
+/// tracker's rewind buffer — the live session is bitwise untouched.
 struct WhatIfResult {
   int slots_repaired = 0;   // tracker advances re-executed by the probe
   bool early_exit = false;  // labels reconverged before the newest slot
@@ -251,16 +251,17 @@ class TenantSession {
   void note_deferred();
 
   /// Interactive what-if probe: "had decided slot `slot` (1-based) carried
-  /// λ = `lambda` instead, where would the session be now?"  Served from a
-  /// clone of the session tracker's rewind buffer (config.what_if_slots),
-  /// repaired forward from the edit with the bitwise reconvergence
-  /// early-exit, then re-projected through eq. 13 — the live session, its
-  /// schedule, and its checkpoint bytes are untouched (the isolation suite
-  /// pins snapshot_bytes() before/after).  Returns nullopt when probes are
-  /// disabled (what_if_slots == 0 or window > 0), the tenant is
-  /// quarantined, `slot` is outside the rewind window, λ or its cost is
-  /// invalid, or the edit would flip the tracker's backend trajectory —
-  /// probes never throw and never quarantine.
+  /// λ = `lambda` instead, where would the session be now?"  Served from
+  /// the session tracker's rewind buffer (config.what_if_slots): the
+  /// tracker's const probe_from replays forward from the edit with the
+  /// bitwise reconvergence early-exit, then the answer is re-projected
+  /// through eq. 13 — the live session, its schedule, and its checkpoint
+  /// bytes are untouched (the isolation suite pins snapshot_bytes()
+  /// before/after).  Returns nullopt when probes are disabled
+  /// (what_if_slots == 0 or window > 0), the tenant is quarantined, `slot`
+  /// is outside the rewind window, λ or its cost fails the check offer()
+  /// quarantines on, or the edit would flip the tracker's backend
+  /// trajectory — probes never throw and never quarantine.
   std::optional<WhatIfResult> what_if(int slot, double lambda) const;
 
   // ---- observation ----

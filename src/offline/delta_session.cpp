@@ -1,5 +1,6 @@
 #include "offline/delta_session.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -28,6 +29,21 @@ WorkFunctionTracker make_base_tracker(const rs::core::Problem& p,
   return track_slots(p, backend, &bounds, p.horizon());
 }
 
+// The offline result of a solved corridor: the Lemma-11 backward clamp.
+OfflineResult solved(double cost, const BoundTrajectory& bounds) {
+  OfflineResult result;
+  result.cost = cost;
+  if (result.feasible()) result.schedule = backward_schedule(bounds);
+  return result;
+}
+
+// Writes a repair's corridor over the slots it replayed.
+void splice(BoundTrajectory& bounds, const WorkFunctionTracker::Repair& r) {
+  const auto at = static_cast<std::ptrdiff_t>(r.first_slot - 1);
+  std::copy(r.lower.begin(), r.lower.end(), bounds.lower.begin() + at);
+  std::copy(r.upper.begin(), r.upper.end(), bounds.upper.begin() + at);
+}
+
 }  // namespace
 
 DpDeltaSession::DpDeltaSession(const rs::core::Problem& p,
@@ -45,88 +61,70 @@ DpDeltaSession::DpDeltaSession(const rs::core::Problem& p,
   cost_ = tracker_.chat_min();
 }
 
-void DpDeltaSession::rebuild() {
-  BoundTrajectory bounds;
-  WorkFunctionTracker fresh = make_base_tracker(
-      rs::core::Problem(m_, beta_, costs_), backend_, bounds);
-  tracker_ = std::move(fresh);
-  bounds_ = std::move(bounds);
-  cost_ = tracker_.chat_min();
-  schedule_dirty_ = true;
-}
-
 const OfflineResult& DpDeltaSession::result() {
   if (schedule_dirty_) {
-    result_.cost = cost_;
-    result_.schedule =
-        result_.feasible() ? backward_schedule(bounds_) : rs::core::Schedule{};
+    result_ = solved(cost_, bounds_);
     schedule_dirty_ = false;
   }
   return result_;
 }
 
-void DpDeltaSession::resolve_delta(int slot, rs::core::CostPtr cost,
-                                   DeltaStats* stats) {
+void DpDeltaSession::check_edit(int slot, const rs::core::CostPtr& cost) const {
   if (cost == nullptr) {
-    throw std::invalid_argument("DpDeltaSession::resolve_delta: null cost");
+    throw std::invalid_argument("DpDeltaSession: null edit cost");
   }
   if (slot < 1 || slot > horizon()) {
-    throw std::invalid_argument(
-        "DpDeltaSession::resolve_delta: slot outside [1, T]");
+    throw std::invalid_argument("DpDeltaSession: edit slot outside [1, T]");
   }
-  rs::core::CostPtr previous =
-      std::exchange(costs_[static_cast<std::size_t>(slot - 1)],
-                    std::move(cost));
+}
+
+DpDeltaSession DpDeltaSession::edited(int slot, rs::core::CostPtr cost) const {
+  std::vector<rs::core::CostPtr> costs = costs_;
+  costs[static_cast<std::size_t>(slot - 1)] = std::move(cost);
+  return DpDeltaSession(rs::core::Problem(m_, beta_, std::move(costs)),
+                        backend_);
+}
+
+void DpDeltaSession::resolve_delta(int slot, rs::core::CostPtr cost,
+                                   DeltaStats* stats) {
+  check_edit(slot, cost);
   try {
-    WorkFunctionTracker::Repair repair = tracker_.repair_from(
-        slot, *costs_[static_cast<std::size_t>(slot - 1)]);
-    for (std::size_t i = 0; i < repair.lower.size(); ++i) {
-      const std::size_t at = static_cast<std::size_t>(slot - 1) + i;
-      bounds_.lower[at] = repair.lower[i];
-      bounds_.upper[at] = repair.upper[i];
-    }
-    cost_ = tracker_.chat_min();
+    const WorkFunctionTracker::Repair repair =
+        tracker_.repair_from(slot, *cost);
+    splice(bounds_, repair);
+    cost_ = repair.chat_min;
+    costs_[static_cast<std::size_t>(slot - 1)] = std::move(cost);
     schedule_dirty_ = true;
     if (stats != nullptr) {
-      stats->slots_repaired = repair.slots_replayed;
-      stats->early_exit = repair.early_exit;
-      stats->full_replay = false;
+      *stats = {repair.slots_replayed, repair.early_exit, false};
     }
   } catch (const std::invalid_argument&) {
     // The edit changed the kAuto backend trajectory (or has no PWL form on
     // a forced-PWL session): repair cannot reproduce the from-scratch run,
-    // so do the from-scratch run.  rebuild() has the strong guarantee; if
-    // it throws too (forced-PWL, non-convertible edit), undo the mirror so
-    // the session still matches its tracker.
-    try {
-      rebuild();
-    } catch (...) {  // rs-lint: catch-all-ok (undo the mirror + rethrow)
-      costs_[static_cast<std::size_t>(slot - 1)] = std::move(previous);
-      throw;
-    }
-    if (stats != nullptr) {
-      stats->slots_repaired = horizon();
-      stats->early_exit = false;
-      stats->full_replay = true;
-    }
+    // so do the from-scratch run.  The repair left the session untouched,
+    // and a throwing re-solve (forced-PWL, non-convertible edit) leaves it
+    // so too.
+    *this = edited(slot, std::move(cost));
+    if (stats != nullptr) *stats = {horizon(), false, true};
   }
 }
 
 OfflineResult DpDeltaSession::probe_delta(int slot, rs::core::CostPtr cost,
-                                          DeltaStats* stats) {
-  if (slot < 1 || slot > horizon()) {
-    throw std::invalid_argument(
-        "DpDeltaSession::probe_delta: slot outside [1, T]");
+                                          DeltaStats* stats) const {
+  check_edit(slot, cost);
+  try {
+    const WorkFunctionTracker::Repair repair = tracker_.probe_from(slot, *cost);
+    BoundTrajectory bounds = bounds_;
+    splice(bounds, repair);
+    if (stats != nullptr) {
+      *stats = {repair.slots_replayed, repair.early_exit, false};
+    }
+    return solved(repair.chat_min, bounds);
+  } catch (const std::invalid_argument&) {
+    DpDeltaSession fresh = edited(slot, std::move(cost));
+    if (stats != nullptr) *stats = {horizon(), false, true};
+    return fresh.result();
   }
-  rs::core::CostPtr previous = costs_[static_cast<std::size_t>(slot - 1)];
-  resolve_delta(slot, std::move(cost), stats);
-  OfflineResult probed = result();
-  // Repairing the original cost back in reproduces the original states:
-  // the inverse repair reconverges exactly where the forward one did (the
-  // stored post-states beyond that boundary are the original run's), so
-  // the session is restored bitwise — no snapshot needed.
-  resolve_delta(slot, std::move(previous), nullptr);
-  return probed;
 }
 
 }  // namespace rs::offline

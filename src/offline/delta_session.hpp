@@ -11,11 +11,10 @@
 // (a convertible slot becoming non-convertible or vice versa) are handled
 // by an automatic full re-solve, preserving the same contract.
 //
-// probe_delta answers what-if questions non-destructively: it repairs
-// forward, copies the result, then repairs *back* with the original cost.
-// The inverse repair early-exits at the same reconvergence boundary (the
-// stored post-states there are the original run's), so the session returns
-// to its pre-probe state bitwise and nothing needs to be snapshotted.
+// probe_delta answers what-if questions without touching the session: the
+// tracker replays the edit off to the side (WorkFunctionTracker::
+// probe_from) and the repaired corridor is spliced into a copy of the
+// bounds, so a const session serves concurrent probes.
 //
 // This is the incremental-propagator idiom of constraint solvers applied
 // to the paper's work-function recursion; SolverEngine's kDeltaResolve job
@@ -72,15 +71,17 @@ class DpDeltaSession {
   void resolve_delta(int slot, rs::core::CostPtr cost,
                      DeltaStats* stats = nullptr);
 
-  /// What-if probe: the result of resolve_delta(slot, cost) without
-  /// changing the session — the edit is applied, the result copied, and
-  /// the original cost repaired back in (restoring the session bitwise).
-  /// `stats` reports the forward repair.
+  /// What-if probe: the result resolve_delta(slot, cost) would produce,
+  /// leaving the session untouched.  Same validation; `stats` reports the
+  /// repair (or the full re-solve of a trajectory-flipping edit).
   OfflineResult probe_delta(int slot, rs::core::CostPtr cost,
-                            DeltaStats* stats = nullptr);
+                            DeltaStats* stats = nullptr) const;
 
  private:
-  void rebuild();  // full from-scratch solve of costs_; strong guarantee
+  void check_edit(int slot, const rs::core::CostPtr& cost) const;
+  // A fresh session over the current costs with f_slot replaced: the full
+  // re-solve of an edit that flips the backend trajectory.
+  DpDeltaSession edited(int slot, rs::core::CostPtr cost) const;
 
   int m_;
   double beta_;

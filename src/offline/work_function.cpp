@@ -68,7 +68,7 @@ void WorkFunctionTracker::ensure_dense_backend() {
   // An external mode switch is not an advance and cannot be replayed, so
   // the history before it is no longer reconstructible: restart the rewind
   // window from the freshly materialized state.
-  if (rewind_enabled_ && !rewind_replaying_) rewind_reset_base();
+  if (rewind_enabled_) rewind_reset_base();
 }
 
 // ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ WorkFunctionTracker::InputRef WorkFunctionTracker::resolve(
   if (takes_pwl()) return InputRef{&f, {}};
   // The dense path consumes (and records) the materialized row, not the
   // form: the recorded kind mirrors the executed backend path, which is
-  // what makes the edit-kind check in repair_impl equivalent to
+  // what makes the edit-kind check in replay_edit equivalent to
   // backend-trajectory preservation.
   const std::span<double> row = scratch_row();
   f.materialize(m_, row);
@@ -140,9 +140,7 @@ void WorkFunctionTracker::advance_core(InputRef input, int count,
     }
   }
   // RLE runs record ONE entry for the whole run.
-  if (rewind_enabled_ && !rewind_replaying_) {
-    rewind_record(stored(input), count);
-  }
+  if (rewind_enabled_) rewind_record(stored(input), count);
 }
 
 void WorkFunctionTracker::advance_one(InputRef input) {
@@ -624,24 +622,16 @@ void WorkFunctionTracker::rewind_record(StoredInput input, int count) {
   entry.input = std::move(input);
   entry.post = capture_state();
   rewind_entries_.push_back(std::move(entry));
+  rewind_trim();
+}
+
+void WorkFunctionTracker::rewind_trim() {
   while (rewind_entries_.size() > rewind_capacity_) {
     RewindEntry& front = rewind_entries_.front();
     rewind_base_tau_ = front.start + front.count - 1;
     rewind_base_ = std::move(front.post);
     rewind_entries_.pop_front();
   }
-}
-
-WorkFunctionTracker::StoredInput WorkFunctionTracker::rewind_input(
-    int slot) const {
-  if (!rewind_covers(slot)) {
-    throw std::out_of_range(
-        "WorkFunctionTracker::rewind_input: slot outside the rewind window");
-  }
-  auto it = std::upper_bound(
-      rewind_entries_.begin(), rewind_entries_.end(), slot,
-      [](int s, const RewindEntry& e) { return s < e.start; });
-  return std::prev(it)->input;
 }
 
 void WorkFunctionTracker::replay_input(const StoredInput& input, int count,
@@ -657,8 +647,8 @@ void WorkFunctionTracker::replay_input(const StoredInput& input, int count,
   if (up != nullptr) up->insert(up->end(), xu.begin(), xu.end());
 }
 
-WorkFunctionTracker::Repair WorkFunctionTracker::repair_impl(
-    int slot, const std::function<StoredInput()>& resolve_edit) {
+WorkFunctionTracker::Replay WorkFunctionTracker::replay_edit(
+    int slot, const rs::core::CostFunction& f) const {
   if (!rewind_enabled_) {
     throw std::logic_error(
         "WorkFunctionTracker::repair_from: rewind buffer not enabled");
@@ -670,126 +660,91 @@ WorkFunctionTracker::Repair WorkFunctionTracker::repair_impl(
   auto it = std::upper_bound(
       rewind_entries_.begin(), rewind_entries_.end(), slot,
       [](int s, const RewindEntry& e) { return s < e.start; });
-  const std::size_t e = static_cast<std::size_t>(
+  Replay out;
+  out.first = static_cast<std::size_t>(
       std::distance(rewind_entries_.begin(), std::prev(it)));
-  const RewindEntry& edited_entry = rewind_entries_[e];
+  const RewindEntry& edited_entry = rewind_entries_[out.first];
   const int prefix = slot - edited_entry.start;
   const int suffix = edited_entry.count - prefix - 1;
+  Repair& repair = out.repair;
+  repair.first_slot = slot;
 
-  TrackerState final_backup = capture_state();
-  Repair result;
-  result.first_slot = slot;
-
-  std::vector<RewindEntry> rebuilt;  // replaces entries [e, stop)
-  std::size_t stop = e;
-  bool reconverged = false;
-  const bool was_replaying = rewind_replaying_;
-  rewind_replaying_ = true;
-  try {
-    restore_state(e == 0 ? rewind_base_ : rewind_entries_[e - 1].post);
-    // The containing run replays in up to three portions: the unchanged
-    // prefix, the edited slot, the unchanged run suffix.  Splitting an RLE
-    // run defines the reference semantics advance_repeated(f, prefix) ·
-    // advance(f') · advance_repeated(f, suffix) — a legitimate from-scratch
-    // sequence (bounds bit-identical to slot-by-slot on both backends).
-    if (prefix > 0) {
-      replay_input(edited_entry.input, prefix, nullptr, nullptr);
-      result.slots_replayed += prefix;
-      rebuilt.push_back(
-          {edited_entry.start, prefix, edited_entry.input, capture_state()});
-    }
-    StoredInput edited = resolve_edit();
-    if (edited.is_row != edited_entry.input.is_row) {
-      // The edit would flip the backend trajectory at this slot (a PWL-mode
-      // slot edited to a non-convertible cost, or the dense-fallback slot
-      // edited to a convertible one).  The stored suffix was recorded under
-      // the other mode, so a bit-faithful repair is impossible — callers
-      // re-solve from scratch instead.
-      throw std::invalid_argument(
-          "WorkFunctionTracker::repair_from: edit changes the backend "
-          "trajectory; re-solve from scratch");
-    }
-    replay_input(edited, 1, &result.lower, &result.upper);
-    result.slots_replayed += 1;
-    rebuilt.push_back({slot, 1, std::move(edited), capture_state()});
-    if (suffix > 0) {
-      replay_input(edited_entry.input, suffix, &result.lower, &result.upper);
-      result.slots_replayed += suffix;
-      rebuilt.push_back(
-          {slot + 1, suffix, edited_entry.input, capture_state()});
-    }
-    stop = e + 1;
-    reconverged = states_equal(rebuilt.back().post, edited_entry.post);
-    // Re-relax through the stored suffix until the recomputed state equals
-    // a stored post-state bitwise: replay from identical bits is
-    // deterministic, so the rest of the suffix — including the final
-    // labels — is then already correct and need not be touched.
-    while (!reconverged && stop < rewind_entries_.size()) {
-      const RewindEntry& next = rewind_entries_[stop];
-      replay_input(next.input, next.count, &result.lower, &result.upper);
-      result.slots_replayed += next.count;
-      rebuilt.push_back({next.start, next.count, next.input, capture_state()});
-      reconverged = states_equal(rebuilt.back().post, next.post);
-      ++stop;
-    }
-  } catch (...) {  // rs-lint: catch-all-ok (restore pre-repair state +
-                   // rethrow)
-    rewind_replaying_ = was_replaying;
-    restore_state(final_backup);
-    throw;
+  // The replay runs on its own tracker (rewind off, so nothing re-records)
+  // seeded from the stored state before the edited entry.
+  WorkFunctionTracker local(m_, beta_, backend_);
+  local.restore_state(out.first == 0 ? rewind_base_
+                                     : rewind_entries_[out.first - 1].post);
+  const auto replay = [&](StoredInput input, int start, int count,
+                          bool collect) {
+    local.replay_input(input, count, collect ? &repair.lower : nullptr,
+                       collect ? &repair.upper : nullptr);
+    repair.slots_replayed += count;
+    out.rebuilt.push_back(
+        {start, count, std::move(input), local.capture_state()});
+  };
+  // The containing run replays in up to three portions: the unchanged
+  // prefix, the edited slot, the unchanged run suffix.  Splitting an RLE
+  // run defines the reference semantics advance_repeated(f, prefix) ·
+  // advance(f') · advance_repeated(f, suffix) — a legitimate from-scratch
+  // sequence (bounds bit-identical to slot-by-slot on both backends).
+  if (prefix > 0) replay(edited_entry.input, edited_entry.start, prefix, false);
+  // The edit resolves exactly as an advance would, given the mode reached
+  // by the replayed prefix — which is the mode a from-scratch run of the
+  // edited instance has at this slot.
+  std::optional<ConvexPwl> converted;
+  StoredInput edited = stored(local.resolve(f, converted));
+  if (edited.is_row != edited_entry.input.is_row) {
+    // The edit would flip the backend trajectory at this slot (a PWL-mode
+    // slot edited to a non-convertible cost, or the dense-fallback slot
+    // edited to a convertible one).  The stored suffix was recorded under
+    // the other mode, so a bit-faithful repair is impossible — callers
+    // re-solve from scratch instead.
+    throw std::invalid_argument(
+        "WorkFunctionTracker::repair_from: edit changes the backend "
+        "trajectory; re-solve from scratch");
   }
-  rewind_replaying_ = was_replaying;
-
-  if (reconverged) {
-    // Everything from the reconvergence boundary on — including the final
-    // labels and bounds — is bitwise what it already was.
-    restore_state(final_backup);
-    result.early_exit = stop < rewind_entries_.size();
+  replay(std::move(edited), slot, 1, true);
+  if (suffix > 0) replay(edited_entry.input, slot + 1, suffix, true);
+  out.stop = out.first + 1;
+  bool reconverged = states_equal(out.rebuilt.back().post, edited_entry.post);
+  // Re-relax through the stored suffix until the recomputed state equals a
+  // stored post-state bitwise: replay from identical bits is deterministic,
+  // so the rest of the suffix — including the final labels — is then
+  // already correct and need not be touched.
+  while (!reconverged && out.stop < rewind_entries_.size()) {
+    const RewindEntry& next = rewind_entries_[out.stop++];
+    replay(next.input, next.start, next.count, true);
+    reconverged = states_equal(out.rebuilt.back().post, next.post);
   }
-  auto first = rewind_entries_.begin() + static_cast<std::ptrdiff_t>(e);
-  auto last = rewind_entries_.begin() + static_cast<std::ptrdiff_t>(stop);
-  auto pos = rewind_entries_.erase(first, last);
-  rewind_entries_.insert(pos, std::make_move_iterator(rebuilt.begin()),
-                         std::make_move_iterator(rebuilt.end()));
-  while (rewind_entries_.size() > rewind_capacity_) {
-    RewindEntry& front = rewind_entries_.front();
-    rewind_base_tau_ = front.start + front.count - 1;
-    rewind_base_ = std::move(front.post);
-    rewind_entries_.pop_front();
-  }
-  RS_AUDIT(audit_invariants("WorkFunctionTracker::repair_from"));
-  return result;
+  repair.early_exit = reconverged && out.stop < rewind_entries_.size();
+  const WorkFunctionTracker& newest = reconverged ? *this : local;
+  repair.x_lower = newest.x_lower_;
+  repair.x_upper = newest.x_upper_;
+  repair.chat_min = newest.chat_min();
+  return out;
 }
 
-// The edit resolves exactly as an advance would, given the mode reached by
-// the replayed prefix — which is the mode a from-scratch run of the edited
-// instance has at this slot.
 WorkFunctionTracker::Repair WorkFunctionTracker::repair_from(
     int slot, const rs::core::CostFunction& f) {
-  return repair_impl(slot, [&]() -> StoredInput {
-    std::optional<ConvexPwl> converted;
-    return stored(resolve(f, converted));
-  });
+  Replay replay = replay_edit(slot, f);
+  // Without an early exit the replay ran through the newest entry, whose
+  // rebuilt post-state is the new live state.
+  if (!replay.repair.early_exit) restore_state(replay.rebuilt.back().post);
+  const auto first =
+      rewind_entries_.begin() + static_cast<std::ptrdiff_t>(replay.first);
+  const auto last =
+      rewind_entries_.begin() + static_cast<std::ptrdiff_t>(replay.stop);
+  rewind_entries_.insert(rewind_entries_.erase(first, last),
+                         std::make_move_iterator(replay.rebuilt.begin()),
+                         std::make_move_iterator(replay.rebuilt.end()));
+  rewind_trim();
+  RS_AUDIT(audit_invariants("WorkFunctionTracker::repair_from"));
+  return std::move(replay.repair);
 }
 
-WorkFunctionTracker::Repair WorkFunctionTracker::repair_from(
-    int slot, const rs::core::ConvexPwl& f) {
-  return repair_impl(slot, [&]() -> StoredInput { return stored(resolve(f)); });
-}
-
-WorkFunctionTracker::Repair WorkFunctionTracker::repair_from(
-    int slot, std::span<const double> values) {
-  return repair_impl(slot,
-                     [&]() -> StoredInput { return stored(resolve(values)); });
-}
-
-WorkFunctionTracker::Repair WorkFunctionTracker::repair_from(
-    int slot, const StoredInput& input) {
-  if (input.is_row && static_cast<int>(input.row.size()) != m_ + 1) {
-    throw std::invalid_argument(
-        "WorkFunctionTracker::repair_from: stored row needs m+1 values");
-  }
-  return repair_impl(slot, [&]() -> StoredInput { return input; });
+WorkFunctionTracker::Repair WorkFunctionTracker::probe_from(
+    int slot, const rs::core::CostFunction& f) const {
+  return replay_edit(slot, f).repair;
 }
 
 WorkFunctionTracker WorkFunctionTracker::clone() const {
@@ -844,8 +799,8 @@ void WorkFunctionTracker::audit_invariants(const char* site) const {
                ")";
       });
   // min Ĉ^L monotone non-decreasing under relax+add (costs are >= 0, so
-  // work functions only grow).  The watermark reseeds whenever τ moved
-  // backwards — a repair or restore rewound the tracker.
+  // work functions only grow).  The watermark reseeds whenever τ did not
+  // grow since the last audit — a repair replaced the labels in place.
   if (tau_ > audit_last_tau_ && audit_last_tau_ > 0) {
     // An infinite watermark (infeasible instance) admits no slack: the
     // relative term would be inf - inf = NaN and poison the comparison.

@@ -39,7 +39,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -193,47 +192,49 @@ class WorkFunctionTracker {
   int x_upper() const;
 
   // -------------------------------------------------------------------------
-  // Incremental repair (rewind buffer + repair_from) — DESIGN.md §12.
+  // What-if repair (rewind buffer, repair_from, probe_from) — DESIGN.md §12.
   //
   // When enabled, every advance records (a) the cost it consumed, in the
   // *resolved* replayable kind — the exact convex-PWL form on the PWL path,
   // the evaluated value row on the dense path — and (b) the post-advance
   // tracker state.  RLE runs (advance_repeated) record ONE entry for the
   // whole run, so the buffer costs O(K) per run on the PWL path, not O(k·K).
-  // repair_from(t, f') then re-relaxes forward from the edited slot and
-  // early-exits as soon as the recomputed state compares bitwise equal to a
-  // stored post-state: replay is deterministic, so from that boundary on the
-  // entire stored suffix — including the final labels — is already correct.
+  //
+  // An edit of slot t replays on a separate tracker seeded from the stored
+  // state before t's entry: the prefix of a split run, the edited slot, the
+  // run's suffix, then later entries until the recomputed state compares
+  // bitwise equal to a stored post-state.  Replay is deterministic, so from
+  // that boundary on the entire stored suffix — including the final labels —
+  // is already correct.  probe_from returns that replay's answer;
+  // repair_from also splices it into the history.  The replay never writes
+  // this tracker, so a throwing edit leaves it bitwise unchanged.
   //
   // The repaired tracker is bit-identical to a tracker fed the recorded
   // input sequence from scratch with the edit substituted.  Edits that
   // would change the backend *trajectory* (a PWL-mode slot edited to a
   // non-convertible cost, or the fallback-triggering slot edited to a
-  // convertible one) throw std::invalid_argument before mutating anything —
-  // callers fall back to a full re-solve, which handles the mode flip
-  // naturally (offline/delta_session.hpp does exactly this).
+  // convertible one) throw std::invalid_argument — callers fall back to a
+  // full re-solve, which handles the mode flip naturally
+  // (offline/delta_session.hpp does exactly this).
   //
   // Rewind state is deliberately excluded from snapshot()/restore();
   // re-enable after a restore.
   // -------------------------------------------------------------------------
 
-  /// A recorded advance input in replayable form.
-  struct StoredInput {
-    bool is_row = false;
-    rs::core::ConvexPwl form;  // valid when !is_row
-    std::vector<double> row;   // valid when is_row
-  };
-
   /// Outcome of a repair: the repaired per-slot bounds starting at the
   /// edited slot, whether replay stopped at a reconvergence boundary before
-  /// the end of the recorded history, and how many slots were re-advanced
-  /// (including the unchanged prefix of a split RLE run).
+  /// the end of the recorded history, how many slots were re-advanced
+  /// (including the unchanged prefix of a split RLE run), and the corridor
+  /// and min Ĉ^L at the newest slot under the edit.
   struct Repair {
     bool early_exit = false;
     int first_slot = 0;       // == the edited slot
     int slots_replayed = 0;   // advances re-executed during the repair
     std::vector<int> lower;   // repaired x^L for slots first_slot, ...
     std::vector<int> upper;   // repaired x^U, same indexing
+    int x_lower = 0;          // x^L at the newest slot under the edit
+    int x_upper = 0;          // x^U at the newest slot under the edit
+    double chat_min = 0.0;    // min Ĉ^L at the newest slot under the edit
   };
 
   /// Starts recording with room for `capacity` entries (one per advance /
@@ -251,21 +252,23 @@ class WorkFunctionTracker {
     return rewind_enabled_ && slot >= rewind_begin() && slot <= tau_;
   }
 
-  /// Copy of the recorded (resolved) input consumed at `slot`; throws
-  /// std::out_of_range outside the covered window.
-  StoredInput rewind_input(int slot) const;
-
   /// Replaces the cost consumed at `slot` and repairs the labels forward.
-  /// Requires rewind_covers(slot).  Strong exception guarantee: on throw
-  /// the tracker (and its rewind history) is bitwise unchanged.
+  /// Requires rewind_covers(slot) (std::logic_error without a rewind
+  /// buffer, std::out_of_range outside its window).  Strong exception
+  /// guarantee: on throw the tracker (and its rewind history) is bitwise
+  /// unchanged.
   Repair repair_from(int slot, const rs::core::CostFunction& f);
-  Repair repair_from(int slot, const rs::core::ConvexPwl& f);
-  Repair repair_from(int slot, std::span<const double> values);
-  Repair repair_from(int slot, const StoredInput& input);
+
+  /// The Repair repair_from(slot, f) would return, leaving the tracker
+  /// untouched — the what-if probe behind DpDeltaSession::probe_delta and
+  /// TenantSession::what_if.  Same preconditions and exceptions.  Dense
+  /// replay storage is borrowed from the *calling* thread's workspace, so
+  /// concurrent probes of one tracker need no lock.
+  Repair probe_from(int slot, const rs::core::CostFunction& f) const;
 
   /// Deep copy, including the rewind history; dense labels are borrowed
-  /// from the *calling* thread's workspace.  Fleet what-if probes repair a
-  /// clone so the live session stays bitwise untouched.
+  /// from the *calling* thread's workspace.  Probes do not need one
+  /// (probe_from never writes the tracker); perfbench's layer pass times it.
   WorkFunctionTracker clone() const;
 
   /// Deep corridor-invariant audit (util/audit.hpp; DESIGN.md §13): corridor
@@ -287,6 +290,13 @@ class WorkFunctionTracker {
   struct InputRef {
     const rs::core::ConvexPwl* form = nullptr;
     std::span<const double> row;
+  };
+
+  // A recorded advance input in replayable form.
+  struct StoredInput {
+    bool is_row = false;
+    rs::core::ConvexPwl form;  // valid when !is_row
+    std::vector<double> row;   // valid when is_row
   };
 
   void require_started() const;
@@ -338,12 +348,22 @@ class WorkFunctionTracker {
   static bool states_equal(const TrackerState& a, const TrackerState& b);
   void rewind_record(StoredInput input, int count);
   void rewind_reset_base();
-  // Replays a recorded input through the normal typed advance paths without
-  // re-recording; appends the per-slot bounds when collectors are given.
+  // Evicts the oldest entries past capacity (the base moves forward).
+  void rewind_trim();
+  // Replays a recorded input through the normal typed advance paths;
+  // appends the per-slot bounds when collectors are given.
   void replay_input(const StoredInput& input, int count, std::vector<int>* lo,
                     std::vector<int>* up);
-  Repair repair_impl(int slot,
-                     const std::function<StoredInput()>& resolve_edit);
+  // The one what-if replay behind repair_from and probe_from: the edit run
+  // on a fresh tracker seeded from the stored pre-edit state, up to the
+  // reconvergence boundary.  `rebuilt` replaces entries [first, stop).
+  struct Replay {
+    Repair repair;
+    std::size_t first = 0;
+    std::size_t stop = 0;
+    std::vector<RewindEntry> rebuilt;
+  };
+  Replay replay_edit(int slot, const rs::core::CostFunction& f) const;
 
   int m_;
   double beta_;
@@ -362,14 +382,13 @@ class WorkFunctionTracker {
   rs::util::Workspace::Buffer<double> scratch_;
   // Rewind buffer (excluded from snapshot()/restore(); see above).
   bool rewind_enabled_ = false;
-  bool rewind_replaying_ = false;  // suppress recording during repairs
   std::size_t rewind_capacity_ = 0;
   int rewind_base_tau_ = 0;
   TrackerState rewind_base_;
   std::deque<RewindEntry> rewind_entries_;
   // Auditor watermark for the min-Ĉ^L-monotone check (audit_invariants);
-  // touched only inside audits, reseeded whenever τ moved backwards (a
-  // repair rewound the tracker).
+  // touched only inside audits, reseeded whenever τ did not grow (a repair
+  // replaced the labels in place).
   mutable int audit_last_tau_ = 0;
   mutable double audit_min_watermark_ = 0.0;
 };

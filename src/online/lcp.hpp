@@ -104,7 +104,7 @@ class Lcp final : public OnlineAlgorithm {
   void enable_what_if(int capacity);
 
   /// The live tracker (nullptr before the first reset()/restore()) — read
-  /// only; what-if consumers clone() it rather than mutate it.
+  /// only; what-if consumers call its const probe_from.
   const rs::offline::WorkFunctionTracker* tracker() const noexcept {
     return tracker_.has_value() ? &*tracker_ : nullptr;
   }

@@ -8,11 +8,13 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -198,6 +200,24 @@ TEST(DeltaSession, BackendTrajectoryFlipFallsBackToFullReplay) {
   const int slot = T / 2;
   costs[static_cast<std::size_t>(slot - 1)] = heavy;
   DpDeltaSession::DeltaStats stats;
+
+  // A probe of the flip answers from a fresh session and writes nothing.
+  const double cost_before = session.cost();
+  const rs::offline::BoundTrajectory bounds_before = session.bounds();
+  const OfflineResult result_before = session.result();
+  const DpDeltaSession& reader = session;
+  const OfflineResult probed = reader.probe_delta(slot, heavy, &stats);
+  EXPECT_TRUE(stats.full_replay);
+  DpDeltaSession fresh(Problem(m, beta, costs), Backend::kAuto);
+  EXPECT_EQ(probed.cost, fresh.cost());
+  EXPECT_EQ(probed.schedule, fresh.result().schedule);
+  EXPECT_EQ(session.cost(), cost_before);
+  EXPECT_EQ(session.bounds().lower, bounds_before.lower);
+  EXPECT_EQ(session.bounds().upper, bounds_before.upper);
+  EXPECT_EQ(session.result().cost, result_before.cost);
+  EXPECT_EQ(session.result().schedule, result_before.schedule);
+
+  stats = {};
   session.resolve_delta(slot, heavy, &stats);
   EXPECT_TRUE(stats.full_replay);
   expect_matches_fresh(session, costs, "pwl->dense flip");
@@ -290,6 +310,105 @@ TEST(RewindBuffer, CheckpointRestoreThenRepairMatchesUninterrupted) {
   EXPECT_EQ(full.x_upper(), resumed.x_upper());
   for (int x = 0; x <= m; ++x) {
     EXPECT_EQ(full.chat_lower(x), resumed.chat_lower(x)) << "x=" << x;
+  }
+}
+
+// Everything a probe may not change: the live labels and corridor (the
+// snapshot) and the rewind window.
+struct TrackerView {
+  std::vector<std::uint8_t> snapshot;
+  int rewind_begin = 0;
+  bool operator==(const TrackerView&) const = default;
+};
+
+TrackerView view_of(const WorkFunctionTracker& tracker) {
+  return {tracker.snapshot(), tracker.rewind_begin()};
+}
+
+void expect_same_repair(const WorkFunctionTracker::Repair& probe,
+                        const WorkFunctionTracker::Repair& repair,
+                        const WorkFunctionTracker& repaired,
+                        const std::string& label) {
+  EXPECT_EQ(probe.first_slot, repair.first_slot) << label;
+  EXPECT_EQ(probe.lower, repair.lower) << label;
+  EXPECT_EQ(probe.upper, repair.upper) << label;
+  EXPECT_EQ(probe.slots_replayed, repair.slots_replayed) << label;
+  EXPECT_EQ(probe.early_exit, repair.early_exit) << label;
+  EXPECT_EQ(probe.x_lower, repair.x_lower) << label;
+  EXPECT_EQ(probe.x_upper, repair.x_upper) << label;
+  EXPECT_EQ(probe.chat_min, repair.chat_min) << label;
+  // The reported newest corridor is the repaired tracker's.
+  EXPECT_EQ(probe.x_lower, repaired.x_lower()) << label;
+  EXPECT_EQ(probe.x_upper, repaired.x_upper()) << label;
+  EXPECT_EQ(probe.chat_min, repaired.chat_min()) << label;
+}
+
+TEST(RewindBuffer, ProbeMatchesCloneRepairAndLeavesTrackerUntouched) {
+  const int m = 10;
+  const double beta = 1.8;
+  const CostPtr poison = std::make_shared<rs::core::AffineAbsCost>(
+      1.0, 2.0, std::numeric_limits<double>::quiet_NaN());
+  for (Backend backend : all_backends()) {
+    const std::string name = backend_name(backend);
+    rs::util::Rng rng(0x9B0Bull ^ static_cast<std::uint64_t>(backend));
+    const Problem runs = rs::workload::random_instance(
+        rng, InstanceFamily::kAffineAbs, 14, m, beta);
+    const Problem donor = rs::workload::random_instance(
+        rng, InstanceFamily::kAffineAbs, 6, m, beta);
+
+    // 14 RLE runs of 1..4 slots into an 8-entry buffer: the window starts
+    // after an eviction and most edits split a run.
+    WorkFunctionTracker tracker(m, beta, backend);
+    tracker.enable_rewind(8);
+    std::vector<CostPtr> fed;  // fed[t-1] = f_t
+    for (int run = 1; run <= 14; ++run) {
+      const int length = rng.uniform_int(1, 4);
+      std::vector<int> xl(static_cast<std::size_t>(length));
+      std::vector<int> xu(static_cast<std::size_t>(length));
+      tracker.advance_repeated(*runs.f_ptr(run), length, xl, xu);
+      fed.insert(fed.end(), static_cast<std::size_t>(length), runs.f_ptr(run));
+    }
+    ASSERT_GT(tracker.rewind_begin(), 1) << name;
+    const TrackerView before = view_of(tracker);
+
+    int split_runs = 0;
+    int early_exits = 0;
+    for (int slot = tracker.rewind_begin(); slot <= tracker.tau(); ++slot) {
+      // The slot's own cost (reconverges at once) and two donor edits.
+      for (int k = 0; k <= 2; ++k) {
+        const CostPtr edit = k == 0 ? fed[static_cast<std::size_t>(slot - 1)]
+                                    : donor.f_ptr(rng.uniform_int(1, 6));
+        const std::string label =
+            name + " slot " + std::to_string(slot) + " edit " +
+            std::to_string(k);
+        const WorkFunctionTracker::Repair probe =
+            tracker.probe_from(slot, *edit);
+        EXPECT_TRUE(view_of(tracker) == before) << label;
+        WorkFunctionTracker repaired = tracker.clone();
+        const WorkFunctionTracker::Repair repair =
+            repaired.repair_from(slot, *edit);
+        expect_same_repair(probe, repair, repaired, label);
+        // Replayed slots beyond the reported ones: a split run's prefix.
+        if (probe.slots_replayed > static_cast<int>(probe.lower.size())) {
+          ++split_runs;
+        }
+        if (probe.early_exit) ++early_exits;
+      }
+      // A NaN edit throws once the replay reaches it — after the prefix of
+      // a split run — and leaves the tracker as it was.
+      EXPECT_THROW(tracker.probe_from(slot, *poison), std::invalid_argument)
+          << name << " slot " << slot;
+      EXPECT_TRUE(view_of(tracker) == before) << name << " slot " << slot;
+    }
+    EXPECT_GT(split_runs, 0) << name;
+    EXPECT_GT(early_exits, 0) << name;
+    EXPECT_THROW(tracker.probe_from(tracker.rewind_begin() - 1, *poison),
+                 std::out_of_range)
+        << name;
+    EXPECT_THROW(tracker.probe_from(tracker.tau() + 1, *poison),
+                 std::out_of_range)
+        << name;
+    EXPECT_TRUE(view_of(tracker) == before) << name;
   }
 }
 
@@ -400,6 +519,49 @@ TEST(FleetWhatIf, WindowSlidesWithEvictionAndDisabledConfigsDecline) {
   bad.window = 2;
   EXPECT_THROW(rs::fleet::TenantSession(std::move(bad), 2),
                std::invalid_argument);
+}
+
+TEST(FleetWhatIf, DeclinesSamplesThatOfferQuarantines) {
+  const int m = 6;
+  const auto base = integer_cost();
+  // λ in 100..103 picks a poisoned cost; the dense backend would replay
+  // the negative one without complaint.
+  const auto cost_of = [base](double lambda) -> CostPtr {
+    if (lambda == 100.0) {
+      return std::make_shared<rs::core::AffineAbsCost>(1.0, 0.0, -1.0);
+    }
+    if (lambda == 101.0) {
+      return std::make_shared<rs::core::AffineAbsCost>(
+          1.0, 0.0, std::numeric_limits<double>::quiet_NaN());
+    }
+    if (lambda == 102.0) return nullptr;
+    if (lambda == 103.0) throw std::runtime_error("factory down");
+    return base(lambda);
+  };
+  const std::vector<std::pair<double, std::string>> poisoned = {
+      {100.0, "slot cost is negative"},
+      {101.0, "slot cost evaluates to NaN"},
+      {102.0, "cost factory returned null"},
+      {103.0, "cost factory threw: factory down"},
+  };
+  for (const auto& [lambda, reason] : poisoned) {
+    rs::fleet::TenantConfig config = probe_config("poison", m);
+    config.backend = Backend::kDense;
+    config.cost_of = cost_of;
+    rs::core::CheckpointStore store;
+    rs::fleet::TenantSession session(std::move(config), 0);
+    feed(session, store, integer_trace(m, 12, 0xD0D0ull));
+    const std::vector<std::uint8_t> bytes = session.snapshot_bytes();
+
+    EXPECT_TRUE(session.what_if(5, 3.0).has_value());
+    EXPECT_FALSE(session.what_if(5, lambda).has_value()) << reason;
+    EXPECT_EQ(session.snapshot_bytes(), bytes) << reason;
+
+    // ... the sample offer() quarantines, for the same reason.
+    EXPECT_FALSE(session.offer(lambda));
+    EXPECT_EQ(session.state(), rs::fleet::TenantState::kQuarantined);
+    EXPECT_EQ(session.stats().quarantine_reason, reason);
+  }
 }
 
 TEST(FleetWhatIf, AnswersAfterProcessRestartResume) {
