@@ -14,6 +14,51 @@ namespace rs::core {
 
 using rs::util::kInf;
 
+namespace {
+
+// The first increment in [first, last) at a position >= x.
+ConvexPwl::Increments::const_iterator first_at_or_after(
+    ConvexPwl::Increments::const_iterator first,
+    ConvexPwl::Increments::const_iterator last, int x) {
+  return std::partition_point(
+      first, last, [x](const auto& increment) { return increment.first < x; });
+}
+
+// Adds the increments [first, last) (ascending, all inside the domain of
+// `into`) position by position, in place.  A self-add shares every
+// position, so it never grows the array and may alias `into`.
+void merge_increments(ConvexPwl::Increments& into,
+                      ConvexPwl::Increments::const_iterator first,
+                      ConvexPwl::Increments::const_iterator last) {
+  // Pass 1: sum at shared positions — the merge's only floating-point
+  // operation, one d_own + d_g per position — and count the positions only
+  // the addend has.
+  std::size_t fresh = 0;
+  auto own = into.begin();
+  for (auto it = first; it != last; ++it) {
+    while (own != into.end() && own->first < it->first) ++own;
+    if (own != into.end() && own->first == it->first) {
+      own->second += it->second;
+    } else {
+      ++fresh;
+    }
+  }
+  if (fresh == 0) return;
+  // Pass 2: grow once and merge the fresh positions in from the back, so
+  // every entry moves at most once.
+  std::size_t i = into.size();
+  into.resize(i + fresh);
+  std::size_t k = into.size();
+  for (auto it = last; it != first;) {
+    --it;
+    while (i > 0 && into[i - 1].first > it->first) into[--k] = into[--i];
+    if (i > 0 && into[i - 1].first == it->first) continue;  // summed
+    into[--k] = *it;
+  }
+}
+
+}  // namespace
+
 void audit_convex_pwl(const ConvexPwl& f, const char* site) {
   namespace audit = rs::util::audit;
   if (f.is_infinite()) return;  // the empty function has no representation
@@ -27,6 +72,7 @@ void audit_convex_pwl(const ConvexPwl& f, const char* site) {
                    "pwl-point-domain-flat", site);
     return;
   }
+  int previous = f.lo();
   for (const auto& [position, increment] : f.slope_increments()) {
     audit::require_with(
         position > f.lo() && position < f.hi(), "pwl-breakpoint-in-domain",
@@ -37,6 +83,12 @@ void audit_convex_pwl(const ConvexPwl& f, const char* site) {
           return "position " + std::to_string(position) + " increment " +
                  std::to_string(increment);
         });
+    audit::require_with(
+        position > previous, "pwl-breakpoints-ascending", site, [&] {
+          return "position " + std::to_string(position) + " after " +
+                 std::to_string(previous);
+        });
+    previous = position;
   }
 }
 
@@ -50,7 +102,7 @@ ConvexPwl ConvexPwl::constant(int lo, int hi, double value) {
 }
 
 ConvexPwl ConvexPwl::from_parts(int lo, int hi, double v_lo, double slope0,
-                                std::map<int, double> dslope) {
+                                Increments dslope) {
   if (lo > hi) throw std::invalid_argument("ConvexPwl::from_parts: lo > hi");
   if (!std::isfinite(v_lo)) {
     throw std::invalid_argument("ConvexPwl::from_parts: non-finite value");
@@ -64,11 +116,17 @@ ConvexPwl ConvexPwl::from_parts(int lo, int hi, double v_lo, double slope0,
     throw std::invalid_argument(
         "ConvexPwl::from_parts: point domain carries slopes");
   }
+  int previous = lo;
   for (const auto& [position, increment] : dslope) {
     if (position <= lo || position >= hi) {
       throw std::invalid_argument(
           "ConvexPwl::from_parts: increment position outside (lo, hi)");
     }
+    if (position <= previous) {
+      throw std::invalid_argument(
+          "ConvexPwl::from_parts: increment positions must strictly ascend");
+    }
+    previous = position;
     if (!(increment > 0.0) || !std::isfinite(increment)) {
       throw std::invalid_argument(
           "ConvexPwl::from_parts: increments must be positive and finite");
@@ -386,16 +444,21 @@ void ConvexPwl::clip_front(double s_min) {
   double value = v_lo_;
   double slope = slope0_;
   int position = lo_;
-  auto it = dslope_.begin();
-  while (it != dslope_.end()) {
+  for (auto it = dslope_.begin(); it != dslope_.end(); ++it) {
     const int p = it->first;
     value += slope * static_cast<double>(p - position);
     position = p;
     slope += it->second;
-    it = dslope_.erase(it);
     if (slope >= s_min) {
+      // The increments left of p fold into the tangent; the one at p keeps
+      // only its excess over s_min.
       const double excess = slope - s_min;
-      if (excess > 0.0) dslope_.emplace(p, excess);
+      if (excess > 0.0) {
+        it->second = excess;
+      } else {
+        ++it;
+      }
+      dslope_.erase(dslope_.begin(), it);
       v_lo_ = value - s_min * static_cast<double>(p - lo_);
       slope0_ = s_min;
       return;
@@ -403,6 +466,7 @@ void ConvexPwl::clip_front(double s_min) {
   }
   // Slopes stay below s_min all the way: the tangent passes through
   // (hi, W(hi)).
+  dslope_.clear();
   value += slope * static_cast<double>(hi_ - position);
   v_lo_ = value - s_min * static_cast<double>(hi_ - lo_);
   slope0_ = s_min;
@@ -413,7 +477,7 @@ void ConvexPwl::extend_left(int new_lo, double slope) {
   if (lo_ == hi_) {
     slope0_ = slope;
   } else if (slope0_ - slope > 0.0) {
-    dslope_.emplace(lo_, slope0_ - slope);
+    dslope_.emplace(dslope_.begin(), lo_, slope0_ - slope);
     slope0_ = slope;
   }
   v_lo_ -= slope * static_cast<double>(lo_ - new_lo);
@@ -426,7 +490,7 @@ void ConvexPwl::extend_right(int new_hi, double slope) {
     slope0_ = slope;
   } else {
     const double step = slope - last_slope();
-    if (step > 0.0) dslope_.emplace(hi_, step);
+    if (step > 0.0) dslope_.emplace_back(hi_, step);
   }
   hi_ = new_hi;
 }
@@ -434,7 +498,8 @@ void ConvexPwl::extend_right(int new_hi, double slope) {
 void ConvexPwl::restrict_domain(int new_lo, int new_hi) {
   assert(!infinite_ && new_lo >= lo_ && new_hi <= hi_ && new_lo <= new_hi);
   if (new_hi < hi_) {
-    dslope_.erase(dslope_.lower_bound(new_hi), dslope_.end());
+    dslope_.erase(first_at_or_after(dslope_.begin(), dslope_.end(), new_hi),
+                  dslope_.end());
     hi_ = new_hi;
   }
   if (new_lo > lo_) {
@@ -446,8 +511,9 @@ void ConvexPwl::restrict_domain(int new_lo, int new_hi) {
       value += slope * static_cast<double>(it->first - position);
       position = it->first;
       slope += it->second;
-      it = dslope_.erase(it);
+      ++it;
     }
+    dslope_.erase(dslope_.begin(), it);
     value += slope * static_cast<double>(new_lo - position);
     v_lo_ = value;
     slope0_ = slope;
@@ -485,9 +551,7 @@ void ConvexPwl::add(const ConvexPwl& g) {
   v_lo_ += g_value;
   if (lo_ == hi_) return;  // point result: slopes are irrelevant
   slope0_ += g_slope;
-  for (; it != g.dslope_.end() && it->first < new_hi; ++it) {
-    dslope_[it->first] += it->second;
-  }
+  merge_increments(dslope_, it, first_at_or_after(it, g.dslope_.end(), new_hi));
   RS_AUDIT(audit_convex_pwl(*this, "ConvexPwl::add"));
 }
 
@@ -580,9 +644,10 @@ std::optional<ConvexPwl> ConvexPwlBuilder::finish(int max_breakpoints) {
   result.hi_ = end_;
   if (!runs_.empty()) {
     result.slope0_ = runs_.front().second;
+    result.dslope_.reserve(runs_.size() - 1);
     for (std::size_t i = 1; i < runs_.size(); ++i) {
-      result.dslope_.emplace(runs_[i].first,
-                             runs_[i].second - runs_[i - 1].second);
+      result.dslope_.emplace_back(runs_[i].first,
+                                  runs_[i].second - runs_[i - 1].second);
     }
   }
   RS_AUDIT(audit_convex_pwl(result, "ConvexPwlBuilder::finish"));

@@ -4,20 +4,23 @@
 // the convex offline fast path.  A convex extended-real function on
 // {0,..,m} that is finite exactly on a contiguous range [lo, hi] is stored
 // as the value at lo plus its slope sequence s(x) = W(x+1) − W(x), which is
-// non-decreasing by convexity.  The sequence is kept as a first slope and a
-// sorted map of positive slope *increments* ("breakpoints"), so the three
-// operations the work-function recurrences need cost
+// non-decreasing by convexity.  The sequence is kept as a first slope and
+// one contiguous array of positive slope *increments* ("breakpoints"),
+// sorted by strictly ascending position, so the three operations the
+// work-function recurrences need cost
 //
-//   * pointwise add of a B-breakpoint function:  O(B log K) map inserts —
+//   * pointwise add of a B-breakpoint function:  one O(K + B) linear merge,
+//     in place (no allocation once the array's capacity is warm) —
 //     adding a *linear* function is O(1) because slope increments are
 //     invariant under a uniform slope shift;
 //   * epigraph min-convolution with the switching kernel β·(x−x′)⁺ (and its
 //     mirror): clipping the slope sequence into [0, β] (resp. [−β, 0]).
-//     Each clip removes breakpoints from one end of the sequence; a
-//     breakpoint is created once and destroyed at most once, so the
-//     clipping work is O(1) amortized per breakpoint ever inserted (a
-//     relax pass additionally walks the live sequence once, O(K), which
-//     the compact-budget backend selection keeps small);
+//     Each clip removes breakpoints from one end of the sequence with one
+//     range erase; a breakpoint is created once and destroyed at most
+//     once, so the clipping work is O(1) amortized per breakpoint ever
+//     inserted (a relax pass additionally walks the live sequence once and
+//     the left extension shifts it by one slot, O(K) each, which the
+//     compact-budget backend selection keeps small);
 //   * argmin interval + minimum: a walk over the (few) leading slopes.
 //
 // K — the live breakpoint count — is bounded by the domain width but is in
@@ -36,9 +39,9 @@
 // value; NaN is outside the contract (conversions reject it).
 #pragma once
 
-#include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/math_util.hpp"
@@ -47,6 +50,10 @@ namespace rs::core {
 
 class ConvexPwl {
  public:
+  /// Slope increments as (position, increment) pairs, positions strictly
+  /// ascending: increment d at p means s(p) − s(p−1) = d.
+  using Increments = std::vector<std::pair<int, double>>;
+
   /// +inf everywhere (the empty work function of an infeasible prefix).
   ConvexPwl() = default;
 
@@ -134,7 +141,7 @@ class ConvexPwl {
   void relax_charge_down(double beta, int lo, int hi);
 
   /// True iff `other` has the bitwise-identical *shape*: domain, first
-  /// slope, and slope-increment map (two infinite functions compare equal).
+  /// slope, and slope increments (two infinite functions compare equal).
   /// The anchor value v_lo is deliberately excluded — every mutating
   /// operation above drives its control flow (clip cuts, extension steps,
   /// breakpoint merges, argmin walks) from the shape alone and only ever
@@ -158,21 +165,20 @@ class ConvexPwl {
   bool bitwise_equal(const ConvexPwl& other) const noexcept;
 
   /// Serialization accessors (core/checkpoint.hpp): the anchor value W(lo),
-  /// the first slope, and the slope-increment map.  Meaningful only when
+  /// the first slope, and the slope increments.  Meaningful only when
   /// !is_infinite(); the checkpoint encodes the infinite function as a flag.
   double value_lo() const noexcept { return v_lo_; }
   double first_slope() const noexcept { return slope0_; }
-  const std::map<int, double>& slope_increments() const noexcept {
-    return dslope_;
-  }
+  const Increments& slope_increments() const noexcept { return dslope_; }
 
   /// Rebuilds a function from serialized parts, re-validating every
   /// representation invariant (lo <= hi, finite anchor value and slopes,
-  /// increment positions strictly inside (lo, hi), increments > 0, a point
-  /// domain carries no slopes) so corrupt checkpoint payloads are rejected
-  /// with std::invalid_argument instead of constructing a broken function.
+  /// increment positions strictly ascending and strictly inside (lo, hi),
+  /// increments > 0, a point domain carries no slopes) so corrupt checkpoint
+  /// payloads are rejected with std::invalid_argument instead of
+  /// constructing a broken function.
   static ConvexPwl from_parts(int lo, int hi, double v_lo, double slope0,
-                              std::map<int, double> dslope);
+                              Increments dslope);
 
  private:
   friend class ConvexPwlBuilder;
@@ -199,17 +205,19 @@ class ConvexPwl {
   int hi_ = 0;
   double v_lo_ = 0.0;    // value at lo_
   double slope0_ = 0.0;  // slope of [lo_, lo_+1]; 0 when lo_ == hi_
-  // x -> s(x) − s(x−1) for lo_ < x < hi_; entries are > 0.
-  std::map<int, double> dslope_;
+  // (x, s(x) − s(x−1)) for lo_ < x < hi_, x strictly ascending; entries are
+  // > 0.
+  Increments dslope_;
 };
 
 /// Deep representation-invariant audit (util/audit.hpp; DESIGN.md §13):
 /// domain ordered (lo <= hi), anchor value and slopes finite, slope
-/// increments strictly positive and strictly inside (lo, hi), a point
-/// domain carrying no slopes.  Raises rs::util::audit::AuditError naming
-/// the violated invariant and `site`.  Always compiled (the auditor's
-/// negative tests call it directly); the RS_AUDIT hooks after every
-/// mutating operation engage only under RIGHTSIZER_AUDIT.
+/// increments strictly positive, strictly inside (lo, hi) and at strictly
+/// ascending positions, a point domain carrying no slopes.  Raises
+/// rs::util::audit::AuditError naming the violated invariant and `site`.
+/// Always compiled (the auditor's negative tests call it directly); the
+/// RS_AUDIT hooks after every mutating operation engage only under
+/// RIGHTSIZER_AUDIT.
 void audit_convex_pwl(const ConvexPwl& f, const char* site);
 
 /// Test-only corruption hooks for the auditor's negative tests
@@ -221,7 +229,7 @@ struct ConvexPwlTestAccess {
   static int& hi(ConvexPwl& f) noexcept { return f.hi_; }
   static double& v_lo(ConvexPwl& f) noexcept { return f.v_lo_; }
   static double& slope0(ConvexPwl& f) noexcept { return f.slope0_; }
-  static std::map<int, double>& dslope(ConvexPwl& f) noexcept {
+  static ConvexPwl::Increments& dslope(ConvexPwl& f) noexcept {
     return f.dslope_;
   }
 };

@@ -38,11 +38,12 @@ inline constexpr int kUnboundedBreakpoints = (1 << 30);
 inline constexpr int kCompactPwlBudget = 64;
 
 /// The effective auto-selection budget at a given m.  A PWL breakpoint
-/// costs a map node per operation where the dense backend pays one
-/// contiguous double, so the m-independent backend only wins when K << m;
-/// the budget therefore scales with m (up to the cap) instead of letting
-/// e.g. an m-breakpoint table crawl through the map at small m (a measured
-/// ~2x batch-throughput loss before this rule).  Forced-kPwl consumers
+/// costs a (position, increment) pair plus per-step walks where the dense
+/// backend pays one contiguous double, so the m-independent backend only
+/// wins when K << m; the budget therefore scales with m (up to the cap)
+/// instead of letting e.g. an m-breakpoint table crawl through its
+/// breakpoints at small m (a measured ~2x batch-throughput loss, taken while
+/// breakpoints were tree nodes, before this rule).  Forced-kPwl consumers
 /// bypass the budget entirely.
 inline constexpr int compact_pwl_budget_for(int m) noexcept {
   const int relative = m / 8;

@@ -29,7 +29,7 @@ rs::core::Schedule backward_schedule(const BoundTrajectory& bounds);
 /// coincide with the bound work function Ĉ^L (eq. 11), so one tracker pass
 /// (track_slots, kAuto) yields the optimal cost min Ĉ^L_T and the per-slot
 /// corridor, whose backward projection (backward_schedule) is an optimal
-/// schedule — no parent table.  Time O(T·B log K) on the PWL backend, else
+/// schedule — no parent table.  Time O(T·(K + B)) on the PWL backend, else
 /// O(T·m); memory O(T) corridor ints plus O(K) or O(m) labels, and no
 /// corridor at all without `want_schedule`.  The schedule follows the
 /// shared tie rule (core/tie_rule.hpp), so it is bitwise the same for every

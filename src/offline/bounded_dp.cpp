@@ -76,7 +76,7 @@ ConvexPwl up_transition_kernel(double beta, int y, int m_y) {
 // Convex label fast path for uniform-grid columns: in grid units y = x/s
 // the restricted DP is the plain DP with β_y = β·s and f_y(y) = f(y·s), so
 // the labels W_t are convex PWL whenever the slot costs are — one step
-// costs O(B log K) independent of both m and the column size (the dense
+// costs O(K + B) independent of both m and the column size (the dense
 // kernel below enumerates |column|² transitions).  The per-step labels are
 // retained (O(T·K) memory) so the schedule is reconstructed with the dense
 // path's exact tie-breaking: final state = smallest argmin of W_T, parent

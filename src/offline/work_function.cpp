@@ -209,7 +209,8 @@ void WorkFunctionTracker::advance_repeated_pwl(const ConvexPwl& f, int count,
                                                std::span<int> xu) {
   ConvexPwl previous;
   for (int done = 0; done < count; ++done) {
-    // Snapshot the shape (an O(K) map copy) only while a jump can still pay.
+    // Snapshot the shape (an O(K) array copy, allocation-free once
+    // `previous` has capacity) only while a jump can still pay.
     const bool may_jump = done + 1 < count;
     double value_before = 0.0;
     if (may_jump) {
@@ -342,7 +343,7 @@ void write_pwl(rs::core::CheckpointWriter& w, const ConvexPwl& f) {
   w.i32(f.hi());
   w.f64(f.value_lo());
   w.f64(f.first_slope());
-  const std::map<int, double>& increments = f.slope_increments();
+  const ConvexPwl::Increments& increments = f.slope_increments();
   w.u32(static_cast<std::uint32_t>(increments.size()));
   for (const auto& [pos, dv] : increments) {
     w.i32(pos);
@@ -372,15 +373,15 @@ ConvexPwl read_pwl(rs::core::CheckpointReader& r, int m) {
     throw rs::core::CheckpointFormatError(
         "tracker checkpoint: PWL domain outside [0, m]");
   }
-  std::map<int, double> increments;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::int32_t pos = r.i32();
-    const double dv = r.f64();
-    if (!increments.emplace(pos, dv).second) {
-      throw rs::core::CheckpointFormatError(
-          "tracker checkpoint: duplicate PWL increment position");
-    }
+  ConvexPwl::Increments increments(count);
+  for (auto& [pos, dv] : increments) {
+    pos = r.i32();
+    dv = r.f64();
   }
+  // snapshot() writes ascending positions, but any order decodes; a
+  // repeated position survives the sort and from_parts rejects it.
+  std::sort(increments.begin(), increments.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   try {
     return ConvexPwl::from_parts(lo, hi, v_lo, slope0, std::move(increments));
   } catch (const std::invalid_argument& e) {
@@ -575,20 +576,19 @@ void WorkFunctionTracker::restore_state(const TrackerState& s) {
   }
 }
 
-bool WorkFunctionTracker::states_equal(const TrackerState& a,
-                                       const TrackerState& b) {
-  if (a.mode != b.mode || a.tau != b.tau || a.x_lower != b.x_lower ||
-      a.x_upper != b.x_upper) {
+bool WorkFunctionTracker::live_equals(const TrackerState& s) const {
+  if (mode_ != s.mode || tau_ != s.tau || x_lower_ != s.x_lower ||
+      x_upper_ != s.x_upper) {
     return false;
   }
   // Dense rows compare by bit pattern (stricter than ==: distinguishes
   // ±0.0); labels are NaN-free by the advance contract.
-  if (a.mode == Mode::kDense) {
-    return a.chat_l.size() == b.chat_l.size() &&
-           std::memcmp(a.chat_l.data(), b.chat_l.data(),
-                       a.chat_l.size() * sizeof(double)) == 0;
+  if (mode_ == Mode::kDense) {
+    return chat_l_.size() == s.chat_l.size() &&
+           std::memcmp(chat_l_.data(), s.chat_l.data(),
+                       s.chat_l.size() * sizeof(double)) == 0;
   }
-  return a.pwl_l.bitwise_equal(b.pwl_l);
+  return pwl_l_.bitwise_equal(s.pwl_l);
 }
 
 void WorkFunctionTracker::enable_rewind(int capacity) {
@@ -635,20 +635,19 @@ void WorkFunctionTracker::rewind_trim() {
 }
 
 void WorkFunctionTracker::replay_input(const StoredInput& input, int count,
-                                       std::vector<int>* lo,
-                                       std::vector<int>* up) {
-  if (count <= 0) return;
-  std::vector<int> xl(static_cast<std::size_t>(count));
-  std::vector<int> xu(static_cast<std::size_t>(count));
+                                       std::vector<int>& lo,
+                                       std::vector<int>& up) {
+  const std::size_t at = lo.size();
+  lo.resize(at + static_cast<std::size_t>(count));
+  up.resize(at + static_cast<std::size_t>(count));
   advance_core(input.is_row ? resolve(std::span<const double>(input.row))
                             : resolve(input.form),
-               count, xl, xu);
-  if (lo != nullptr) lo->insert(lo->end(), xl.begin(), xl.end());
-  if (up != nullptr) up->insert(up->end(), xu.begin(), xu.end());
+               count, std::span<int>(lo).subspan(at),
+               std::span<int>(up).subspan(at));
 }
 
 WorkFunctionTracker::Replay WorkFunctionTracker::replay_edit(
-    int slot, const rs::core::CostFunction& f) const {
+    int slot, const rs::core::CostFunction& f, bool rebuild) const {
   if (!rewind_enabled_) {
     throw std::logic_error(
         "WorkFunctionTracker::repair_from: rewind buffer not enabled");
@@ -674,13 +673,16 @@ WorkFunctionTracker::Replay WorkFunctionTracker::replay_edit(
   WorkFunctionTracker local(m_, beta_, backend_);
   local.restore_state(out.first == 0 ? rewind_base_
                                      : rewind_entries_[out.first - 1].post);
-  const auto replay = [&](StoredInput input, int start, int count,
+  std::vector<int> prefix_lower;  // a split run's unchanged prefix
+  std::vector<int> prefix_upper;
+  const auto replay = [&](const StoredInput& input, int start, int count,
                           bool collect) {
-    local.replay_input(input, count, collect ? &repair.lower : nullptr,
-                       collect ? &repair.upper : nullptr);
+    local.replay_input(input, count, collect ? repair.lower : prefix_lower,
+                       collect ? repair.upper : prefix_upper);
     repair.slots_replayed += count;
-    out.rebuilt.push_back(
-        {start, count, std::move(input), local.capture_state()});
+    if (rebuild) {
+      out.rebuilt.push_back({start, count, input, local.capture_state()});
+    }
   };
   // The containing run replays in up to three portions: the unchanged
   // prefix, the edited slot, the unchanged run suffix.  Splitting an RLE
@@ -692,7 +694,7 @@ WorkFunctionTracker::Replay WorkFunctionTracker::replay_edit(
   // by the replayed prefix — which is the mode a from-scratch run of the
   // edited instance has at this slot.
   std::optional<ConvexPwl> converted;
-  StoredInput edited = stored(local.resolve(f, converted));
+  const StoredInput edited = stored(local.resolve(f, converted));
   if (edited.is_row != edited_entry.input.is_row) {
     // The edit would flip the backend trajectory at this slot (a PWL-mode
     // slot edited to a non-convertible cost, or the dense-fallback slot
@@ -703,10 +705,10 @@ WorkFunctionTracker::Replay WorkFunctionTracker::replay_edit(
         "WorkFunctionTracker::repair_from: edit changes the backend "
         "trajectory; re-solve from scratch");
   }
-  replay(std::move(edited), slot, 1, true);
+  replay(edited, slot, 1, true);
   if (suffix > 0) replay(edited_entry.input, slot + 1, suffix, true);
   out.stop = out.first + 1;
-  bool reconverged = states_equal(out.rebuilt.back().post, edited_entry.post);
+  bool reconverged = local.live_equals(edited_entry.post);
   // Re-relax through the stored suffix until the recomputed state equals a
   // stored post-state bitwise: replay from identical bits is deterministic,
   // so the rest of the suffix — including the final labels — is then
@@ -714,7 +716,7 @@ WorkFunctionTracker::Replay WorkFunctionTracker::replay_edit(
   while (!reconverged && out.stop < rewind_entries_.size()) {
     const RewindEntry& next = rewind_entries_[out.stop++];
     replay(next.input, next.start, next.count, true);
-    reconverged = states_equal(out.rebuilt.back().post, next.post);
+    reconverged = local.live_equals(next.post);
   }
   repair.early_exit = reconverged && out.stop < rewind_entries_.size();
   const WorkFunctionTracker& newest = reconverged ? *this : local;
@@ -726,7 +728,7 @@ WorkFunctionTracker::Replay WorkFunctionTracker::replay_edit(
 
 WorkFunctionTracker::Repair WorkFunctionTracker::repair_from(
     int slot, const rs::core::CostFunction& f) {
-  Replay replay = replay_edit(slot, f);
+  Replay replay = replay_edit(slot, f, /*rebuild=*/true);
   // Without an early exit the replay ran through the newest entry, whose
   // rebuilt post-state is the new live state.
   if (!replay.repair.early_exit) restore_state(replay.rebuilt.back().post);
@@ -744,7 +746,7 @@ WorkFunctionTracker::Repair WorkFunctionTracker::repair_from(
 
 WorkFunctionTracker::Repair WorkFunctionTracker::probe_from(
     int slot, const rs::core::CostFunction& f) const {
-  return replay_edit(slot, f).repair;
+  return replay_edit(slot, f, /*rebuild=*/false).repair;
 }
 
 WorkFunctionTracker WorkFunctionTracker::clone() const {

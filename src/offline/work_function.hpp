@@ -19,7 +19,7 @@
 //     an exact convex piecewise-linear function (core/convex_pwl.hpp): the
 //     relax clips the slope sequence into [0, β] (amortized O(1) per
 //     breakpoint) and the f_τ addition merges its breakpoints, making one
-//     advance O(B log K) in breakpoint counts and fully independent of m —
+//     advance O(K + B) in breakpoint counts and fully independent of m —
 //     the backend for m ~ 10⁵..10⁶ instances where even streaming O(m)
 //     rows is the bottleneck (arXiv:1807.05112 §LCP, arXiv:2108.09489).
 //
@@ -67,8 +67,9 @@ class WorkFunctionTracker {
   /// outlive the thread.
   WorkFunctionTracker(int m, double beta, Backend backend = Backend::kAuto);
 
-  /// Feeds f_τ (the next operating-cost function).  O(B log K) on the PWL
-  /// backend, O(m) (one eval_row, no per-state dispatch) on the dense one.
+  /// Feeds f_τ (the next operating-cost function).  O(K + B) on the PWL
+  /// backend (one clip pass and one linear breakpoint merge), O(m) (one
+  /// eval_row, no per-state dispatch) on the dense one.
   void advance(const rs::core::CostFunction& f);
 
   /// Feeds f_τ in exact convex-PWL form (skips the conversion; a dense
@@ -94,8 +95,8 @@ class WorkFunctionTracker {
   ///     and fast-forward τ and the chat values in O(1).  In practice the
   ///     fixpoint lands within a handful of steps (the relax clips the
   ///     slopes into [0,β] and f's breakpoints stop moving), making a
-  ///     length-k run cost O(min(k, fixpoint) · B log K) instead of
-  ///     O(k · B log K).  Chat *values* after a jump are fast-forwarded by
+  ///     length-k run cost O(min(k, fixpoint) · (K + B)) instead of
+  ///     O(k · (K + B)).  Chat *values* after a jump are fast-forwarded by
   ///     the shape-determined per-step increment, which matches stepping
   ///     up to FP association order (exactly on integer-valued runs) —
   ///     same tolerance class as the dense-vs-PWL contract of DESIGN.md §8.
@@ -345,25 +346,29 @@ class WorkFunctionTracker {
 
   TrackerState capture_state() const;
   void restore_state(const TrackerState& s);
-  static bool states_equal(const TrackerState& a, const TrackerState& b);
+  // Whether the live state equals `s` bitwise — the reconvergence test,
+  // made without capturing the live state first.
+  bool live_equals(const TrackerState& s) const;
   void rewind_record(StoredInput input, int count);
   void rewind_reset_base();
   // Evicts the oldest entries past capacity (the base moves forward).
   void rewind_trim();
-  // Replays a recorded input through the normal typed advance paths;
-  // appends the per-slot bounds when collectors are given.
-  void replay_input(const StoredInput& input, int count, std::vector<int>* lo,
-                    std::vector<int>* up);
+  // Replays a recorded input (count >= 1 slots) through the normal typed
+  // advance paths, appending the per-slot bounds to lo and up.
+  void replay_input(const StoredInput& input, int count, std::vector<int>& lo,
+                    std::vector<int>& up);
   // The one what-if replay behind repair_from and probe_from: the edit run
   // on a fresh tracker seeded from the stored pre-edit state, up to the
-  // reconvergence boundary.  `rebuilt` replaces entries [first, stop).
+  // reconvergence boundary.  With `rebuild` (repair_from), `rebuilt` holds
+  // the entries that replace [first, stop); a probe leaves it empty.
   struct Replay {
     Repair repair;
     std::size_t first = 0;
     std::size_t stop = 0;
     std::vector<RewindEntry> rebuilt;
   };
-  Replay replay_edit(int slot, const rs::core::CostFunction& f) const;
+  Replay replay_edit(int slot, const rs::core::CostFunction& f,
+                     bool rebuild) const;
 
   int m_;
   double beta_;
@@ -372,7 +377,7 @@ class WorkFunctionTracker {
   int tau_ = 0;
   int x_lower_ = 0;  // x^L under the tie rule, updated per advance
   int x_upper_ = 0;  // x^U under the tie rule
-  // PWL backend state (empty map until first use).
+  // PWL backend state (the τ = 0 point function until first use).
   rs::core::ConvexPwl pwl_l_;
   // Dense backend state.  The label row and the eval_row scratch are
   // workspace-borrowed so repeated tracker construction (one per LCP

@@ -11,7 +11,7 @@
 //
 // The work-function tracker behind decide() auto-selects its backend: on
 // instances whose slot costs admit compact convex-PWL forms every step is
-// O(B log K) in breakpoint counts — independent of m, the configuration
+// O(K + B) in breakpoint counts — independent of m, the configuration
 // that scales LCP to 10⁵-10⁶ servers (see bench_scaling, E13) — and
 // otherwise it runs the dense O(m) three-pass update.
 //
@@ -27,7 +27,7 @@
 // optimal completion cost of serving the window starting from state x under
 // accounting B (up-charging for L, down-charging for U), with Ĉ^U = Ĉ^L − βx
 // and ties decided by core/tie_rule.hpp.  The completion pass costs O(w·m)
-// per step on the dense backend and O(w·B log K) on the PWL one; an empty
+// per step on the dense backend and O(w·(K + B)) on the PWL one; an empty
 // lookahead is plain LCP.  Theorem 10 shows no constant window improves the
 // competitive ratio on stretched instances; the E9 experiment reproduces
 // this, while the E10 trace study shows the practical benefit on
@@ -216,7 +216,7 @@ void completion_costs(std::span<const rs::core::CostPtr> window, double beta,
 /// Convex-PWL form of the same backward recursion: the window rows are
 /// exact convex PWL functions, each backward step is an add plus a slope
 /// clip into [−β, 0] (L-accounting) or [0, β] (U-accounting), so the whole
-/// window pass is O(w·B log K) — independent of m.  Lcp::decide takes this
+/// window pass is O(w·(K + B)) — independent of m.  Lcp::decide takes this
 /// path automatically whenever the revealed cost and the entire lookahead
 /// convert compactly (and falls back to the dense pass, permanently, on
 /// the first step where they do not).

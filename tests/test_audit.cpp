@@ -16,9 +16,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -139,7 +139,8 @@ TEST(AuditConvexPwl, FlagsSlopedPointDomain) {
 TEST(AuditConvexPwl, FlagsBreakpointOutsideDomain) {
   expect_audit("pwl-breakpoint-in-domain", [] {
     ConvexPwl f = healthy_pwl();
-    ConvexPwlTestAccess::dslope(f)[0] = 1.0;  // position must be in (lo, hi)
+    auto& increments = ConvexPwlTestAccess::dslope(f);
+    increments.insert(increments.begin(), {0, 1.0});  // must be in (lo, hi)
     rs::core::audit_convex_pwl(f, "test");
   });
 }
@@ -147,7 +148,21 @@ TEST(AuditConvexPwl, FlagsBreakpointOutsideDomain) {
 TEST(AuditConvexPwl, FlagsNonPositiveIncrement) {
   expect_audit("pwl-increment-positive", [] {
     ConvexPwl f = healthy_pwl();
-    ConvexPwlTestAccess::dslope(f)[2] = -0.5;  // concave kink
+    ConvexPwlTestAccess::dslope(f).front().second = -0.5;  // concave kink at 2
+    rs::core::audit_convex_pwl(f, "test");
+  });
+}
+
+TEST(AuditConvexPwl, FlagsUnsortedOrRepeatedBreakpoints) {
+  expect_audit("pwl-breakpoints-ascending", [] {
+    ConvexPwl f = healthy_pwl();
+    auto& increments = ConvexPwlTestAccess::dslope(f);
+    std::swap(increments[0], increments[1]);  // positions 3, 2
+    rs::core::audit_convex_pwl(f, "test");
+  });
+  expect_audit("pwl-breakpoints-ascending", [] {
+    ConvexPwl f = healthy_pwl();
+    ConvexPwlTestAccess::dslope(f)[1].first = 2;  // positions 2, 2
     rs::core::audit_convex_pwl(f, "test");
   });
 }

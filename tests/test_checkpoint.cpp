@@ -13,11 +13,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -336,11 +336,65 @@ TEST(ConvexPwlParts, RejectsBrokenInvariants) {
                std::invalid_argument);
   EXPECT_THROW(ConvexPwl::from_parts(0, 4, 0.0, 1.0, {{2, std::nan("")}}),
                std::invalid_argument);
+  // Positions out of order, or repeated.
+  EXPECT_THROW(ConvexPwl::from_parts(0, 6, 0.0, 1.0, {{3, 1.0}, {2, 1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(ConvexPwl::from_parts(0, 6, 0.0, 1.0, {{2, 1.0}, {2, 0.5}}),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
 // WorkFunctionTracker
 // ---------------------------------------------------------------------------
+
+// A forced-PWL tracker payload at τ = 3 whose Ĉ^L is the form on [0, 8]
+// with W(0) = 4, first slope −1 and the given slope increments, written in
+// the given order.
+std::vector<std::uint8_t> pwl_tracker_payload(
+    const std::vector<std::pair<int, double>>& increments) {
+  CheckpointWriter w;
+  w.i32(8);    // m
+  w.f64(2.0);  // beta
+  w.u8(static_cast<std::uint8_t>(Backend::kPwl));
+  w.u8(1);     // Mode::kPwl
+  w.i64(3);    // tau
+  w.u8(0);     // finite form
+  w.i32(0);
+  w.i32(8);
+  w.f64(4.0);
+  w.f64(-1.0);
+  w.u32(static_cast<std::uint32_t>(increments.size()));
+  for (const auto& [position, increment] : increments) {
+    w.i32(position);
+    w.f64(increment);
+  }
+  return w.seal(rs::core::kTrackerCheckpointKind);
+}
+
+TEST(TrackerCheckpoint, DecoderSortsIncrementsWrittenOutOfOrder) {
+  const WorkFunctionTracker ascending = WorkFunctionTracker::restore(
+      pwl_tracker_payload({{2, 0.5}, {5, 1.0}, {6, 0.25}}));
+  const WorkFunctionTracker descending = WorkFunctionTracker::restore(
+      pwl_tracker_payload({{6, 0.25}, {5, 1.0}, {2, 0.5}}));
+  EXPECT_TRUE(descending.chat_lower_pwl().bitwise_equal(
+      ascending.chat_lower_pwl()));
+  EXPECT_EQ(descending.x_lower(), ascending.x_lower());
+  EXPECT_EQ(descending.x_upper(), ascending.x_upper());
+  // Re-encoding writes the canonical ascending order.
+  EXPECT_EQ(descending.snapshot(), ascending.snapshot());
+  EXPECT_EQ(ascending.snapshot(),
+            pwl_tracker_payload({{2, 0.5}, {5, 1.0}, {6, 0.25}}));
+}
+
+TEST(TrackerCheckpoint, DecoderRejectsDuplicateIncrementPositions) {
+  EXPECT_THROW(
+      WorkFunctionTracker::restore(pwl_tracker_payload({{2, 0.5}, {2, 1.0}})),
+      CheckpointFormatError);
+  EXPECT_THROW(WorkFunctionTracker::restore(
+                   pwl_tracker_payload({{5, 1.0}, {2, 0.5}, {5, 1.0}})),
+               CheckpointFormatError);
+}
+
 
 // Advances `full` and `split` in lockstep after restoring `split` from a
 // snapshot taken at `split_at`, asserting bitwise-equal bounds and chat

@@ -222,6 +222,44 @@ TEST(ConvexPwl, AddMatchesBruteForceOnRandomPairs) {
   }
 }
 
+TEST(ConvexPwl, AddMergesIncrementsPositionByPosition) {
+  using Increments = ConvexPwl::Increments;
+  const ConvexPwl f = ConvexPwl::from_parts(0, 10, 4.0, -3.0,
+                                            {{2, 1.0}, {5, 1.0}, {8, 1.0}});
+  const ConvexPwl g = ConvexPwl::from_parts(
+      0, 10, 0.5, 0.5, {{1, 0.25}, {5, 0.5}, {6, 0.125}, {9, 2.0}});
+  // Fresh positions land in order around the shared one, which sums.
+  ConvexPwl sum = f;
+  sum.add(g);
+  EXPECT_EQ(sum.first_slope(), -2.5);
+  EXPECT_EQ(sum.slope_increments(),
+            (Increments{{1, 0.25}, {2, 1.0}, {5, 1.5}, {6, 0.125}, {8, 1.0},
+                        {9, 2.0}}));
+  // Dyadic values: every sum is exact.
+  for (int x = 0; x <= 10; ++x) {
+    EXPECT_EQ(sum.value_at(x), f.value_at(x) + g.value_at(x)) << "x=" << x;
+  }
+  // A self-add doubles every increment in place.
+  ConvexPwl twice = f;
+  twice.add(twice);
+  EXPECT_EQ(twice.slope_increments(),
+            (Increments{{2, 2.0}, {5, 2.0}, {8, 2.0}}));
+  // A narrower operand restricts the domain first: the increment at the
+  // new lo folds into the first slope, the one at the new hi drops.
+  const ConvexPwl narrow =
+      ConvexPwl::from_parts(2, 8, 0.0, 0.0, {{3, 0.5}, {7, 0.25}});
+  ConvexPwl clipped = f;
+  clipped.add(narrow);
+  EXPECT_EQ(clipped.lo(), 2);
+  EXPECT_EQ(clipped.hi(), 8);
+  EXPECT_EQ(clipped.slope_increments(),
+            (Increments{{3, 0.5}, {5, 1.0}, {7, 0.25}}));
+  for (int x = 2; x <= 8; ++x) {
+    EXPECT_EQ(clipped.value_at(x), f.value_at(x) + narrow.value_at(x))
+        << "x=" << x;
+  }
+}
+
 // --- builder edge cases (satellite) -----------------------------------------
 
 TEST(ConvexPwlBuilder, MergesDuplicateSlopes) {

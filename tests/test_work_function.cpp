@@ -2,7 +2,13 @@
 // Ĉ^L_τ / Ĉ^U_τ against brute force, and executable forms of Lemmas 6-11.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/schedule.hpp"
 #include "offline/backward_solver.hpp"
@@ -219,6 +225,129 @@ TEST(WorkFunction, Lemma11OptimalOnHandInstance) {
   const OfflineResult backward = BackwardSolver().solve(p);
   const double expected = DpSolver().solve_cost(p);
   EXPECT_NEAR(backward.cost, expected, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Golden differential: the bits every tracker path produces
+// ---------------------------------------------------------------------------
+
+// FNV-1a over everything a tracker exposes to its consumers: every slot's
+// snapshot() bytes and corridor, a probe_from answer every 5th feed and a
+// repair_from on a clone every 10th, across every random_instance family,
+// kAuto and kPwl, and 24 seeds (integers hashed in host byte order, so the
+// value holds on little-endian hosts).  The expected value was recorded
+// from the map-backed ConvexPwl that the flat slope array replaced, so any
+// change to a floating-point accumulation order, a clip cut or a
+// reconvergence test shows up here as a different hash rather than as a
+// drifted perfbench metric.
+class Fnv64 {
+ public:
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ p[i]) * 0x100000001b3ull;
+    }
+  }
+  void i64(std::int64_t v) { bytes(&v, sizeof v); }
+  void f64(double v) { i64(std::bit_cast<std::int64_t>(v)); }
+  void ints(const std::vector<int>& v) {
+    i64(static_cast<std::int64_t>(v.size()));
+    bytes(v.data(), v.size() * sizeof(int));
+  }
+  void repair(const WorkFunctionTracker::Repair& r) {
+    ints(r.lower);
+    ints(r.upper);
+    i64(r.x_lower);
+    i64(r.x_upper);
+    i64(r.slots_replayed);
+    i64(r.early_exit ? 1 : 0);
+    f64(r.chat_min);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+// What the golden runs exercised, so the hash cannot pass vacuously.
+struct GoldenCoverage {
+  int pwl_feeds = 0;
+  int max_breakpoints = 0;
+  int probes = 0;
+  int early_exits = 0;
+  int flips = 0;
+};
+
+void hash_tracker_run(Fnv64& h, GoldenCoverage& coverage,
+                      InstanceFamily family,
+                      WorkFunctionTracker::Backend backend,
+                      std::uint64_t seed) {
+  rs::util::Rng rng(seed);
+  const int m = static_cast<int>(rng.uniform_int(3, 24));
+  const double beta = rng.uniform(0.4, 3.0);
+  const int feeds = 30;
+  const Problem p = rs::workload::random_instance(rng, family, feeds, m, beta);
+  const Problem donor = rs::workload::random_instance(rng, family, 8, m, beta);
+  WorkFunctionTracker tracker(m, beta, backend);
+  tracker.enable_rewind(32);
+  for (int t = 1; t <= feeds; ++t) {
+    // Every fourth feed is a 3-slot run (the shape-fixpoint path).
+    const int length = t % 4 == 0 ? 3 : 1;
+    std::vector<int> xl(static_cast<std::size_t>(length));
+    std::vector<int> xu(static_cast<std::size_t>(length));
+    tracker.advance_repeated(p.f(t), length, xl, xu);
+    const std::vector<std::uint8_t> snapshot = tracker.snapshot();
+    h.bytes(snapshot.data(), snapshot.size());
+    h.ints(xl);
+    h.ints(xu);
+    h.i64(tracker.x_lower());
+    h.i64(tracker.x_upper());
+    if (tracker.using_pwl()) ++coverage.pwl_feeds;
+    coverage.max_breakpoints =
+        std::max(coverage.max_breakpoints, tracker.breakpoint_count());
+    if (t % 5 != 0) continue;
+    const int slot = static_cast<int>(
+        rng.uniform_int(tracker.rewind_begin(), tracker.tau()));
+    const rs::core::CostFunction& edit = donor.f(1 + t % 8);
+    h.i64(slot);
+    try {
+      const WorkFunctionTracker::Repair probe = tracker.probe_from(slot, edit);
+      h.repair(probe);
+      ++coverage.probes;
+      if (probe.early_exit) ++coverage.early_exits;
+    } catch (const std::invalid_argument&) {
+      h.i64(-1);  // the edit flips the backend trajectory
+      ++coverage.flips;
+    }
+    if (t % 10 != 0) continue;
+    WorkFunctionTracker repaired = tracker.clone();
+    try {
+      h.repair(repaired.repair_from(slot, edit));
+      const std::vector<std::uint8_t> after = repaired.snapshot();
+      h.bytes(after.data(), after.size());
+    } catch (const std::invalid_argument&) {
+      h.i64(-2);
+    }
+  }
+}
+
+TEST(ConvexPwlGolden, TrackerSnapshotsAndProbesMatchParentHash) {
+  Fnv64 h;
+  GoldenCoverage coverage;
+  for (const InstanceFamily family : rs::workload::all_instance_families()) {
+    for (const auto backend : {WorkFunctionTracker::Backend::kAuto,
+                               WorkFunctionTracker::Backend::kPwl}) {
+      for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        hash_tracker_run(h, coverage, family, backend, seed);
+      }
+    }
+  }
+  EXPECT_GT(coverage.pwl_feeds, 0);
+  EXPECT_GE(coverage.max_breakpoints, 10);
+  EXPECT_GT(coverage.probes, 0);
+  EXPECT_GT(coverage.early_exits, 0);
+  EXPECT_GT(coverage.flips, 0);
+  EXPECT_EQ(h.value(), 0xdb7efed28cfea9dfull) << std::hex << "0x" << h.value();
 }
 
 }  // namespace
