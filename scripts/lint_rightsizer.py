@@ -32,6 +32,15 @@ shipped or explicitly guards against:
                             identity and never share it.  Families whose
                             values a key cannot capture carry
                             `rs-lint: opaque-cost`.
+  RS006 raw-cost-key        A map or set keyed by a raw `const
+                            ...CostFunction*`.  The container does not own
+                            the cost, so once the caller drops it a new
+                            cost can reuse the address and hit the dead
+                            cost's entry (the stale-row bug of the old
+                            receding-horizon row cache).  Key on an owned
+                            CostPtr or a value key, or annotate a key that
+                            something else keeps alive with
+                            `rs-lint: pinned-key (<why>)`.
 
 Suppressions are read from raw source text (comments included): a file
 marker applies anywhere in the file; line annotations apply on the flagged
@@ -57,6 +66,7 @@ OK_FLOAT_EQ = "rs-lint: float-eq-ok"
 OK_CATCH_ALL = "rs-lint: catch-all-ok"
 OK_EVAL_ROW = "rs-lint: eval-row-ok"
 OK_OPAQUE_COST = "rs-lint: opaque-cost"
+OK_PINNED_KEY = "rs-lint: pinned-key"
 
 # How many lines above a flagged line an annotation still applies.
 ANNOTATION_REACH = 2
@@ -136,6 +146,12 @@ FLOAT_EQ = re.compile(
     rf"(?:[=!]=\s*{FLOAT_LITERAL})|(?:{FLOAT_LITERAL}\s*[=!]=)"
 )
 CATCH_ALL = re.compile(r"catch\s*\(\s*\.\.\.\s*\)")
+# An associative container whose first template argument (the key) is a
+# raw pointer to a const CostFunction, namespace-qualified or not.
+RAW_COST_KEY = re.compile(
+    r"\b(?:unordered_)?(?:multi)?(?:map|set)\s*<\s*const\s+"
+    r"(?:[\w:]+::)?CostFunction\s*\*"
+)
 COST_SUBCLASS = re.compile(
     r"\bclass\s+(\w+)[^;{]*:\s*(?:public\s+)?(?:rs::core::)?CostFunction\b"
 )
@@ -227,8 +243,25 @@ def check_value_key(path: str, raw: list[str], code: list[str],
             f"'{OK_OPAQUE_COST} (<why>)'"))
 
 
+def check_raw_cost_key(path: str, raw: list[str], code: list[str],
+                       findings: list[Finding]) -> None:
+    for i, line in enumerate(code):
+        # A declaration can break after `<`, so the next line is joined
+        # on; a match is reported on the line where it starts.
+        match = RAW_COST_KEY.search(" ".join(code[i:i + 2]))
+        if match and match.start() < len(line):
+            if annotated(raw, i, OK_PINNED_KEY):
+                continue
+            findings.append(Finding(
+                path, i + 1, "RS006",
+                "map/set keyed by a raw const CostFunction*: the key does "
+                "not own the cost, so a freed address can alias a new "
+                "cost. Key on an owned CostPtr or a value key, or annotate "
+                f"'{OK_PINNED_KEY} (<why>)'"))
+
+
 CHECKS = (check_minmax_folds, check_float_eq, check_catch_all,
-          check_eval_row, check_value_key)
+          check_eval_row, check_value_key, check_raw_cost_key)
 
 
 def lint_text(path: str, text: str) -> list[Finding]:
@@ -354,6 +387,18 @@ SELF_TESTS = (
      "  double at(int x) const override { return fn_(x); }\n"
      "};\n",
      "RS005", False),
+    ("RS006 fires on a map keyed by a raw CostFunction pointer",
+     "std::unordered_map<const rs::core::CostFunction*,\n"
+     "                   std::vector<double>> rows_;\n",
+     "RS006", True),
+    ("RS006 quiet when the key is annotated as pinned",
+     "// rs-lint: pinned-key (entries hold the CostPtr alive)\n"
+     "std::map<const CostFunction*, int> seen_;\n",
+     "RS006", False),
+    ("RS006 quiet on CostPtr keys",
+     "std::map<CostPtr, int> seen_;\n"
+     "std::unordered_set<rs::core::CostPtr> live_;\n",
+     "RS006", False),
 )
 
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <stdexcept>
 
 #include "offline/backward_solver.hpp"
 #include "util/math_util.hpp"
@@ -84,25 +85,23 @@ void dp_step(std::span<const double> frow, double beta,
   }
 }
 
-// W_0 encodes x_0 = 0: transitioning to x costs β·x in the power-up
-// accounting, folded into the first dp_step via W_0(0) = 0, +inf else.
-void initial_labels(std::span<double> w) {
+// W_0 encodes the pinned x_0: transitioning to x costs β·(x − x_0)⁺,
+// folded into the first dp_step via W_0(x_0) = 0, +inf else.
+void initial_labels(std::span<double> w, int start_state = 0) {
   std::fill(w.begin(), w.end(), kInf);
-  w[0] = 0.0;
+  w[static_cast<std::size_t>(start_state)] = 0.0;
 }
 
-// The table DP over the source's rows (a DenseProblem's table views, or
-// rows streamed once per run through eval_row, O(m) extra memory).  All
-// scratch comes from the calling thread's workspace, so repeated solves
-// are allocation-free after warm-up.  The parent-tracking labels would
-// launder a NaN row value like any min fold, so the source's NaN report
-// (a table's construction-time flag, a scan of each streamed row) decides
-// a poisoned result instead.
-OfflineResult solve_dense(const SlotSource& source) {
+}  // namespace
+
+OfflineResult solve_dense(const SlotSource& source, int start_state) {
   OfflineResult result;
   const int T = source.horizon();
   const int m = source.max_servers();
   const double beta = source.beta();
+  if (start_state < 0 || start_state > m) {
+    throw std::invalid_argument("solve_dense: start state outside [0, m]");
+  }
   const std::size_t width = static_cast<std::size_t>(m) + 1;
   Workspace& workspace = rs::util::this_thread_workspace();
   auto parents =
@@ -112,7 +111,7 @@ OfflineResult solve_dense(const SlotSource& source) {
   auto suffix_min = workspace.borrow<double>(width);
   auto suffix_arg = workspace.borrow<std::int32_t>(width);
   auto frow = workspace.borrow<double>(width);
-  initial_labels(current.span());
+  initial_labels(current.span(), start_state);
   std::int32_t* parent = parents.data();
   const bool poisoned = source.for_each_row(
       frow.span(), [&](std::span<const double> row, int length) {
@@ -146,6 +145,8 @@ OfflineResult solve_dense(const SlotSource& source) {
   }
   return result;
 }
+
+namespace {
 
 // Cost-only DP: no argmin bookkeeping, so the transition relax runs
 // in-place in two passes (forward prefix fold, backward suffix fold fused

@@ -82,4 +82,18 @@ class DpSolver final : public OfflineSolver {
   Backend backend_ = Backend::kDense;
 };
 
+/// The kDense table DP itself, from a pinned start x_0 = `start_state`
+/// (0 for the paper's problem): labels over the source's rows (a
+/// DenseProblem's table views, or rows streamed once per run through
+/// eval_row), parent pointers, and a backtrack from the cheapest final
+/// state, since powering down at the end is free.  RHC and AFHC plan their
+/// windows with it (online/receding_horizon.hpp).  Scratch comes from the
+/// calling thread's workspace, so repeated solves do not allocate once it
+/// has grown.  An infeasible source returns cost +inf and no schedule.  A
+/// NaN anywhere in a row returns cost NaN and no schedule: the source's
+/// NaN report decides that, because the min folds would drop the NaN.
+/// Throws std::invalid_argument if `start_state` is outside [0, m].
+OfflineResult solve_dense(const rs::core::SlotSource& source,
+                          int start_state = 0);
+
 }  // namespace rs::offline

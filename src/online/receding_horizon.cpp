@@ -1,189 +1,56 @@
 #include "online/receding_horizon.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#include "util/math_util.hpp"
+#include "offline/dp_solver.hpp"
 
 namespace rs::online {
-
-using rs::util::kInf;
-
-namespace {
-
-// The fixed-horizon DP over pre-materialized value rows — the shared core
-// of plan_fixed_horizon (which evaluates its rows on the spot) and
-// WarmHorizonPlanner (which slides a row cache across steps), so both
-// produce bitwise-identical plans.  Forward DP with parent pointers;
-// O(horizon · m) via the usual prefix/suffix split of
-// min_{x'} [ W(x') + β(x−x')⁺ ].
-std::vector<int> plan_over_rows(
-    int start_state, const std::vector<const std::vector<double>*>& rows,
-    int m, double beta) {
-  const std::size_t horizon = rows.size();
-  std::vector<double> labels(static_cast<std::size_t>(m) + 1, kInf);
-  labels[static_cast<std::size_t>(start_state)] = 0.0;
-  std::vector<std::vector<std::int32_t>> parents(
-      horizon, std::vector<std::int32_t>(static_cast<std::size_t>(m) + 1, -1));
-  std::vector<double> next(static_cast<std::size_t>(m) + 1);
-
-  for (std::size_t j = 0; j < horizon; ++j) {
-    const std::vector<double>& cost = *rows[j];
-    // Suffix minima (free power-down).
-    std::vector<double> suffix_min(static_cast<std::size_t>(m) + 1);
-    std::vector<std::int32_t> suffix_arg(static_cast<std::size_t>(m) + 1);
-    suffix_min[static_cast<std::size_t>(m)] = labels[static_cast<std::size_t>(m)];
-    suffix_arg[static_cast<std::size_t>(m)] = m;
-    for (int x = m - 1; x >= 0; --x) {
-      if (labels[static_cast<std::size_t>(x)] <=
-          suffix_min[static_cast<std::size_t>(x + 1)]) {
-        suffix_min[static_cast<std::size_t>(x)] = labels[static_cast<std::size_t>(x)];
-        suffix_arg[static_cast<std::size_t>(x)] = x;
-      } else {
-        suffix_min[static_cast<std::size_t>(x)] =
-            suffix_min[static_cast<std::size_t>(x + 1)];
-        suffix_arg[static_cast<std::size_t>(x)] =
-            suffix_arg[static_cast<std::size_t>(x + 1)];
-      }
-    }
-    // Prefix minima of labels(x') − βx' (paid power-up).
-    double prefix_min = kInf;
-    std::int32_t prefix_arg = -1;
-    for (int x = 0; x <= m; ++x) {
-      const double shifted =
-          labels[static_cast<std::size_t>(x)] - beta * static_cast<double>(x);
-      if (shifted < prefix_min) {
-        prefix_min = shifted;
-        prefix_arg = static_cast<std::int32_t>(x);
-      }
-      const double up = prefix_min + beta * static_cast<double>(x);
-      const double stay = suffix_min[static_cast<std::size_t>(x)];
-      double transition;
-      std::int32_t parent;
-      if (up < stay) {
-        transition = up;
-        parent = prefix_arg;
-      } else {
-        transition = stay;
-        parent = suffix_arg[static_cast<std::size_t>(x)];
-      }
-      const double fx = cost[static_cast<std::size_t>(x)];
-      next[static_cast<std::size_t>(x)] =
-          std::isinf(fx) || std::isinf(transition) ? kInf : transition + fx;
-      parents[j][static_cast<std::size_t>(x)] = parent;
-    }
-    labels.swap(next);
-  }
-
-  // Backtrack from the cheapest final state.
-  int state = 0;
-  for (int x = 1; x <= m; ++x) {
-    if (labels[static_cast<std::size_t>(x)] < labels[static_cast<std::size_t>(state)]) {
-      state = x;
-    }
-  }
-  if (std::isinf(labels[static_cast<std::size_t>(state)])) {
-    throw std::logic_error("plan_fixed_horizon: infeasible window");
-  }
-  std::vector<int> plan(horizon, 0);
-  for (std::size_t j = horizon; j-- > 0;) {
-    plan[j] = state;
-    state = parents[j][static_cast<std::size_t>(state)];
-  }
-  return plan;
-}
-
-std::vector<double> evaluate_row(const rs::core::CostFunction& cost, int m) {
-  std::vector<double> row(static_cast<std::size_t>(m) + 1);
-  for (int x = 0; x <= m; ++x) {
-    row[static_cast<std::size_t>(x)] = cost.at(x);
-  }
-  return row;
-}
-
-}  // namespace
 
 std::vector<int> plan_fixed_horizon(
     int start_state, const rs::core::CostPtr& f,
     std::span<const rs::core::CostPtr> lookahead, int m, double beta) {
-  const std::size_t horizon = 1 + lookahead.size();
-  std::vector<std::vector<double>> storage;
-  storage.reserve(horizon);
-  std::vector<const std::vector<double>*> rows;
-  rows.reserve(horizon);
-  for (std::size_t j = 0; j < horizon; ++j) {
-    storage.push_back(evaluate_row(j == 0 ? *f : *lookahead[j - 1], m));
-    rows.push_back(&storage.back());
+  std::vector<rs::core::CostPtr> window;
+  window.reserve(1 + lookahead.size());
+  window.push_back(f);
+  window.insert(window.end(), lookahead.begin(), lookahead.end());
+  const rs::core::Problem problem(m, beta, std::move(window));
+  rs::offline::OfflineResult plan =
+      rs::offline::solve_dense(problem, start_state);
+  if (std::isnan(plan.cost)) {
+    throw std::invalid_argument("plan_fixed_horizon: NaN slot cost");
   }
-  return plan_over_rows(start_state, rows, m, beta);
-}
-
-void WarmHorizonPlanner::reset(const OnlineContext& context) {
-  context_ = context;
-  rows_.clear();
-  scratch_rows_.clear();
-  signature_.clear();
-  prev_start_ = -1;
-  plan_.clear();
-}
-
-const std::vector<int>& WarmHorizonPlanner::plan(
-    int start_state, const rs::core::CostPtr& f,
-    std::span<const rs::core::CostPtr> lookahead) {
-  const std::size_t horizon = 1 + lookahead.size();
-
-  // Slide the row cache: carry over the slots still visible, evaluate the
-  // (typically one) slot that just entered the window, and drop the rest.
-  scratch_rows_.clear();
-  std::vector<const rs::core::CostFunction*> signature;
-  signature.reserve(horizon);
-  std::vector<const std::vector<double>*> rows;
-  rows.reserve(horizon);
-  for (std::size_t j = 0; j < horizon; ++j) {
-    const rs::core::CostFunction* cost =
-        j == 0 ? f.get() : lookahead[j - 1].get();
-    signature.push_back(cost);
-    auto [it, inserted] = scratch_rows_.try_emplace(cost, nullptr);
-    if (inserted) {
-      if (const auto hit = rows_.find(cost); hit != rows_.end()) {
-        it->second = hit->second;
-        ++stats_.row_reuses;
-      } else {
-        it->second = std::make_shared<const std::vector<double>>(
-            evaluate_row(*cost, context_.m));
-        ++stats_.row_evaluations;
-      }
-    } else {
-      ++stats_.row_reuses;  // repeated slot within the window
-    }
-    rows.push_back(it->second.get());
+  if (!plan.feasible()) {
+    throw std::logic_error("plan_fixed_horizon: infeasible window");
   }
-  rows_.swap(scratch_rows_);
-
-  // Unchanged overlapping horizon: the previous solve IS this solve.
-  if (prev_start_ == start_state && signature == signature_) {
-    ++stats_.reused_plans;
-    return plan_;
-  }
-
-  plan_ = plan_over_rows(start_state, rows, context_.m, context_.beta);
-  signature_ = std::move(signature);
-  prev_start_ = start_state;
-  ++stats_.plans;
-  stats_.planned_slots += static_cast<std::uint64_t>(horizon);
-  return plan_;
+  return std::move(plan.schedule);
 }
 
 void RecedingHorizon::reset(const OnlineContext& context) {
   context_ = context;
-  planner_.reset(context);
   current_ = 0;
+  memo_start_ = -1;
+  memo_window_.clear();
 }
 
 int RecedingHorizon::decide(const rs::core::CostPtr& f,
                             std::span<const rs::core::CostPtr> lookahead) {
-  current_ = planner_.plan(current_, f, lookahead).front();
+  // The memo holds its window's costs, so equal pointers are equal costs.
+  const bool memo_hit =
+      memo_start_ == current_ &&
+      memo_window_.size() == 1 + lookahead.size() && memo_window_[0] == f &&
+      std::equal(lookahead.begin(), lookahead.end(), memo_window_.begin() + 1);
+  if (!memo_hit) {
+    memo_action_ =
+        plan_fixed_horizon(current_, f, lookahead, context_.m, context_.beta)
+            .front();
+    memo_start_ = current_;
+    memo_window_.assign({f});
+    memo_window_.insert(memo_window_.end(), lookahead.begin(), lookahead.end());
+  }
+  current_ = memo_action_;
   return current_;
 }
 

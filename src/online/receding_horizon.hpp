@@ -12,67 +12,21 @@
 //   averaging smooths the re-planning boundaries that hurt RHC on
 //   adversarial inputs (Lin et al. discuss this comparison).
 //
-// RHC plans through a WarmHorizonPlanner: consecutive horizons overlap in
-// all but one slot, so the planner (a) slides a value-row cache keyed by
-// slot-cost identity across steps — a slot entering the window is
-// evaluated once and never re-evaluated while it stays visible — and
-// (b) answers a step whose (start state, window contents) equal the
-// previous solve's from the stored plan without re-solving, the common
-// case inside the run-length-encoded stretches of the trace zoo.  Both
-// paths produce bitwise the plans of the cold solve (same DP over the
-// same rows / literally the previous solve's output).
+// Both plan a window with plan_fixed_horizon, which runs the offline
+// table DP (offline::solve_dense) from the committed state.  RHC also keeps
+// a one-entry memo of its last plan: the start state, the window's
+// CostPtrs and the first action.  A step whose start and window equal the
+// memo's plays that action again without a solve.  That is the common
+// case inside the runs of a run-length-encoded trace.  The memo owns the
+// costs it compares, so a caller may stream fresh costs and drop served
+// slots: an address cannot be reused while the memo still holds it.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "online/online_algorithm.hpp"
 
 namespace rs::online {
-
-/// Reuse accounting for a WarmHorizonPlanner (monotone across reset()s of
-/// the owning algorithm; see field comments).
-struct WarmHorizonStats {
-  std::uint64_t plans = 0;            // full DP solves performed
-  std::uint64_t reused_plans = 0;     // steps answered from the stored plan
-  std::uint64_t planned_slots = 0;    // window slots swept by full solves
-  std::uint64_t row_evaluations = 0;  // slot costs materialized into rows
-  std::uint64_t row_reuses = 0;       // window slots served from cached rows
-};
-
-/// The incremental fixed-horizon solver behind RecedingHorizon (usable
-/// standalone by any overlapping-window consumer).  plan() matches
-/// plan_fixed_horizon bitwise; the returned reference is valid until the
-/// next plan()/reset().
-class WarmHorizonPlanner {
- public:
-  void reset(const OnlineContext& context);
-
-  const std::vector<int>& plan(int start_state, const rs::core::CostPtr& f,
-                               std::span<const rs::core::CostPtr> lookahead);
-
-  const WarmHorizonStats& stats() const noexcept { return stats_; }
-
- private:
-  OnlineContext context_;
-  // Sliding row cache: rows_ holds the previous window's materialized
-  // value rows; each plan() builds the new window's map by moving hits
-  // over (evicting slots that left the window) and evaluating misses.
-  // Rows are shared_ptr so positions repeating one cost share one row.
-  std::unordered_map<const rs::core::CostFunction*,
-                     std::shared_ptr<const std::vector<double>>>
-      rows_;
-  std::unordered_map<const rs::core::CostFunction*,
-                     std::shared_ptr<const std::vector<double>>>
-      scratch_rows_;  // ping-pong partner of rows_
-  // Previous solve, for the unchanged-window fast path.
-  std::vector<const rs::core::CostFunction*> signature_;
-  int prev_start_ = -1;  // -1: nothing stored
-  std::vector<int> plan_;
-  WarmHorizonStats stats_;
-};
 
 class RecedingHorizon final : public OnlineAlgorithm {
  public:
@@ -81,16 +35,13 @@ class RecedingHorizon final : public OnlineAlgorithm {
   int decide(const rs::core::CostPtr& f,
              std::span<const rs::core::CostPtr> lookahead) override;
 
-  /// Warm-start accounting since construction (reset() clears the caches
-  /// but keeps the counters, so replay harnesses can total a whole run).
-  const WarmHorizonStats& warm_stats() const noexcept {
-    return planner_.stats();
-  }
-
  private:
   OnlineContext context_;
-  WarmHorizonPlanner planner_;
   int current_ = 0;
+  // The last solve: its start state (-1: none), window and first action.
+  int memo_start_ = -1;
+  std::vector<rs::core::CostPtr> memo_window_;
+  int memo_action_ = 0;
 };
 
 class AveragingFixedHorizon final : public FractionalOnlineAlgorithm {
@@ -119,7 +70,10 @@ class AveragingFixedHorizon final : public FractionalOnlineAlgorithm {
 /// Optimal plan for the fixed-horizon problem: starting from
 /// `start_state`, serve f (the current slot) followed by the lookahead
 /// functions, charging β on power-up; the horizon end is free.  Returns the
-/// optimal states for the current slot and every lookahead slot.
+/// optimal states for the current slot and every lookahead slot, with the
+/// table DP's tie-breaking.  Throws std::invalid_argument for a start state
+/// outside [0, m], a null cost, m < 0, β <= 0 or a NaN cost value, and
+/// std::logic_error when no plan has finite cost.
 std::vector<int> plan_fixed_horizon(int start_state,
                                     const rs::core::CostPtr& f,
                                     std::span<const rs::core::CostPtr> lookahead,

@@ -971,19 +971,40 @@ TEST(EngineDelta, ProbesMatchFromScratchAndAreOrderIndependent) {
 // Online: warm receding horizons
 // ---------------------------------------------------------------------------
 
+// Forwarding wrapper counting eval_row calls: one per window slot that a
+// receding-horizon solve evaluates.
+class RowCountingCost final : public rs::core::CostFunction {
+ public:
+  RowCountingCost(CostPtr base, std::shared_ptr<int> rows)
+      : base_(std::move(base)), rows_(std::move(rows)) {}
+  double at(int x) const override { return base_->at(x); }
+  void eval_row(int m, std::span<double> out) const override {
+    ++*rows_;
+    base_->eval_row(m, out);
+  }
+  bool is_convex() const override { return base_->is_convex(); }
+
+ private:
+  CostPtr base_;
+  std::shared_ptr<int> rows_;
+};
+
 TEST(WarmHorizon, MatchesColdPlansAndReusesAcrossRleRuns) {
   const int m = 10;
   const double beta = 2.0;
   const int window = 4;
   rs::util::Rng rng(0x4E0ull);
+  auto rows = std::make_shared<int>(0);
 
   // RLE trace: runs of one repeated CostPtr, run length > window + 1 so
   // interior steps present identical (start, window) pairs.
   std::vector<CostPtr> slots;
   while (slots.size() < 60) {
-    const CostPtr cost = std::make_shared<rs::core::AffineAbsCost>(
-        static_cast<double>(rng.uniform_int(1, 3)),
-        static_cast<double>(rng.uniform_int(0, m)), 0.0);
+    const CostPtr cost = std::make_shared<RowCountingCost>(
+        std::make_shared<rs::core::AffineAbsCost>(
+            static_cast<double>(rng.uniform_int(1, 3)),
+            static_cast<double>(rng.uniform_int(0, m)), 0.0),
+        rows);
     const int run = rng.uniform_int(6, 10);
     for (int k = 0; k < run && slots.size() < 60; ++k) slots.push_back(cost);
   }
@@ -994,11 +1015,19 @@ TEST(WarmHorizon, MatchesColdPlansAndReusesAcrossRleRuns) {
   warm.reset(context);
 
   int cold_state = 0;
+  int warm_rows = 0;     // rows the memoized RHC evaluated
+  int swept_rows = 0;    // rows a solve at every step would evaluate
+  int reused_steps = 0;  // steps answered without a solve
   for (int t = 0; t < T; ++t) {
     const int lookahead = std::min(window, T - 1 - t);
     const std::span<const CostPtr> future(
         slots.data() + t + 1, static_cast<std::size_t>(lookahead));
+    const int before = *rows;
     const int warm_state = warm.decide(slots[static_cast<std::size_t>(t)], future);
+    const int evaluated = *rows - before;
+    warm_rows += evaluated;
+    swept_rows += 1 + lookahead;
+    if (evaluated == 0) ++reused_steps;
     cold_state = rs::online::plan_fixed_horizon(
                      cold_state, slots[static_cast<std::size_t>(t)], future, m,
                      beta)
@@ -1006,13 +1035,9 @@ TEST(WarmHorizon, MatchesColdPlansAndReusesAcrossRleRuns) {
     ASSERT_EQ(warm_state, cold_state) << "slot " << t;
   }
 
-  const rs::online::WarmHorizonStats& stats = warm.warm_stats();
-  EXPECT_EQ(stats.plans + stats.reused_plans, static_cast<std::uint64_t>(T));
-  EXPECT_GT(stats.reused_plans, 0u);  // interior of every long run
-  EXPECT_GT(stats.row_reuses, stats.row_evaluations);
-  // Each distinct cost is evaluated at most once per contiguous presence
-  // in the window — far fewer evaluations than window slots swept.
-  EXPECT_LT(stats.row_evaluations, stats.planned_slots);
+  EXPECT_GT(reused_steps, 0);  // interior of every long run
+  EXPECT_LT(warm_rows, swept_rows);
+  EXPECT_LT(warm_rows, T * (window + 1));
 }
 
 }  // namespace

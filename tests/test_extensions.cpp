@@ -4,6 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "core/piecewise_linear.hpp"
 #include "core/schedule.hpp"
@@ -151,6 +157,85 @@ TEST(Afhc, StaysWithinBoxAndHelpsOnDiurnal) {
     EXPECT_LE(value, 10.0);
   }
   EXPECT_THROW(rs::online::AveragingFixedHorizon(-1), std::invalid_argument);
+}
+
+TEST(RecedingHorizon, StreamedCostsMatchColdPlans) {
+  // A streaming caller holds only the visible window: each step appends a
+  // freshly allocated slot cost and drops the one it has just served, so
+  // the allocator hands freed addresses to later costs.  Every decision
+  // must still equal the cold plan from the same committed state.
+  const int m = 10;
+  const double beta = 2.0;
+  const int steps = 2000;
+  for (int w = 1; w <= 4; ++w) {
+    rs::util::Rng rng(0x5EED0ull + static_cast<std::uint64_t>(w));
+    auto fresh_cost = [&]() -> rs::core::CostPtr {
+      return std::make_shared<rs::core::AffineAbsCost>(
+          static_cast<double>(rng.uniform_int(1, 3)),
+          static_cast<double>(rng.uniform_int(0, m)), 0.0);
+    };
+    std::deque<rs::core::CostPtr> window;
+    for (int k = 0; k <= w; ++k) window.push_back(fresh_cost());
+
+    rs::online::RecedingHorizon rhc;
+    rhc.reset(rs::online::OnlineContext{.m = m, .beta = beta});
+    int cold_state = 0;
+    int mismatches = 0;
+    for (int t = 0; t < steps; ++t) {
+      const std::vector<rs::core::CostPtr> lookahead(window.begin() + 1,
+                                                     window.end());
+      const int decided = rhc.decide(window.front(), lookahead);
+      cold_state = rs::online::plan_fixed_horizon(cold_state, window.front(),
+                                                  lookahead, m, beta)
+                       .front();
+      if (decided != cold_state) ++mismatches;
+      window.pop_front();  // the served slot's cost is released here
+      window.push_back(fresh_cost());
+    }
+    EXPECT_EQ(mismatches, 0) << "w = " << w;
+  }
+}
+
+TEST(PlanFixedHorizon, RejectsStartStateOutsideTheBox) {
+  const rs::core::CostPtr f = std::make_shared<rs::core::TableCost>(
+      std::vector<double>{1.0, 0.0, 1.0});
+  EXPECT_THROW(rs::online::plan_fixed_horizon(-1, f, {}, 2, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(rs::online::plan_fixed_horizon(3, f, {}, 2, 1.0),
+               std::invalid_argument);
+  EXPECT_EQ(rs::online::plan_fixed_horizon(2, f, {}, 2, 1.0),
+            (std::vector<int>{1}));
+}
+
+TEST(PlanFixedHorizon, RejectsNullCost) {
+  const rs::core::CostPtr f = std::make_shared<rs::core::TableCost>(
+      std::vector<double>{1.0, 0.0, 1.0});
+  const std::vector<rs::core::CostPtr> gap = {nullptr};
+  EXPECT_THROW(rs::online::plan_fixed_horizon(0, nullptr, {}, 2, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(rs::online::plan_fixed_horizon(0, f, gap, 2, 1.0),
+               std::invalid_argument);
+}
+
+TEST(PlanFixedHorizon, NaNWindowThrowsForRhcAndAfhc) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const rs::core::CostPtr clean = std::make_shared<rs::core::TableCost>(
+      std::vector<double>{3.0, 1.0, 0.0});
+  const rs::core::CostPtr poisoned = std::make_shared<rs::core::TableCost>(
+      std::vector<double>{0.0, nan, 4.0});
+  const std::vector<rs::core::CostPtr> lookahead = {poisoned};
+  EXPECT_THROW(rs::online::plan_fixed_horizon(0, clean, lookahead, 2, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(rs::online::plan_fixed_horizon(0, poisoned, {}, 2, 1.0),
+               std::invalid_argument);
+
+  const rs::online::OnlineContext context{.m = 2, .beta = 1.0};
+  rs::online::RecedingHorizon rhc;
+  rhc.reset(context);
+  EXPECT_THROW(rhc.decide(clean, lookahead), std::invalid_argument);
+  rs::online::AveragingFixedHorizon afhc(1);
+  afhc.reset(context);
+  EXPECT_THROW(afhc.decide(clean, lookahead), std::invalid_argument);
 }
 
 // --- PiecewiseLinearCost -----------------------------------------------------
