@@ -87,6 +87,8 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept;
 /// patterns) and seals it into an enveloped checkpoint.
 class CheckpointWriter {
  public:
+  /// Reserves room for a typical payload up front (see checkpoint.cpp).
+  CheckpointWriter();
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);

@@ -49,7 +49,13 @@ void CheckpointStore::put(std::string_view key,
   if (!directory_.empty()) {
     write_checkpoint_file(path_of(key), bytes);
   }
-  entries_[std::string(key)] = std::move(bytes);
+  if (const auto it = entries_.find(key); it != entries_.end()) {
+    // The replaced envelope moves into the by-value parameter, which is
+    // destroyed after `lock`: its bytes are freed outside the mutex.
+    it->second.swap(bytes);
+  } else {
+    entries_.emplace(std::string(key), std::move(bytes));
+  }
 }
 
 std::optional<std::vector<std::uint8_t>> CheckpointStore::latest(

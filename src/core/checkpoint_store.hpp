@@ -11,9 +11,13 @@
 // CRC) before returning, so "latest" really means "latest good": bit-rotted
 // bytes yield nullopt / a typed error instead of reaching a restore().
 //
-// All members are thread-safe; puts are cadence-driven (one per
-// checkpoint_every slots per tenant), so the single store mutex is never on
-// a hot path.
+// All members are thread-safe behind one store mutex.  A fleet puts from
+// its tick workers (each tenant once per checkpoint_every slots, the
+// tenants' phases spread over the cadence's rounds), so put() keeps the
+// critical section short: the envelope is validated before the lock, the
+// key is allocated only on a key's first put, and the replaced bytes are
+// freed after the lock is released.  A persistent store also writes the
+// disk mirror under the lock.
 #pragma once
 
 #include <cstdint>

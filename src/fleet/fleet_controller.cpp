@@ -26,20 +26,18 @@ FleetController::FleetController(FleetOptions options)
 std::size_t FleetController::add_tenant(TenantConfig config) {
   // Sanitized names key the checkpoint store; a collision would make two
   // tenants overwrite each other's recovery state.
-  const std::string key = rs::core::CheckpointStore::sanitize_key(config.name);
-  for (const auto& existing : tenants_) {
-    if (rs::core::CheckpointStore::sanitize_key(existing->config().name) ==
-        key) {
-      throw std::invalid_argument(
-          "FleetController::add_tenant: duplicate tenant name (after "
-          "sanitization): " +
-          config.name);
-    }
+  std::string key = rs::core::CheckpointStore::sanitize_key(config.name);
+  if (sanitized_keys_.contains(key)) {
+    throw std::invalid_argument(
+        "FleetController::add_tenant: duplicate tenant name (after "
+        "sanitization): " +
+        config.name);
   }
   const std::size_t ordinal = tenants_.size();
   if (config.form_cache == nullptr) config.form_cache = &form_cache_;
   tenants_.push_back(std::make_unique<TenantSession>(
       std::move(config), ordinal, store_.persistent() ? &store_ : nullptr));
+  sanitized_keys_.insert(std::move(key));
   return ordinal;
 }
 

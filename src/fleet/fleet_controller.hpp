@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/checkpoint_store.hpp"
@@ -140,6 +141,8 @@ class FleetController {
   // unique_ptr: TenantSession owns a mutex and is immovable; the vector
   // only ever grows (ordinals are stable for the controller's lifetime).
   std::vector<std::unique_ptr<TenantSession>> tenants_;
+  // Sanitized names of tenants_, for add_tenant's collision check.
+  std::unordered_set<std::string> sanitized_keys_;
 
   mutable std::mutex mutex_;  // guards the event log + counters below
   // mutable: events() drains tenant buffers into the log on read.

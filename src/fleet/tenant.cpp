@@ -103,6 +103,18 @@ void validate_config(const TenantConfig& config) {
 
 }  // namespace
 
+int checkpoint_phase(std::string_view key, int every) {
+  if (every < 1) {
+    throw std::invalid_argument("checkpoint_phase: every must be >= 1");
+  }
+  std::uint64_t hash = 0xCBF29CE484222325ull;  // FNV-1a 64 offset basis
+  for (const char c : key) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001B3ull;  // FNV-1a 64 prime
+  }
+  return static_cast<int>(hash % static_cast<std::uint64_t>(every));
+}
+
 const char* to_string(TenantState state) noexcept {
   switch (state) {
     case TenantState::kHealthy:
@@ -159,6 +171,7 @@ TenantSession::TenantSession(TenantConfig config, std::size_t ordinal,
       ordinal_(ordinal),
       session_(config_.backend) {
   validate_config(config_);
+  phase_ = checkpoint_phase(store_key(), config_.checkpoint_every);
   if (config_.what_if_slots > 0) {
     session_.enable_what_if(config_.what_if_slots);
   }
@@ -407,13 +420,19 @@ void TenantSession::commit_front_locked(int advanced,
   replay_.push_back(std::move(queue_.front()));
   queue_.pop_front();
   queued_slots_ -= static_cast<std::size_t>(advanced);
+  const std::uint64_t before = stats_.steps;
   stats_.steps += static_cast<std::uint64_t>(advanced);
   slots_since_checkpoint_ += advanced;
   fail_streak_ = 0;
   set_state_locked(stats_.degraded_to_dense ? TenantState::kDegraded
                                             : TenantState::kHealthy,
                    "TenantSession::commit_front_locked");
-  if (slots_since_checkpoint_ >= config_.checkpoint_every) {
+  // Seal when this commit reaches or crosses one of the tenant's cadence
+  // slots (stats_.steps ≡ −phase mod every).  The cadence is a function of
+  // the absolute slot count, so off-cadence seals do not shift it.
+  const auto every = static_cast<std::uint64_t>(config_.checkpoint_every);
+  const auto phase = static_cast<std::uint64_t>(phase_);
+  if ((before + phase) / every != (stats_.steps + phase) / every) {
     checkpoint_locked(store);
   }
   RS_AUDIT(audit_invariants_locked("TenantSession::commit_front_locked"));
@@ -660,7 +679,9 @@ TenantStats TenantSession::stats() const {
   return stats_;
 }
 
-std::string TenantSession::store_key() const { return config_.name; }
+const std::string& TenantSession::store_key() const noexcept {
+  return config_.name;
+}
 
 std::size_t TenantSession::queue_depth() const {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -12,7 +12,13 @@
 //     anything reaches the session; a poisoned stream quarantines *this*
 //     tenant with a recorded reason instead of crashing the process;
 //   * checkpoint-backed self-healing — step() snapshots into the
-//     CheckpointStore every `checkpoint_every` slots; on a backend failure
+//     CheckpointStore every `checkpoint_every` slots, on the slots where
+//     (steps + phase) crosses a multiple of the cadence; the phase is
+//     checkpoint_phase(store_key()), so a fleet's seals spread evenly over
+//     the cadence's rounds instead of all landing on one, and a name seals
+//     on the same slots across add order, restore and process restart.
+//     The gap since the last seal therefore stays below
+//     `checkpoint_every` after every commit.  On a backend failure
 //     (injected via FaultSite::kFleetTick or real) it restores the latest
 //     good checkpoint, replays the gap from the replay buffer, and retries
 //     — decisions and corridor bounds stay bit-identical to an undisturbed
@@ -40,6 +46,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/checkpoint_store.hpp"
@@ -144,8 +151,12 @@ struct TenantConfig {
   /// Ingest bound, in slots (expanded runs count per slot).
   std::size_t queue_capacity = 1024;
   OverflowPolicy overflow = OverflowPolicy::kRejectNewest;
-  /// Slots between automatic snapshots (>= 1); also bounds the replay
-  /// buffer a recovery replays.
+  /// Slots between automatic snapshots (>= 1).  A tenant seals when its
+  /// decided-slot count crosses a multiple of this shifted by its phase,
+  /// checkpoint_phase(name, checkpoint_every); runs and off-cadence seals
+  /// do not move that grid.  The replay buffer a recovery replays stays
+  /// below this many slots, so a recovery plus the retried run decides at
+  /// most `checkpoint_every + run − 1` slots.
   int checkpoint_every = 16;
   /// Consecutive failed attempts on one slot before the dense rung (>= 1).
   int degrade_after = 2;
@@ -178,6 +189,12 @@ struct TenantStats {
   std::string quarantine_reason;  // empty unless quarantined
   double last_step_seconds = 0.0;
 };
+
+/// A tenant's checkpoint cadence phase in [0, every): FNV-1a 64 of its
+/// store key, mod `every` (>= 1; throws std::invalid_argument otherwise).
+/// The phase depends on the key alone, so a tenant seals on the same
+/// slots whatever its ordinal, and across resume and process restart.
+int checkpoint_phase(std::string_view key, int every);
 
 /// Decoded form of the sealed tenant checkpoint (kTenantCheckpointKind):
 /// the slot count and degradation flag wrap the nested session snapshot.
@@ -270,7 +287,7 @@ class TenantSession {
   TenantStats stats() const;
   std::size_t ordinal() const noexcept { return ordinal_; }
   const TenantConfig& config() const noexcept { return config_; }
-  std::string store_key() const;
+  const std::string& store_key() const noexcept;
   std::size_t queue_depth() const;  // undecided slots
   std::uint64_t steps() const;      // decided slots
 
@@ -359,9 +376,12 @@ class TenantSession {
   std::vector<int> upper_;
 
   // Entries committed since the last checkpoint, in order — the gap a
-  // recovery replays.  Bounded by the checkpoint cadence.
-  std::deque<QueueEntry> replay_;
+  // recovery replays.  Bounded by the checkpoint cadence; a vector, so the
+  // clear() at each seal keeps its capacity and commits stop allocating.
+  std::vector<QueueEntry> replay_;
   int slots_since_checkpoint_ = 0;
+  // checkpoint_phase(store_key(), config_.checkpoint_every).
+  int phase_ = 0;
 
   // Per-slot decision scratch (reused across steps).
   std::vector<int> decisions_scratch_;

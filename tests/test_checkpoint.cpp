@@ -1,5 +1,7 @@
-// Crash-safe checkpoint/restore tests: container-level rejection of every
-// malformed input (truncation, bit flips, wrong kind, trailing bytes), and
+// Crash-safe checkpoint/restore tests: the CRC-32 against a byte-wise
+// reference and golden hashes that pin the sealed formats byte for byte,
+// container-level rejection of every malformed input (truncation, bit
+// flips, wrong kind, trailing bytes), the store under concurrent puts, and
 // the kill-and-resume property — a session snapshotted at any slot t,
 // destroyed, and restored continues bitwise-identically (schedule, corridor
 // bounds, cost) to the uninterrupted run, on both backends, including
@@ -17,6 +19,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "core/cost_function.hpp"
 #include "core/problem.hpp"
 #include "core/schedule.hpp"
+#include "fleet/tenant.hpp"
 #include "offline/work_function.hpp"
 #include "online/lcp.hpp"
 #include "scenario/trace_zoo.hpp"
@@ -69,6 +73,108 @@ Problem table_problem(int m, double beta, int horizon, std::uint64_t seed) {
   rs::util::Rng rng(seed);
   return rs::workload::random_instance(
       rng, rs::workload::InstanceFamily::kConvexTable, horizon, m, beta);
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32 and format pins
+// ---------------------------------------------------------------------------
+
+// The textbook bit-serial-table CRC-32 (reflected 0xEDB88320), one byte
+// per step: the reference the library's sliced CRC must match.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> bytes) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : bytes) {
+    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
+TEST(Crc32, StandardCheckValue) {
+  const std::string check = "123456789";
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
+  EXPECT_EQ(rs::core::crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(rs::core::crc32({}), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  rs::util::Rng rng(0xC4C32ull);
+  std::vector<std::uint8_t> buffer(300 + 8);
+  for (std::uint8_t& byte : buffer) {
+    byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  }
+  const std::span<const std::uint8_t> all(buffer);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
+      const std::span<const std::uint8_t> slice = all.subspan(offset, length);
+      ASSERT_EQ(rs::core::crc32(slice), crc32_bytewise(slice))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+// Integer-valued hinge costs keep every label exact in double, so the
+// sealed bytes below are the same on any conforming platform.
+rs::core::CostPtr integer_hinge(int t) {
+  return std::make_shared<rs::core::AffineAbsCost>(
+      1.0 + static_cast<double>(t % 3), static_cast<double>((5 * t + 2) % 9),
+      static_cast<double>(t % 2));
+}
+
+// FNV-1a 64 of each checkpoint kind's bytes after 24 slots, recorded
+// before the sliced CRC replaced the byte-wise one: the payload layout and
+// the header (CRC included) must not move by a single byte.
+TEST(CheckpointFormat, GoldenBytesOfTrackerLcpAndTenantSeals) {
+  constexpr int kM = 8;
+  constexpr double kBeta = 2.0;
+  constexpr int kSlots = 24;
+
+  WorkFunctionTracker pwl(kM, kBeta, Backend::kPwl);
+  WorkFunctionTracker dense(kM, kBeta, Backend::kDense);
+  Lcp lcp(Backend::kAuto);
+  lcp.reset(OnlineContext{kM, kBeta});
+  rs::fleet::TenantConfig config;
+  config.name = "golden";
+  config.m = kM;
+  config.beta = kBeta;
+  config.cost_of = [](double lambda) {
+    return integer_hinge(static_cast<int>(lambda));
+  };
+  rs::fleet::TenantSession tenant(config, 0);
+  rs::core::CheckpointStore store;
+  for (int t = 1; t <= kSlots; ++t) {
+    const rs::core::CostPtr f = integer_hinge(t);
+    pwl.advance(*f);
+    dense.advance(*f);
+    lcp.decide(f, {});
+    ASSERT_TRUE(tenant.offer(static_cast<double>(t)));
+    ASSERT_EQ(tenant.step(store), 1);
+  }
+  const std::vector<std::uint8_t> tracker_pwl = pwl.snapshot();
+  const std::vector<std::uint8_t> tracker_dense = dense.snapshot();
+  const std::vector<std::uint8_t> session = lcp.snapshot();
+  const std::vector<std::uint8_t> sealed = tenant.snapshot_bytes();
+  EXPECT_EQ(fnv1a64(tracker_pwl), 0x5C61B312588D3498ull);
+  EXPECT_EQ(fnv1a64(tracker_dense), 0xBD16F73302D5F273ull);
+  EXPECT_EQ(fnv1a64(session), 0xC0FB11EC7CF66F13ull);
+  EXPECT_EQ(fnv1a64(sealed), 0xBFAF9AF37A886E48ull);
 }
 
 // ---------------------------------------------------------------------------
@@ -245,6 +351,53 @@ TEST(CheckpointStore, MemoryRoundTripAndReplace) {
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(store.latest("a"), second);
   EXPECT_EQ(store.path_of("a"), "");  // memory-only
+}
+
+// Four threads put on one shared key and on a key of their own while
+// reading both back: every latest() is exactly one of the envelopes put
+// under that key, and each own key ends on its thread's last put.
+TEST(CheckpointStore, ConcurrentPutsKeepWholeEnvelopes) {
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint32_t kPuts = 200;
+  rs::core::CheckpointStore store;
+  const auto envelope = [](std::uint32_t thread, std::uint32_t i) {
+    return sealed_payload(rs::core::kTenantCheckpointKind,
+                          thread * kPuts + i);
+  };
+  // The value an envelope of this test carries, or kPuts * kThreads when
+  // it is none of them.
+  const auto value_of = [&](const std::vector<std::uint8_t>& bytes) {
+    CheckpointReader reader(bytes, rs::core::kTenantCheckpointKind);
+    const std::uint32_t v = reader.u32();
+    reader.finish();
+    return bytes == envelope(v / kPuts, v % kPuts) ? v : kThreads * kPuts;
+  };
+  std::vector<std::uint32_t> bad_reads(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::uint32_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      const std::string own = "own-" + std::to_string(k);
+      for (std::uint32_t i = 0; i < kPuts; ++i) {
+        store.put("shared", envelope(k, i));
+        store.put(own, envelope(k, i));
+        const auto shared = store.latest("shared");
+        if (!shared || value_of(*shared) >= kThreads * kPuts) ++bad_reads[k];
+        if (store.latest(own) != envelope(k, i)) ++bad_reads[k];
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::uint32_t k = 0; k < kThreads; ++k) {
+    EXPECT_EQ(bad_reads[k], 0u) << "thread " << k;
+    EXPECT_EQ(store.latest("own-" + std::to_string(k)),
+              envelope(k, kPuts - 1));
+  }
+  const auto shared = store.latest("shared");
+  ASSERT_TRUE(shared.has_value());
+  const std::uint32_t last = value_of(*shared);
+  ASSERT_LT(last, kThreads * kPuts);
+  EXPECT_EQ(last % kPuts, kPuts - 1);  // some thread's final put won
+  EXPECT_EQ(store.size(), kThreads + 1);
 }
 
 TEST(CheckpointStore, RejectsGarbageAndEmptyKeyAtPut) {

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -342,11 +343,21 @@ TEST(FleetTenant, CheckpointCadenceSealsDecodableSnapshots) {
   for (double lambda : integer_trace(8, 10, 77)) fleet.offer(ordinal, lambda);
   fleet.run_until_drained();
 
-  // 10 slots at cadence 4 → snapshots at slots 4 and 8.
-  EXPECT_EQ(fleet.tenant(ordinal).stats().checkpoints, 2u);
+  // 10 slots at cadence 4 → a snapshot at every slot s with
+  // (s + phase) % 4 == 0.
+  const int phase = rs::fleet::checkpoint_phase("cadence", 4);
+  std::uint64_t seals = 0;
+  std::uint64_t last_seal = 0;
+  for (std::uint64_t s = 1; s <= 10; ++s) {
+    if ((s + static_cast<std::uint64_t>(phase)) % 4 == 0) {
+      ++seals;
+      last_seal = s;
+    }
+  }
+  EXPECT_EQ(fleet.tenant(ordinal).stats().checkpoints, seals);
   const auto at_cadence = fleet.store().latest("cadence");
   ASSERT_TRUE(at_cadence.has_value());
-  EXPECT_EQ(TenantSession::decode_checkpoint(*at_cadence).steps, 8u);
+  EXPECT_EQ(TenantSession::decode_checkpoint(*at_cadence).steps, last_seal);
 
   // checkpoint_all flushes the off-cadence tail.
   fleet.checkpoint_all();
@@ -358,6 +369,220 @@ TEST(FleetTenant, CheckpointCadenceSealsDecodableSnapshots) {
   EXPECT_FALSE(decoded.degraded);
   EXPECT_TRUE(has_event(fleet.events(), ordinal,
                         FleetEventKind::kCheckpointed));
+}
+
+// Slots at which each tenant sealed, by name, from the kCheckpointed events.
+std::map<std::string, std::vector<std::uint64_t>> seal_slots(
+    const FleetController& fleet) {
+  std::map<std::string, std::vector<std::uint64_t>> out;
+  for (const FleetEvent& e : fleet.events()) {
+    if (e.kind == FleetEventKind::kCheckpointed) {
+      out[fleet.tenant(e.tenant).config().name].push_back(e.slot);
+    }
+  }
+  return out;
+}
+
+// The cadence slots of `name` in (from, to]: (s + phase) % every == 0.
+std::vector<std::uint64_t> cadence_slots(const std::string& name, int every,
+                                         std::uint64_t from,
+                                         std::uint64_t to) {
+  const auto phase =
+      static_cast<std::uint64_t>(rs::fleet::checkpoint_phase(name, every));
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t s = from + 1; s <= to; ++s) {
+    if ((s + phase) % static_cast<std::uint64_t>(every) == 0) out.push_back(s);
+  }
+  return out;
+}
+
+TEST(FleetTenant, CheckpointPhaseIsFnv1aOfTheKey) {
+  // FNV-1a 64 test vectors ("" → cbf29ce484222325, "a" → af63dc4c8601ec8c,
+  // "foobar" → 85944171f73967e8), reduced mod 2^31 − 1 and mod 16.
+  constexpr int kLarge = 2147483647;
+  EXPECT_EQ(rs::fleet::checkpoint_phase("", kLarge), 470244593);
+  EXPECT_EQ(rs::fleet::checkpoint_phase("a", kLarge), 1690936615);
+  EXPECT_EQ(rs::fleet::checkpoint_phase("foobar", kLarge), 39971534);
+  EXPECT_EQ(rs::fleet::checkpoint_phase("", 16), 5);
+  EXPECT_EQ(rs::fleet::checkpoint_phase("a", 16), 12);
+  EXPECT_EQ(rs::fleet::checkpoint_phase("anything", 1), 0);
+  std::set<int> phases;
+  for (int i = 0; i < 64; ++i) {
+    const int phase =
+        rs::fleet::checkpoint_phase("tenant-" + std::to_string(i), 16);
+    EXPECT_GE(phase, 0);
+    EXPECT_LT(phase, 16);
+    phases.insert(phase);
+  }
+  // 64 keys cover most of the 16 phases, so seals spread over the rounds.
+  EXPECT_GE(phases.size(), 12u);
+  EXPECT_THROW(rs::fleet::checkpoint_phase("k", 0), std::invalid_argument);
+}
+
+TEST(FleetTenant, CadencePhaseFollowsTheNameAcrossAddOrderAndRestart) {
+  const int kEvery = 4;
+  const int kSlots = 24;
+  const int kBefore = 10;
+  const std::vector<std::string> names = {"north", "south", "east", "west",
+                                          "cadence"};
+  std::set<int> phases;
+  for (const std::string& name : names) {
+    phases.insert(rs::fleet::checkpoint_phase(name, kEvery));
+  }
+  ASSERT_GT(phases.size(), 1u);  // the roster does spread over the cadence
+  std::map<std::string, std::vector<double>> traces;
+  for (std::size_t k = 0; k < names.size(); ++k) {
+    traces[names[k]] = integer_trace(8, kSlots, 500 + k);
+  }
+  const auto add_all = [&](FleetController& fleet, bool reversed) {
+    for (std::size_t k = 0; k < names.size(); ++k) {
+      TenantConfig config =
+          basic_config(names[reversed ? names.size() - 1 - k : k], 8);
+      config.checkpoint_every = kEvery;
+      fleet.add_tenant(config);
+    }
+  };
+  const auto serve = [&](FleetController& fleet, int from, int to) {
+    for (int t = from; t < to; ++t) {
+      for (std::size_t i = 0; i < fleet.tenant_count(); ++i) {
+        const std::string& name = fleet.tenant(i).config().name;
+        fleet.offer(i, traces[name][static_cast<std::size_t>(t)]);
+      }
+    }
+    fleet.run_until_drained();
+  };
+
+  FleetController forward;
+  add_all(forward, false);
+  serve(forward, 0, kSlots);
+  FleetController backward;
+  add_all(backward, true);
+  serve(backward, 0, kSlots);
+  const auto forward_seals = seal_slots(forward);
+  EXPECT_EQ(seal_slots(backward), forward_seals);
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const auto it = forward_seals.find(name);
+    ASSERT_NE(it, forward_seals.end());
+    EXPECT_EQ(it->second, cadence_slots(name, kEvery, 0, kSlots));
+  }
+
+  // Restart: one process serves the head and flushes an off-cadence seal;
+  // a second, adding the tenants in the other order, resumes and keeps
+  // sealing on the same slots as the uninterrupted run.
+  const std::string dir = ::testing::TempDir() + "/rs_fleet_phase_restart";
+  std::filesystem::remove_all(dir);
+  FleetOptions options;
+  options.checkpoint_dir = dir;
+  {
+    FleetController first(options);
+    add_all(first, true);
+    serve(first, 0, kBefore);
+    first.checkpoint_all();
+    const auto head = seal_slots(first);
+    for (const std::string& name : names) {
+      SCOPED_TRACE(name);
+      std::vector<std::uint64_t> expected =
+          cadence_slots(name, kEvery, 0, kBefore);
+      expected.push_back(kBefore);  // the flush
+      ASSERT_NE(head.find(name), head.end());
+      EXPECT_EQ(head.at(name), expected);
+    }
+  }
+  FleetController second(options);
+  add_all(second, false);
+  for (std::size_t i = 0; i < second.tenant_count(); ++i) {
+    ASSERT_EQ(second.tenant(i).steps(), static_cast<std::uint64_t>(kBefore));
+  }
+  serve(second, kBefore, kSlots);
+  const auto tail = seal_slots(second);
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const std::vector<std::uint64_t> expected =
+        cadence_slots(name, kEvery, kBefore, kSlots);
+    const auto it = tail.find(name);
+    EXPECT_EQ(it == tail.end() ? std::vector<std::uint64_t>{} : it->second,
+              expected);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A recovery replays the gap since the last seal and then retries the
+// failed run.  With the cadence grid fixed by the phase, RLE runs that
+// cross it and off-cadence seals (checkpoint_all, the degrade seal) that
+// do not move it, the gap stays below checkpoint_every, so one recovery
+// decides at most checkpoint_every + run − 1 slots — and the schedule
+// stays bitwise equal to an undisturbed run.
+TEST(FleetTenant, RecoveryReplayIsBoundedByCadenceWithRunsAndOffCadenceSeals) {
+  const int kEvery = 5;
+  std::vector<std::pair<double, int>> runs;
+  rs::util::Rng rng(0x9A9ull);
+  for (int i = 0; i < 40; ++i) {
+    runs.emplace_back(static_cast<double>(rng.uniform_int(0, 8)),
+                      static_cast<int>(rng.uniform_int(1, 7)));
+  }
+  // Run length by the slot count before it.
+  std::map<std::uint64_t, int> run_at;
+  std::uint64_t total = 0;
+  for (const auto& [lambda, count] : runs) {
+    run_at[total] = count;
+    total += static_cast<std::uint64_t>(count);
+  }
+
+  const auto serve = [&](FleetController& fleet, bool faults) {
+    TenantConfig config = basic_config("gap", 8);
+    config.checkpoint_every = kEvery;
+    config.queue_capacity = total;
+    config.degrade_after = 1;
+    config.max_recoveries = 64;
+    fleet.add_tenant(config);
+    for (const auto& [lambda, count] : runs) {
+      ASSERT_TRUE(fleet.offer_run(0, lambda, count));
+    }
+    std::optional<ScopedFaultInjection> guard;
+    if (faults) {
+      guard.emplace(rs::scenario::make_injector(
+          FaultPlan{base_seed(), 2, PoisonKind::kNaN}));
+    }
+    for (int tick = 1; fleet.tenant(0).due(); ++tick) {
+      fleet.tick();
+      if (faults && tick % 3 == 0) fleet.checkpoint_all();
+    }
+  };
+  FleetController reference;
+  serve(reference, false);
+  FleetController fleet;
+  serve(fleet, true);
+
+  const TenantSession& tenant = fleet.tenant(0);
+  EXPECT_EQ(tenant.steps(), total);
+  EXPECT_EQ(tenant.schedule(), reference.tenant(0).schedule());
+  EXPECT_EQ(tenant.lower_bounds(), reference.tenant(0).lower_bounds());
+  EXPECT_EQ(tenant.upper_bounds(), reference.tenant(0).upper_bounds());
+  ASSERT_GT(tenant.stats().recoveries, 0u);
+  EXPECT_TRUE(tenant.stats().degraded_to_dense);
+
+  const auto phase =
+      static_cast<std::uint64_t>(rs::fleet::checkpoint_phase("gap", kEvery));
+  bool off_cadence_seal = false;
+  std::uint64_t recoveries = 0;
+  for (const FleetEvent& e : fleet.events()) {
+    if (e.kind == FleetEventKind::kCheckpointed &&
+        (e.slot + phase) % kEvery != 0) {
+      off_cadence_seal = true;
+    }
+    if (e.kind != FleetEventKind::kRecovered) continue;
+    ++recoveries;
+    const std::string prefix = "replayed ";
+    ASSERT_EQ(e.detail.rfind(prefix, 0), 0u) << e.detail;
+    const int replayed = std::stoi(e.detail.substr(prefix.size()));
+    ASSERT_EQ(run_at.count(e.slot), 1u) << "slot " << e.slot;
+    const int run = run_at.at(e.slot);
+    EXPECT_LT(replayed, kEvery) << "slot " << e.slot;
+    EXPECT_LE(replayed + run, kEvery + run - 1) << "slot " << e.slot;
+  }
+  EXPECT_TRUE(off_cadence_seal);
+  EXPECT_EQ(recoveries, tenant.stats().recoveries);
 }
 
 TEST(FleetTenant, RleRunsMatchPerSlotOffers) {
