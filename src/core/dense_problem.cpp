@@ -37,37 +37,50 @@ std::int32_t row_largest_minimizer(std::span<const double> row) {
 
 DenseProblem::DenseProblem(const Problem& p, Mode /*mode*/,
                            MinimizerCache minimizers)
+    : DenseProblem(p, Unfilled{}, minimizers) {
+  const std::size_t rows = static_cast<std::size_t>(T_);
+  if (values_.size() >= kParallelThreshold && rows > 1) {
+    rs::util::global_pool().parallel_for(
+        0, rows, [this, &p](std::size_t i) { fill_rows(p, i, i + 1); });
+  } else {
+    fill_rows(p, 0, rows);
+  }
+  seal();
+}
+
+DenseProblem::DenseProblem(const Problem& p, Unfilled,
+                           MinimizerCache minimizers)
     : T_(p.horizon()),
       m_(p.max_servers()),
       beta_(p.beta()),
-      stride_(static_cast<std::size_t>(m_) + 1) {
-  values_.resize(static_cast<std::size_t>(T_) * stride_);
-  min_small_.assign(static_cast<std::size_t>(T_), -1);
-  min_large_.assign(static_cast<std::size_t>(T_), -1);
-  if (T_ == 0) return;
+      stride_(static_cast<std::size_t>(m_) + 1),
+      precompute_minimizers_(minimizers == MinimizerCache::kPrecompute) {
+  const std::size_t rows = static_cast<std::size_t>(T_);
+  values_.resize(rows * stride_);
+  min_small_.assign(rows, -1);
+  min_large_.assign(rows, -1);
+  nan_rows_.assign(rows, 0);
+}
 
+void DenseProblem::fill_rows(const Problem& p, std::size_t first,
+                             std::size_t last) {
+  assert(last <= nan_rows_.size());
   // Each row is scanned for NaN while it is cache-hot; rows may fill in
-  // parallel, so the flags are per row and reduced afterwards.  With
+  // parallel, so the flags are per row and seal() reduces them.  With
   // kPrecompute the minimizer caches are filled here too, so the table is
-  // fully immutable afterwards; kOnDemand defers them to the first query.
-  std::vector<std::uint8_t> nan_rows(static_cast<std::size_t>(T_), 0);
-  const bool precompute = minimizers == MinimizerCache::kPrecompute;
-  const auto build_row = [this, &p, &nan_rows, precompute](std::size_t i) {
+  // fully immutable once sealed; kOnDemand defers them to the first query.
+  for (std::size_t i = first; i < last; ++i) {
     const std::span<double> out{values_.data() + i * stride_, stride_};
     p.f(static_cast<int>(i) + 1).eval_row(m_, out);
-    nan_rows[i] = rs::util::any_nan(out) ? 1 : 0;
-    if (precompute) ensure_minimizers(static_cast<int>(i) + 1);
-  };
-  if (values_.size() >= kParallelThreshold && T_ > 1) {
-    rs::util::global_pool().parallel_for(0, static_cast<std::size_t>(T_),
-                                         build_row);
-  } else {
-    for (std::size_t i = 0; i < static_cast<std::size_t>(T_); ++i) {
-      build_row(i);
-    }
+    nan_rows_[i] = rs::util::any_nan(out) ? 1 : 0;
+    if (precompute_minimizers_) ensure_minimizers(static_cast<int>(i) + 1);
   }
-  for (const std::uint8_t nan : nan_rows) has_nan_ = has_nan_ || nan != 0;
-  RS_AUDIT(audit_rows("DenseProblem::DenseProblem"));
+}
+
+void DenseProblem::seal() {
+  for (const std::uint8_t nan : nan_rows_) has_nan_ = has_nan_ || nan != 0;
+  nan_rows_ = {};
+  RS_AUDIT(audit_rows("DenseProblem::seal"));
 }
 
 void DenseProblem::audit_rows(const char* site) const {

@@ -10,12 +10,15 @@
 // and hands out contiguous spans, turning the solvers into pure
 // memory-bandwidth loops.
 //
-// Every row is filled at construction (parallelized over
+// The eager constructor fills every row (parallelized over
 // util::global_pool for large instances), so the table is immutable
-// afterwards and safe to share across threads.  NaN values are kept, not
-// rejected: has_nan() records at construction whether any row holds one,
-// so the dense solvers can surface a poisoned instance without scanning
-// rows in their inner loops.
+// afterwards and safe to share across threads.  A caller that fills many
+// tables on its own executor (the batch engine) allocates them unfilled
+// instead, fills disjoint row ranges with fill_rows on any threads, and
+// seals each table before sharing it; both paths run the same row fill.
+// NaN values are kept, not rejected: has_nan() records whether any row
+// holds one, so the dense solvers can surface a poisoned instance without
+// scanning rows in their inner loops.
 //
 // Bounds checks are debug assertions here (the Problem API keeps its
 // throwing checks); callers cross the boundary once, not per point.
@@ -47,6 +50,23 @@ class DenseProblem {
 
   explicit DenseProblem(const Problem& p, Mode mode = Mode::kEager,
                         MinimizerCache minimizers = MinimizerCache::kPrecompute);
+
+  /// Tag for the two-phase construction below.
+  struct Unfilled {};
+
+  /// Allocates p's T×(m+1) table without evaluating a row.  Fill rows
+  /// [0, T) exactly once with fill_rows, then call seal() before any read.
+  DenseProblem(const Problem& p, Unfilled, MinimizerCache minimizers);
+
+  /// Evaluates rows first..last-1 (0-based, slots first+1..last) of p, the
+  /// Problem this table was allocated for.  Calls on disjoint ranges may
+  /// run concurrently; a throwing cost function propagates and leaves the
+  /// table unusable.
+  void fill_rows(const Problem& p, std::size_t first, std::size_t last);
+
+  /// Completes a filled table: reduces the per-row NaN flags into
+  /// has_nan().  Call once, after every fill_rows call has returned.
+  void seal();
 
   int horizon() const noexcept { return T_; }
   int max_servers() const noexcept { return m_; }
@@ -105,6 +125,8 @@ class DenseProblem {
   std::size_t stride_;          // m + 1
   std::vector<double> values_;  // T x (m+1), row-major
   bool has_nan_ = false;
+  bool precompute_minimizers_ = false;
+  std::vector<std::uint8_t> nan_rows_;  // per-row flags until seal()
   mutable std::vector<std::int32_t> min_small_;
   mutable std::vector<std::int32_t> min_large_;
 };

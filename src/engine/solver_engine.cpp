@@ -1,5 +1,7 @@
 #include "engine/solver_engine.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <mutex>
 #include <optional>
@@ -38,6 +40,10 @@ const char* to_string(SolveStatus status) noexcept {
 }
 
 namespace {
+
+// Rows per table-fill task: small enough that a batch of many small tables
+// still spreads across the workers, large enough to amortize the dispatch.
+constexpr std::size_t kFillRows = 8;
 
 // One shared delta session per distinct instance with kDeltaResolve jobs.
 // The mutex guards only the lazy base solve, which happens inside the first
@@ -337,14 +343,23 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
       }
     }
 
-    // One-shot dense materialization per distinct Problem that still needs
-    // rows.  Tables are eager (immutable after construction), so sharing
-    // them across the batch's worker threads is safe.  Materialization
-    // happens up front on the calling thread; the eager constructor
-    // parallelizes internally over the global pool for large instances.
+    // One shared table per distinct Problem that still needs rows, filled
+    // on the engine's own executor (its pool, the global pool, or inline
+    // for threads = 1).  The calling thread allocates every table first, so
+    // the tables land in its malloc arena rather than in per-worker ones;
+    // then one dispatch fills all of them in kFillRows-row chunks, and each
+    // table is sealed (its per-row NaN flags reduced) before any job reads
+    // it.  Sealed tables are immutable, so sharing them across the batch's
+    // workers is safe.  Rows only: the batch kinds never query the
+    // minimizer caches, and skipping them trims two O(m) scans per row.
+    // A build fault (throwing cost function, failed allocation) fails only
+    // its own table: that instance's jobs stream from the Problem, where
+    // the per-job isolation classifies the error.
     std::vector<std::shared_ptr<const DenseProblem>> dense_of(jobs.size());
-    std::unordered_map<const Problem*, std::shared_ptr<const DenseProblem>>
-        cache;
+    constexpr std::size_t kNoTable = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> table_of(jobs.size(), kNoTable);
+    std::unordered_map<const Problem*, std::size_t> table_index;
+    std::vector<const Problem*> table_problems;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const SolveJob& job = jobs[i];
       if (job.kind == SolverKind::kDeltaResolve) continue;
@@ -356,24 +371,57 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
       // its O(m + T) memory contract streams the Problem instead.
       if (job.kind == SolverKind::kLowMemory) continue;
       if (pwl_of[i]) continue;  // served without rows
-      auto [it, inserted] = cache.try_emplace(job.problem, nullptr);
-      if (inserted) {
-        // Rows only: the batch kinds never query the minimizer caches, and
-        // skipping them trims two O(m) scans per row off materialization.
-        // A materialization fault (throwing cost function) leaves the
-        // instance's jobs streaming from the Problem, where the per-job
-        // isolation classifies the error.
-        try {
-          it->second = std::make_shared<DenseProblem>(
-              *job.problem, DenseProblem::Mode::kEager,
-              DenseProblem::MinimizerCache::kOnDemand);
-          ++stats.dense_tables_built;
-        } catch (...) {  // rs-lint: catch-all-ok (shared-table build: a
-                         // failure falls back to per-job isolation)
-          it->second = nullptr;
-        }
+      const auto [it, inserted] =
+          table_index.try_emplace(job.problem, table_problems.size());
+      if (inserted) table_problems.push_back(job.problem);
+      table_of[i] = it->second;
+    }
+    const std::size_t table_count = table_problems.size();
+    std::vector<std::shared_ptr<DenseProblem>> tables(table_count);
+    std::vector<std::atomic<bool>> table_failed(table_count);
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;  // (table, row)
+    for (std::size_t k = 0; k < table_count; ++k) {
+      try {
+        tables[k] = std::make_shared<DenseProblem>(
+            *table_problems[k], DenseProblem::Unfilled{},
+            DenseProblem::MinimizerCache::kOnDemand);
+      } catch (...) {  // rs-lint: catch-all-ok (allocation failure: the
+                       // instance's jobs stream and classify their own)
+        continue;
       }
-      dense_of[i] = it->second;
+      const auto rows = static_cast<std::size_t>(tables[k]->horizon());
+      for (std::size_t row = 0; row < rows; row += kFillRows) {
+        chunks.emplace_back(k, row);
+      }
+    }
+    dispatch(chunks.size(), [&](std::size_t c) {
+      const auto [k, first] = chunks[c];
+      if (table_failed[k].load()) return;
+      const Problem& problem = *table_problems[k];
+      const std::size_t last = std::min(
+          first + kFillRows, static_cast<std::size_t>(problem.horizon()));
+      try {
+        tables[k]->fill_rows(problem, first, last);
+      } catch (...) {  // rs-lint: catch-all-ok (fails this table only; its
+                       // jobs re-hit and classify the error)
+        table_failed[k].store(true);
+      }
+    });
+    for (std::size_t k = 0; k < table_count; ++k) {
+      if (tables[k] == nullptr || table_failed[k].load()) {
+        tables[k] = nullptr;
+        continue;
+      }
+      try {
+        tables[k]->seal();
+        ++stats.dense_tables_built;
+      } catch (...) {  // rs-lint: catch-all-ok (audit failure: the
+                       // instance's jobs stream and classify their own)
+        tables[k] = nullptr;
+      }
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (table_of[i] != kNoTable) dense_of[i] = tables[table_of[i]];
     }
 
     std::mutex stats_mutex;

@@ -6,9 +6,10 @@
 // overhead, not single-solve asymptotics.  SolverEngine batches them:
 //
 //   * jobs are (instance, solver kind) pairs submitted N at a time;
-//   * each distinct Problem is materialized into one shared eager
-//     DenseProblem (immutable, thread-safe), so K jobs on the same
-//     instance evaluate its cost rows once instead of K times;
+//   * each distinct Problem is materialized into one shared DenseProblem
+//     (immutable once sealed, thread-safe), so K jobs on the same instance
+//     evaluate its cost rows once instead of K times; the rows are filled
+//     in chunks on the same executor the jobs run on;
 //   * jobs run with dynamic scheduling across a ThreadPool (the global
 //     pool, a dedicated pool, or inline for threads = 1), and every solver
 //     draws its scratch from the per-thread workspace arenas
@@ -166,8 +167,9 @@ class SolverEngine {
  public:
   struct Options {
     /// 0 = share the process-wide pool; 1 = run inline on the calling
-    /// thread (deterministic, no cross-thread handoff); N > 1 = dedicated
-    /// pool with N workers owned by this engine.
+    /// thread (deterministic, no cross-thread handoff — shared tables are
+    /// filled inline too); N > 1 = dedicated pool with N workers owned by
+    /// this engine.  Jobs and table fills run on the same executor.
     std::size_t threads = 0;
   };
 

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -181,6 +183,49 @@ TEST(DenseProblem, EdgeCases) {
   EXPECT_TRUE(std::isinf(rs::offline::DpSolver().solve(dense_inf).cost));
   EXPECT_EQ(dense_inf.smallest_minimizer(2), 0);
   EXPECT_EQ(dense_inf.largest_minimizer(2), 2);
+}
+
+TEST(DenseProblem, TwoPhaseFillOnWorkersMatchesEager) {
+  // An unfilled table whose rows are filled in uneven chunks, out of order
+  // and on pool workers, then sealed, equals the eager table bit for bit:
+  // rows, minimizer caches and the NaN flag.
+  rs::util::Rng rng(17);
+  const Problem clean = rs::workload::random_instance(
+      rng, rs::workload::InstanceFamily::kConvexTable, 29, 11, 2.0);
+  std::vector<std::vector<double>> rows;
+  for (int t = 1; t <= clean.horizon(); ++t) {
+    rows.push_back(row_by_at(clean.f(t), clean.max_servers()));
+  }
+  std::vector<std::vector<double>> poisoned_rows = rows;
+  poisoned_rows[23][4] = std::numeric_limits<double>::quiet_NaN();
+  const Problem poisoned =
+      rs::core::make_table_problem(clean.max_servers(), 2.0, poisoned_rows);
+
+  rs::util::ThreadPool pool(3);
+  constexpr std::size_t kChunk = 4;
+  for (const Problem* p : {&clean, &poisoned}) {
+    const DenseProblem eager(*p);
+    DenseProblem filled(*p, DenseProblem::Unfilled{},
+                        DenseProblem::MinimizerCache::kPrecompute);
+    const std::size_t rows_total = static_cast<std::size_t>(p->horizon());
+    const std::size_t chunks = (rows_total + kChunk - 1) / kChunk;
+    pool.parallel_for_dynamic(0, chunks, [&](std::size_t c) {
+      const std::size_t first = (chunks - 1 - c) * kChunk;
+      filled.fill_rows(*p, first, std::min(first + kChunk, rows_total));
+    });
+    filled.seal();
+    EXPECT_EQ(filled.has_nan(), p == &poisoned);
+    EXPECT_EQ(filled.has_nan(), eager.has_nan());
+    for (int t = 1; t <= p->horizon(); ++t) {
+      const std::span<const double> a = filled.row(t);
+      const std::span<const double> b = eager.row(t);
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
+          << "row " << t;
+      EXPECT_EQ(filled.smallest_minimizer(t), eager.smallest_minimizer(t));
+      EXPECT_EQ(filled.largest_minimizer(t), eager.largest_minimizer(t));
+    }
+  }
 }
 
 // --- solver equivalence ------------------------------------------------------

@@ -271,6 +271,73 @@ TEST(SolverEngine, HandlesEdgeInstances) {
   EXPECT_EQ(batch.outcomes[2].schedule, Schedule({0, 0}));
 }
 
+TEST(SolverEngine, LowMemoryStreamsMixedFormInstances) {
+  // Instances whose leading slots have compact convex-PWL forms
+  // (AffineAbsCost) but whose later slots are opaque M/M/1 restricted
+  // costs: no compact form overall, so the batch builds each a shared
+  // table.  kLowMemory must not read it and must equal the streamed
+  // LowMemorySolver solo solve bitwise.  The streamed solve runs PWL labels
+  // over the leading slots and the table-fed one runs dense labels
+  // throughout; on seeds 21, 78, 86 and 168 their costs differ in the last
+  // bits, so a batch that fed kLowMemory the table would fail here.
+  std::vector<Problem> instances;
+  for (const std::uint64_t seed : {0u, 21u, 78u, 86u, 168u}) {
+    rs::util::Rng rng(1000 + seed);
+    rs::dcsim::DataCenterModel model;
+    model.servers = 16 + 8 * static_cast<int>(seed % 4);
+    const rs::workload::Trace trace =
+        rs::workload::hotmail_like(rng, 1, 48, 0.6 * model.servers);
+    const Problem restricted =
+        rs::dcsim::restricted_datacenter_problem(model, trace);
+    const int leading = 4 + static_cast<int>(seed % 16);
+    std::vector<rs::core::CostPtr> fs;
+    for (int t = 1; t <= restricted.horizon(); ++t) {
+      if (t <= leading) {
+        const double slope = rng.uniform(0.001, 0.05);
+        const double center = rng.uniform(0.0, model.servers);
+        fs.push_back(std::make_shared<rs::core::AffineAbsCost>(
+            slope, center, rng.uniform(0.0, 0.1)));
+      } else {
+        fs.push_back(restricted.f_ptr(t));
+      }
+    }
+    instances.emplace_back(restricted.max_servers(), restricted.beta(),
+                           std::move(fs));
+    ASSERT_TRUE(instances.back().f(1).as_convex_pwl(model.servers));
+    ASSERT_FALSE(rs::core::admits_compact_pwl(instances.back()));
+  }
+
+  const auto expect_streamed = [&](const std::vector<SolveJob>& jobs,
+                                   const BatchResult& batch) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_TRUE(batch.outcomes[i].ok()) << batch.outcomes[i].error;
+      if (jobs[i].kind != SolverKind::kLowMemory) continue;
+      const rs::offline::OfflineResult streamed =
+          rs::offline::LowMemorySolver().solve(*jobs[i].problem);
+      EXPECT_EQ(batch.outcomes[i].cost, streamed.cost) << "job " << i;
+      EXPECT_EQ(batch.outcomes[i].schedule, streamed.schedule) << "job " << i;
+    }
+  };
+
+  const std::vector<SolveJob> mixed = fleet_jobs(instances);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(threads);
+    const BatchResult batch = SolverEngine({.threads = threads}).run(mixed);
+    EXPECT_EQ(batch.stats.dense_tables_built, instances.size());
+    EXPECT_EQ(batch.stats.pwl_backed, 0u);
+    expect_streamed(mixed, batch);
+  }
+
+  // A batch of only kLowMemory jobs keeps the O(m + T) contract: no table.
+  std::vector<SolveJob> low_memory_only;
+  for (const Problem& p : instances) {
+    low_memory_only.push_back(SolveJob{&p, nullptr, SolverKind::kLowMemory});
+  }
+  const BatchResult alone = SolverEngine({.threads = 2}).run(low_memory_only);
+  EXPECT_EQ(alone.stats.dense_tables_built, 0u);
+  expect_streamed(low_memory_only, alone);
+}
+
 // --- warm arenas -------------------------------------------------------------
 
 TEST(SolverEngine, SecondBatchRunsAllocationFree) {

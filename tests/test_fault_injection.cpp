@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -25,6 +26,7 @@
 #include "core/cost_function.hpp"
 #include "core/problem.hpp"
 #include "core/schedule.hpp"
+#include "dcsim/cost_model.hpp"
 #include "engine/solver_engine.hpp"
 #include "offline/backward_solver.hpp"
 #include "offline/binary_search_solver.hpp"
@@ -34,10 +36,13 @@
 #include "offline/graph_solver.hpp"
 #include "offline/low_memory_solver.hpp"
 #include "offline/work_function.hpp"
+#include "online/lcp.hpp"
+#include "online/online_algorithm.hpp"
 #include "scenario/fault_plan.hpp"
 #include "util/fault_injection.hpp"
 #include "util/math_util.hpp"
 #include "util/rng.hpp"
+#include "workload/generators.hpp"
 #include "workload/random_instance.hpp"
 
 namespace {
@@ -498,6 +503,120 @@ TEST(BatchIsolation, ThrowingJobLeavesRestValid) {
   EXPECT_EQ(bad.status, SolveStatus::kException);
   EXPECT_NE(bad.error.find("dependency crashed"), std::string::npos);
   EXPECT_EQ(result.stats.failed_jobs, 1u);
+}
+
+// Paper eq. 2 restricted-model instance with the M/M/1 delay cost: its
+// load curve is an opaque std::function, so the engine fills a shared table
+// for it on its workers.
+Problem restricted_problem(int servers, std::uint64_t seed) {
+  rs::util::Rng rng(seed);
+  rs::dcsim::DataCenterModel model;
+  model.servers = servers;
+  const rs::workload::Trace trace =
+      rs::workload::hotmail_like(rng, 1, 48, 0.6 * servers);
+  return rs::dcsim::restricted_datacenter_problem(model, trace);
+}
+
+TEST(BatchIsolation, PoisonedTablesFailAloneAtEveryThreadCount) {
+  // One throwing and one NaN-poisoned restricted instance among healthy
+  // ones, all needing shared tables.  A throw while a worker fills a table
+  // must fail that table only: its jobs stream and classify their own
+  // error, the NaN table is built and its jobs fail kInvalidInput, and
+  // every sibling matches its solo solve — whatever the thread count.
+  std::vector<Problem> problems;
+  for (int i = 0; i < 4; ++i) {
+    problems.push_back(restricted_problem(12 + 4 * i, 500 + i));
+  }
+  FaultPlan plan;
+  plan.seed = base_seed() + 61;
+  plan.period = 4;
+  ASSERT_FALSE(rs::scenario::poisoned_slots(plan, 48).empty());
+  plan.poison = PoisonKind::kThrow;
+  problems.push_back(rs::scenario::apply_fault_plan(problems[0], plan));
+  plan.poison = PoisonKind::kNaN;
+  problems.push_back(rs::scenario::apply_fault_plan(problems[1], plan));
+  const std::size_t throwing = 4;
+  const std::size_t nan = 5;
+  for (const Problem& p : problems) {
+    ASSERT_FALSE(rs::core::admits_compact_pwl(p));
+  }
+
+  const SolverKind kinds[] = {SolverKind::kDpCost, SolverKind::kDpSchedule,
+                              SolverKind::kLcp, SolverKind::kLowMemory};
+  std::vector<SolveJob> jobs;
+  for (const Problem& p : problems) {
+    for (SolverKind kind : kinds) {
+      SolveJob job;
+      job.kind = kind;
+      job.problem = &p;
+      jobs.push_back(job);
+    }
+  }
+  const auto solo = [](const Problem& p, SolverKind kind) {
+    SolveOutcome out;
+    switch (kind) {
+      case SolverKind::kDpCost:
+        out.cost = rs::offline::DpSolver().solve_cost(p);
+        break;
+      case SolverKind::kDpSchedule: {
+        rs::offline::OfflineResult r = rs::offline::DpSolver().solve(p);
+        out.cost = r.cost;
+        out.schedule = std::move(r.schedule);
+        break;
+      }
+      case SolverKind::kLcp: {
+        rs::online::Lcp lcp;
+        out.schedule = rs::online::run_online(lcp, p);
+        out.cost = rs::core::total_cost(p, out.schedule);
+        break;
+      }
+      case SolverKind::kLowMemory: {
+        rs::offline::OfflineResult r = rs::offline::LowMemorySolver().solve(p);
+        out.cost = r.cost;
+        out.schedule = std::move(r.schedule);
+        break;
+      }
+      case SolverKind::kDeltaResolve:
+        ADD_FAILURE() << "no kDeltaResolve reference";
+        break;
+    }
+    return out;
+  };
+
+  std::vector<SolveOutcome> first;
+  for (std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    SolverEngine::Options options;
+    options.threads = threads;
+    const BatchResult result = SolverEngine(options).run(jobs);
+    ASSERT_EQ(result.outcomes.size(), jobs.size());
+    // Healthy instances and the NaN one get tables; the throwing one
+    // does not.
+    EXPECT_EQ(result.stats.dense_tables_built, problems.size() - 1);
+    EXPECT_EQ(result.stats.failed_jobs, 2 * std::size(kinds));
+    EXPECT_TRUE(result.stats.degrade_events.empty());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const std::size_t instance = j / std::size(kinds);
+      const SolveOutcome& got = result.outcomes[j];
+      if (instance == throwing || instance == nan) {
+        EXPECT_EQ(got.status, instance == throwing
+                                  ? SolveStatus::kException
+                                  : SolveStatus::kInvalidInput)
+            << "job " << j;
+        EXPECT_FALSE(got.error.empty()) << "job " << j;
+        EXPECT_TRUE(got.schedule.empty()) << "job " << j;
+        if (!first.empty()) {
+          EXPECT_EQ(got.status, first[j].status) << "job " << j;
+          EXPECT_EQ(got.error, first[j].error) << "job " << j;
+        }
+      } else {
+        EXPECT_TRUE(got.ok()) << "job " << j << ": " << got.error;
+        expect_outcome_bitwise(got, solo(*jobs[j].problem, jobs[j].kind), j);
+      }
+    }
+    if (first.empty()) first = result.outcomes;
+  }
 }
 
 TEST(BatchIsolation, InfeasibleSlotIsNotAFault) {
