@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
         rs::offline::OfflineResult bdp_fast;
         {
           rs::util::Stopwatch watch;
-          bdp_fast = rs::offline::solve_bounded(sub, states, *cache);
+          bdp_fast = rs::offline::solve_bounded(*cache, states);
           row.bdp_pwl_ms = watch.milliseconds();
         }
         {

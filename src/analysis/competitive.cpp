@@ -1,11 +1,13 @@
 #include "analysis/competitive.hpp"
 
+#include <stdexcept>
+
 #include "core/schedule.hpp"
 #include "offline/dp_solver.hpp"
 
 namespace rs::analysis {
 
-using rs::core::DenseProblem;
+using rs::core::SlotSource;
 
 namespace {
 
@@ -14,43 +16,40 @@ double safe_ratio(double algorithm_cost, double optimal_cost) {
   return algorithm_cost / optimal_cost;
 }
 
+void check_scoring(const rs::core::Problem& p, const SlotSource& scoring) {
+  if (scoring.horizon() != p.horizon() ||
+      scoring.max_servers() != p.max_servers() || scoring.beta() != p.beta()) {
+    throw std::invalid_argument(
+        "measure_ratio: scoring source does not match the instance");
+  }
+}
+
 }  // namespace
 
-// The plain-Problem overloads keep the O(m)-memory streaming accounting:
-// they serve one-shot measurements, where materializing a T×(m+1) table to
-// read it once would trade transient memory for nothing.  Ensemble callers
-// (sweeps, adversary search) build one dense table and use the shared
-// overloads below.
-
 RatioReport measure_ratio(rs::online::OnlineAlgorithm& algorithm,
-                          const rs::core::Problem& p, int window) {
+                          const rs::core::Problem& p,
+                          const SlotSource& scoring, int window) {
+  check_scoring(p, scoring);
   RatioReport report;
   report.algorithm = algorithm.name();
   const rs::core::Schedule x = rs::online::run_online(algorithm, p, window);
-  report.operating_cost = rs::core::operating_cost(p, x);
-  report.switching_cost = rs::core::switching_cost_up(p, x);
+  report.operating_cost = rs::core::operating_cost(scoring, x);
+  report.switching_cost = rs::core::switching_cost_up(scoring, x);
   report.algorithm_cost = report.operating_cost + report.switching_cost;
-  report.optimal_cost = rs::offline::DpSolver().solve_cost(p);
+  report.optimal_cost = rs::offline::DpSolver().solve_cost(scoring);
   report.ratio = safe_ratio(report.algorithm_cost, report.optimal_cost);
   return report;
 }
 
 RatioReport measure_ratio(rs::online::OnlineAlgorithm& algorithm,
-                          const rs::core::Problem& p,
-                          const DenseProblem& dense, int window) {
-  RatioReport report;
-  report.algorithm = algorithm.name();
-  const rs::core::Schedule x = rs::online::run_online(algorithm, p, window);
-  report.operating_cost = rs::core::operating_cost(dense, x);
-  report.switching_cost = rs::core::switching_cost_up(dense, x);
-  report.algorithm_cost = report.operating_cost + report.switching_cost;
-  report.optimal_cost = rs::offline::DpSolver().solve_cost(dense);
-  report.ratio = safe_ratio(report.algorithm_cost, report.optimal_cost);
-  return report;
+                          const rs::core::Problem& p, int window) {
+  return measure_ratio(algorithm, p, SlotSource(p), window);
 }
 
 RatioReport measure_ratio(rs::online::FractionalOnlineAlgorithm& algorithm,
-                          const rs::core::Problem& p, int window) {
+                          const rs::core::Problem& p,
+                          const SlotSource& scoring, int window) {
+  check_scoring(p, scoring);
   RatioReport report;
   report.algorithm = algorithm.name();
   const rs::core::FractionalSchedule x =
@@ -58,26 +57,14 @@ RatioReport measure_ratio(rs::online::FractionalOnlineAlgorithm& algorithm,
   report.operating_cost = rs::core::operating_cost(p, x);
   report.switching_cost = rs::core::switching_cost_up(p, x);
   report.algorithm_cost = report.operating_cost + report.switching_cost;
-  report.optimal_cost = rs::offline::DpSolver().solve_cost(p);
+  report.optimal_cost = rs::offline::DpSolver().solve_cost(scoring);
   report.ratio = safe_ratio(report.algorithm_cost, report.optimal_cost);
   return report;
 }
 
 RatioReport measure_ratio(rs::online::FractionalOnlineAlgorithm& algorithm,
-                          const rs::core::Problem& p,
-                          const DenseProblem& dense, int window) {
-  RatioReport report;
-  report.algorithm = algorithm.name();
-  const rs::core::FractionalSchedule x =
-      rs::online::run_online(algorithm, p, window);
-  // Fractional states interpolate between integer values (paper eq. 3), so
-  // the operating sum goes through the Problem; OPT shares the table.
-  report.operating_cost = rs::core::operating_cost(p, x);
-  report.switching_cost = rs::core::switching_cost_up(p, x);
-  report.algorithm_cost = report.operating_cost + report.switching_cost;
-  report.optimal_cost = rs::offline::DpSolver().solve_cost(dense);
-  report.ratio = safe_ratio(report.algorithm_cost, report.optimal_cost);
-  return report;
+                          const rs::core::Problem& p, int window) {
+  return measure_ratio(algorithm, p, SlotSource(p), window);
 }
 
 }  // namespace rs::analysis

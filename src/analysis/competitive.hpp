@@ -1,16 +1,18 @@
 // Competitive-ratio measurement harness: replays an online algorithm
 // against an instance and compares with the exact offline optimum.
 //
-// The plain overloads stream with O(m) scratch (right for one-shot
-// measurements); ensemble consumers — sweeps, adversary search — build one
-// immutable DenseProblem per instance and use the dense overloads so
-// repeated measurements on one instance share its rows.
+// Each measurement has one body, which scores the algorithm's schedule and
+// solves OPT on a `scoring` source of any input form (core/slot_source.hpp).
+// The Problem-only overloads score on the Problem itself, streaming OPT's
+// rows with O(m) scratch (right for one-shot measurements); ensemble
+// consumers — sweeps, adversary search — pass one immutable DenseProblem
+// per instance so repeated measurements on one instance share its rows.
 #pragma once
 
 #include <string>
 
-#include "core/dense_problem.hpp"
 #include "core/problem.hpp"
+#include "core/slot_source.hpp"
 #include "online/online_algorithm.hpp"
 
 namespace rs::analysis {
@@ -25,26 +27,28 @@ struct RatioReport {
 };
 
 /// Measures the cost ratio of an integral online algorithm on `p`
-/// (optionally with a prediction window).  OPT is the O(T·m) DP.
-RatioReport measure_ratio(rs::online::OnlineAlgorithm& algorithm,
-                          const rs::core::Problem& p, int window = 0);
-
-/// Same with a caller-shared dense table (must match `p`): the algorithm's
-/// schedule is scored and OPT solved from `dense`, so N measurements on one
-/// instance materialize its rows once.
+/// (optionally with a prediction window).  The algorithm replays `p`; its
+/// schedule is priced and OPT (the O(T·m) DP) solved on `scoring`, so N
+/// measurements on one instance can share one table.  Throws
+/// std::invalid_argument when `scoring` has another T, m or β than `p`.
 RatioReport measure_ratio(rs::online::OnlineAlgorithm& algorithm,
                           const rs::core::Problem& p,
-                          const rs::core::DenseProblem& dense, int window = 0);
+                          const rs::core::SlotSource& scoring, int window = 0);
+
+/// Same, scored on `p` itself.
+RatioReport measure_ratio(rs::online::OnlineAlgorithm& algorithm,
+                          const rs::core::Problem& p, int window = 0);
 
 /// Same for a fractional algorithm; OPT is still the integral optimum,
-/// which by Lemma 4 equals the continuous optimum of P̄.
-RatioReport measure_ratio(rs::online::FractionalOnlineAlgorithm& algorithm,
-                          const rs::core::Problem& p, int window = 0);
-
-/// Fractional variant with a shared dense table (used for OPT; fractional
-/// operating costs interpolate through the Problem).
+/// which by Lemma 4 equals the continuous optimum of P̄.  Fractional states
+/// interpolate between integer values (eq. 3), so the algorithm's cost is
+/// priced on `p`; `scoring` serves OPT.
 RatioReport measure_ratio(rs::online::FractionalOnlineAlgorithm& algorithm,
                           const rs::core::Problem& p,
-                          const rs::core::DenseProblem& dense, int window = 0);
+                          const rs::core::SlotSource& scoring, int window = 0);
+
+/// Same, with OPT solved on `p` itself.
+RatioReport measure_ratio(rs::online::FractionalOnlineAlgorithm& algorithm,
+                          const rs::core::Problem& p, int window = 0);
 
 }  // namespace rs::analysis

@@ -12,25 +12,14 @@ namespace rs::analysis {
 using rs::core::DenseProblem;
 
 MonteCarloReport monte_carlo(
-    const rs::core::Problem& p, int trials, std::uint64_t base_seed,
-    const std::function<double(std::uint64_t seed)>& run_trial) {
-  if (trials < 1) throw std::invalid_argument("monte_carlo: trials < 1");
-  if (!run_trial) throw std::invalid_argument("monte_carlo: null trial");
-  // Rows only: OPT and the trial scorings never query minimizer caches.
-  const DenseProblem dense(p, DenseProblem::Mode::kEager,
-                           DenseProblem::MinimizerCache::kOnDemand);
-  return monte_carlo(dense, trials, base_seed, run_trial);
-}
-
-MonteCarloReport monte_carlo(
-    const DenseProblem& dense, int trials, std::uint64_t base_seed,
+    const rs::core::SlotSource& source, int trials, std::uint64_t base_seed,
     const std::function<double(std::uint64_t seed)>& run_trial,
     const rs::engine::SolverEngine* engine) {
   if (trials < 1) throw std::invalid_argument("monte_carlo: trials < 1");
   if (!run_trial) throw std::invalid_argument("monte_carlo: null trial");
 
   MonteCarloReport report;
-  report.optimal_cost = rs::offline::DpSolver().solve_cost(dense);
+  report.optimal_cost = rs::offline::DpSolver().solve_cost(source);
 
   std::vector<double> costs(static_cast<std::size_t>(trials));
   const rs::engine::SolverEngine default_engine;
@@ -58,7 +47,7 @@ MonteCarloReport monte_carlo_randomized_rounding(const rs::core::Problem& p,
                                                  int trials,
                                                  std::uint64_t base_seed) {
   // One rows-only dense table for the whole run: OPT reads it, and every
-  // trial scores its schedule against it through the dense total_cost overload
+  // trial scores its schedule against it by table lookups in total_cost
   // (bit-identical to the per-point path, without T virtual calls and
   // bounds checks per trial).  The online replay itself still reveals the
   // cost functions one slot at a time through the Problem, as the online

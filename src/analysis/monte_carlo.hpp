@@ -2,17 +2,17 @@
 //
 // Trials run through the batch engine (SolverEngine::for_each) with
 // independent, deterministic seeds (base_seed + trial index), so results
-// are reproducible regardless of scheduling.  The instance is materialized
-// into one shared DenseProblem up front: OPT and every trial's cost
-// accounting read the same immutable table instead of re-walking the
-// virtual per-point path per trial.
+// are reproducible regardless of scheduling.  OPT is solved once, on the
+// instance in whatever form the caller holds it (core/slot_source.hpp): a
+// Problem streams its rows, a DenseProblem shared with the trials' own
+// accounting is read in place.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 
-#include "core/dense_problem.hpp"
 #include "core/problem.hpp"
+#include "core/slot_source.hpp"
 #include "engine/solver_engine.hpp"
 #include "util/math_util.hpp"
 
@@ -26,19 +26,13 @@ struct MonteCarloReport {
 };
 
 /// Runs `trials` independent replays of a seed-constructed randomized
-/// algorithm on `p` and summarizes total cost and ratio.  `run_trial` must
-/// build and run one trial: given a seed, return the trial's total cost.
-/// Builds one DenseProblem for OPT; trial closures that score schedules
-/// should prefer the overload below and the dense total_cost overloads.
+/// algorithm on `source` and summarizes total cost and ratio.  `run_trial`
+/// must build and run one trial: given a seed, return the trial's total
+/// cost.  Trial closures that score schedules many times should share one
+/// DenseProblem with this call (total_cost reads it by lookup).  `engine`
+/// defaults to a global-pool engine when null.
 MonteCarloReport monte_carlo(
-    const rs::core::Problem& p, int trials, std::uint64_t base_seed,
-    const std::function<double(std::uint64_t seed)>& run_trial);
-
-/// Same over a pre-materialized instance shared with the caller's own
-/// accounting.  `engine` defaults
-/// to a global-pool engine when null.
-MonteCarloReport monte_carlo(
-    const rs::core::DenseProblem& dense, int trials, std::uint64_t base_seed,
+    const rs::core::SlotSource& source, int trials, std::uint64_t base_seed,
     const std::function<double(std::uint64_t seed)>& run_trial,
     const rs::engine::SolverEngine* engine = nullptr);
 

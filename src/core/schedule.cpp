@@ -24,14 +24,7 @@ int resolve_tau(int horizon, std::size_t length, int tau, const char* where) {
   return tau;
 }
 
-int resolve_tau(const Problem& p, std::size_t length, int tau,
-                const char* where) {
-  return resolve_tau(p.horizon(), length, tau, where);
-}
-
-// Switching costs depend only on beta; shared by the Problem and
-// DenseProblem overloads so the summation order (hence every bit of the
-// result) is identical.
+// Switching costs depend only on beta; shared by the up and down sums.
 double switching_sum(double beta, const Schedule& x, int tau, bool up) {
   KahanSum sum;
   int previous = 0;
@@ -46,136 +39,98 @@ double switching_sum(double beta, const Schedule& x, int tau, bool up) {
 
 }  // namespace
 
-bool is_within_bounds(const Problem& p, const Schedule& x) {
-  if (static_cast<int>(x.size()) != p.horizon()) return false;
+bool is_within_bounds(const SlotSource& source, const Schedule& x) {
+  if (static_cast<int>(x.size()) != source.horizon()) return false;
+  const int m = source.max_servers();
   for (int value : x) {
-    if (value < 0 || value > p.max_servers()) return false;
+    if (value < 0 || value > m) return false;
   }
   return true;
 }
 
-bool is_feasible(const Problem& p, const Schedule& x) {
-  if (!is_within_bounds(p, x)) return false;
-  for (int t = 1; t <= p.horizon(); ++t) {
-    if (std::isinf(p.cost_at(t, x[static_cast<std::size_t>(t - 1)]))) {
+bool is_feasible(const SlotSource& source, const Schedule& x) {
+  if (!is_within_bounds(source, x)) return false;
+  for (int t = 1; t <= source.horizon(); ++t) {
+    if (std::isinf(source.at(t, x[static_cast<std::size_t>(t - 1)]))) {
       return false;
     }
   }
   return true;
 }
 
-double operating_cost(const Problem& p, const Schedule& x, int tau) {
-  tau = resolve_tau(p, x.size(), tau, "operating_cost");
+double operating_cost(const SlotSource& source, const Schedule& x, int tau) {
+  tau = resolve_tau(source.horizon(), x.size(), tau, "operating_cost");
   KahanSum sum;
   for (int t = 1; t <= tau; ++t) {
-    sum.add(p.cost_at(t, x[static_cast<std::size_t>(t - 1)]));
+    sum.add(source.at(t, x[static_cast<std::size_t>(t - 1)]));
   }
   return sum.value();
 }
 
-double switching_cost_up(const Problem& p, const Schedule& x, int tau) {
-  tau = resolve_tau(p, x.size(), tau, "switching_cost_up");
-  return switching_sum(p.beta(), x, tau, /*up=*/true);
+double switching_cost_up(const SlotSource& source, const Schedule& x,
+                         int tau) {
+  tau = resolve_tau(source.horizon(), x.size(), tau, "switching_cost_up");
+  return switching_sum(source.beta(), x, tau, /*up=*/true);
 }
 
-double switching_cost_down(const Problem& p, const Schedule& x, int tau) {
-  tau = resolve_tau(p, x.size(), tau, "switching_cost_down");
-  return switching_sum(p.beta(), x, tau, /*up=*/false);
+double switching_cost_down(const SlotSource& source, const Schedule& x,
+                           int tau) {
+  tau = resolve_tau(source.horizon(), x.size(), tau, "switching_cost_down");
+  return switching_sum(source.beta(), x, tau, /*up=*/false);
 }
 
-double cost_up_to(const Problem& p, const Schedule& x, int tau) {
-  return operating_cost(p, x, tau) + switching_cost_up(p, x, tau);
+double cost_up_to(const SlotSource& source, const Schedule& x, int tau) {
+  return operating_cost(source, x, tau) + switching_cost_up(source, x, tau);
 }
 
-double cost_down_up_to(const Problem& p, const Schedule& x, int tau) {
-  return operating_cost(p, x, tau) + switching_cost_down(p, x, tau);
+double cost_down_up_to(const SlotSource& source, const Schedule& x, int tau) {
+  return operating_cost(source, x, tau) + switching_cost_down(source, x, tau);
 }
 
-double total_cost(const Problem& p, const Schedule& x) {
-  return cost_up_to(p, x, p.horizon());
+double total_cost(const SlotSource& source, const Schedule& x) {
+  return cost_up_to(source, x, source.horizon());
 }
 
-double total_cost_symmetric(const Problem& p, const Schedule& x) {
-  resolve_tau(p, x.size(), -1, "total_cost_symmetric");
+double total_cost_symmetric(const SlotSource& source, const Schedule& x) {
+  resolve_tau(source.horizon(), x.size(), -1, "total_cost_symmetric");
+  const double beta = source.beta();
   KahanSum sum;
   int previous = 0;
-  for (int t = 1; t <= p.horizon(); ++t) {
+  for (int t = 1; t <= source.horizon(); ++t) {
     const int current = x[static_cast<std::size_t>(t - 1)];
-    sum.add(p.cost_at(t, current));
-    sum.add(0.5 * p.beta() * std::fabs(static_cast<double>(current - previous)));
+    sum.add(source.at(t, current));
+    sum.add(0.5 * beta * std::fabs(static_cast<double>(current - previous)));
     previous = current;
   }
-  sum.add(0.5 * p.beta() * std::fabs(static_cast<double>(previous)));  // x_{T+1}=0
+  sum.add(0.5 * beta * std::fabs(static_cast<double>(previous)));  // x_{T+1}=0
   return sum.value();
 }
 
-double interval_cost(const Problem& p, const Schedule& x, int a, int b) {
-  if (a < 0 || b > p.horizon() || a > b) {
+double interval_cost(const SlotSource& source, const Schedule& x, int a,
+                     int b) {
+  if (a < 0 || b > source.horizon() || a > b) {
     throw std::out_of_range("interval_cost: bad interval");
   }
-  if (static_cast<int>(x.size()) != p.horizon()) {
+  if (static_cast<int>(x.size()) != source.horizon()) {
     throw std::invalid_argument("interval_cost: schedule length != horizon");
   }
+  const double beta = source.beta();
   KahanSum sum;
   for (int t = std::max(a, 1); t <= b; ++t) {
-    sum.add(p.cost_at(t, x[static_cast<std::size_t>(t - 1)]));
+    sum.add(source.at(t, x[static_cast<std::size_t>(t - 1)]));
   }
   for (int t = std::max(a, 0) + 1; t <= b; ++t) {
     const int previous = t - 1 >= 1 ? x[static_cast<std::size_t>(t - 2)] : 0;
     const int current = x[static_cast<std::size_t>(t - 1)];
-    sum.add(p.beta() * static_cast<double>(pos(current - previous)));
+    sum.add(beta * static_cast<double>(pos(current - previous)));
   }
   return sum.value();
-}
-
-// --- dense-backed accounting ------------------------------------------------
-
-bool is_feasible(const DenseProblem& d, const Schedule& x) {
-  if (static_cast<int>(x.size()) != d.horizon()) return false;
-  for (int value : x) {
-    if (value < 0 || value > d.max_servers()) return false;
-  }
-  for (int t = 1; t <= d.horizon(); ++t) {
-    if (std::isinf(d.at(t, x[static_cast<std::size_t>(t - 1)]))) return false;
-  }
-  return true;
-}
-
-double operating_cost(const DenseProblem& d, const Schedule& x, int tau) {
-  tau = resolve_tau(d.horizon(), x.size(), tau, "operating_cost(dense)");
-  KahanSum sum;
-  for (int t = 1; t <= tau; ++t) {
-    sum.add(d.at(t, x[static_cast<std::size_t>(t - 1)]));
-  }
-  return sum.value();
-}
-
-double switching_cost_up(const DenseProblem& d, const Schedule& x, int tau) {
-  tau = resolve_tau(d.horizon(), x.size(), tau, "switching_cost_up(dense)");
-  return switching_sum(d.beta(), x, tau, /*up=*/true);
-}
-
-double switching_cost_down(const DenseProblem& d, const Schedule& x, int tau) {
-  tau = resolve_tau(d.horizon(), x.size(), tau, "switching_cost_down(dense)");
-  return switching_sum(d.beta(), x, tau, /*up=*/false);
-}
-
-double cost_up_to(const DenseProblem& d, const Schedule& x, int tau) {
-  return operating_cost(d, x, tau) + switching_cost_up(d, x, tau);
-}
-
-double cost_down_up_to(const DenseProblem& d, const Schedule& x, int tau) {
-  return operating_cost(d, x, tau) + switching_cost_down(d, x, tau);
-}
-
-double total_cost(const DenseProblem& d, const Schedule& x) {
-  return cost_up_to(d, x, d.horizon());
 }
 
 // --- fractional -------------------------------------------------------------
 
 double operating_cost(const Problem& p, const FractionalSchedule& x, int tau) {
-  tau = resolve_tau(p, x.size(), tau, "operating_cost(frac)");
+  tau = resolve_tau(p.horizon(), x.size(), tau, "operating_cost(frac)");
   KahanSum sum;
   for (int t = 1; t <= tau; ++t) {
     sum.add(p.cost_at_real(t, x[static_cast<std::size_t>(t - 1)]));
@@ -185,7 +140,7 @@ double operating_cost(const Problem& p, const FractionalSchedule& x, int tau) {
 
 double switching_cost_up(const Problem& p, const FractionalSchedule& x,
                          int tau) {
-  tau = resolve_tau(p, x.size(), tau, "switching_cost_up(frac)");
+  tau = resolve_tau(p.horizon(), x.size(), tau, "switching_cost_up(frac)");
   KahanSum sum;
   double previous = 0.0;
   for (int t = 1; t <= tau; ++t) {
@@ -201,7 +156,7 @@ double total_cost(const Problem& p, const FractionalSchedule& x) {
 }
 
 double total_cost_symmetric(const Problem& p, const FractionalSchedule& x) {
-  resolve_tau(p, x.size(), -1, "total_cost_symmetric(frac)");
+  resolve_tau(p.horizon(), x.size(), -1, "total_cost_symmetric(frac)");
   KahanSum sum;
   double previous = 0.0;
   for (int t = 1; t <= p.horizon(); ++t) {

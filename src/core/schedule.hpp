@@ -16,8 +16,8 @@
 
 #include <vector>
 
-#include "core/dense_problem.hpp"
 #include "core/problem.hpp"
+#include "core/slot_source.hpp"
 
 namespace rs::core {
 
@@ -27,60 +27,58 @@ using Schedule = std::vector<int>;
 /// Fractional schedule of the continuous setting; index t-1 holds x̄_t.
 using FractionalSchedule = std::vector<double>;
 
+// --- integral costs ---------------------------------------------------------
+//
+// One definition per function, over any input form (core/slot_source.hpp):
+// f_t(x_t) is f_t.at on a Problem or RleProblem, a table lookup on a
+// DenseProblem and the form's value on a PwlProblem.  The sums run in one
+// fixed order (Kahan operating sum + Kahan switching sum), so the result is
+// bitwise the same for a Problem, its table and its runs; a PwlProblem
+// agrees up to its conversion contract (DESIGN.md §8).  A state outside
+// [0, m] throws std::out_of_range on every form.
+
 /// True iff 0 <= x_t <= m for all t and the schedule length equals T.
-bool is_within_bounds(const Problem& p, const Schedule& x);
+bool is_within_bounds(const SlotSource& source, const Schedule& x);
 
 /// True iff within bounds and all visited states have finite operating cost
 /// (e.g. respects x_t >= λ_t in the restricted model).
-bool is_feasible(const Problem& p, const Schedule& x);
-
-// --- integral costs ---------------------------------------------------------
+bool is_feasible(const SlotSource& source, const Schedule& x);
 
 /// R_τ(X): operating cost of the first `tau` slots (default: all T).
-double operating_cost(const Problem& p, const Schedule& x, int tau = -1);
+double operating_cost(const SlotSource& source, const Schedule& x,
+                      int tau = -1);
 
 /// S^L_τ(X) = β Σ_{t<=τ} (x_t − x_{t−1})⁺, switching paid on power-up.
-double switching_cost_up(const Problem& p, const Schedule& x, int tau = -1);
+double switching_cost_up(const SlotSource& source, const Schedule& x,
+                         int tau = -1);
 
 /// S^U_τ(X) = β Σ_{t<=τ} (x_{t−1} − x_t)⁺, switching paid on power-down.
-double switching_cost_down(const Problem& p, const Schedule& x, int tau = -1);
+double switching_cost_down(const SlotSource& source, const Schedule& x,
+                           int tau = -1);
 
 /// C^L_τ(X) = R_τ + S^L_τ (eq. 11); for τ = T this is the objective (eq. 1).
-double cost_up_to(const Problem& p, const Schedule& x, int tau = -1);
+double cost_up_to(const SlotSource& source, const Schedule& x, int tau = -1);
 
 /// C^U_τ(X) = R_τ + S^U_τ (eq. 12).
-double cost_down_up_to(const Problem& p, const Schedule& x, int tau = -1);
+double cost_down_up_to(const SlotSource& source, const Schedule& x,
+                       int tau = -1);
 
 /// The objective C(X) of eq. (1).
-double total_cost(const Problem& p, const Schedule& x);
+double total_cost(const SlotSource& source, const Schedule& x);
 
 /// Section-5 symmetric accounting: Σ f + (β/2) Σ_{t=1}^{T+1} |Δx|, charging
 /// half of β per unit in each direction and closing the schedule at 0.
-double total_cost_symmetric(const Problem& p, const Schedule& x);
+double total_cost_symmetric(const SlotSource& source, const Schedule& x);
 
 /// C_{[a,b]}(X) of Section 2.3: Σ_{t=a}^{b} f_t(x_t) + β Σ_{t=a+1}^{b}
 /// (x_t − x_{t−1})⁺ with f_0 := 0 (a may be 0).
-double interval_cost(const Problem& p, const Schedule& x, int a, int b);
-
-// --- dense-backed accounting ------------------------------------------------
-//
-// Overloads over a DenseProblem read f_t(x_t) as direct table lookups — no
-// virtual dispatch, no throwing bounds checks.  They sum in the exact order
-// of the Problem overloads (Kahan operating sum + Kahan switching sum), so
-// the results are bit-identical; callers that repeatedly score schedules
-// against one instance (brute force, analysis loops) build the table once.
-
-bool is_feasible(const DenseProblem& d, const Schedule& x);
-double operating_cost(const DenseProblem& d, const Schedule& x, int tau = -1);
-double switching_cost_up(const DenseProblem& d, const Schedule& x,
-                         int tau = -1);
-double switching_cost_down(const DenseProblem& d, const Schedule& x,
-                           int tau = -1);
-double cost_up_to(const DenseProblem& d, const Schedule& x, int tau = -1);
-double cost_down_up_to(const DenseProblem& d, const Schedule& x, int tau = -1);
-double total_cost(const DenseProblem& d, const Schedule& x);
+double interval_cost(const SlotSource& source, const Schedule& x, int a,
+                     int b);
 
 // --- fractional costs -------------------------------------------------------
+//
+// On the Problem only: fractional states interpolate between integer values
+// through the continuous extension of eq. (3).
 
 double operating_cost(const Problem& p, const FractionalSchedule& x,
                       int tau = -1);

@@ -6,17 +6,22 @@
 //   * an RleProblem: (CostFunction, run length) runs.
 //
 // Every corridor consumer (compute_bounds, run_lcp, DpSolver,
-// LowMemorySolver) is written once over this view.  It owns nothing — the
-// instance must outlive it — and its constructors are implicit, like
-// std::span's, so any of the four binds to a `const SlotSource&` as is.
-// The form is visited once per call, never once per slot: for_each_run
-// loops over the form's native slot type, so a consumer's loop body is
-// instantiated per type and stays monomorphic.  The form also fixes the
-// backend of materialized inputs (rows run dense, forms run PWL); a
-// caller's backend choice only applies to the CostFunction forms.
+// LowMemorySolver), the integral cost accounting of core/schedule,
+// solve_bounded / solve_phi_restricted and the ratio harnesses
+// (measure_ratio, monte_carlo) are written once over this view.  It owns
+// nothing — the instance must outlive it — and its constructors are
+// implicit, like std::span's, so any of the four binds to a
+// `const SlotSource&` as is.  Row consumers visit the form once per call,
+// never once per slot: for_each_run loops over the form's native slot
+// type, so a consumer's loop body is instantiated per type and stays
+// monomorphic.  Point consumers read through gather / at, one visit per
+// slot.  The form also fixes the backend of materialized inputs (rows run
+// dense, forms run PWL); a caller's backend choice only applies to the
+// CostFunction forms.
 #pragma once
 
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <variant>
 
@@ -107,6 +112,29 @@ class SlotSource {
         [&](const auto& src) { return as_row(slot(src, t), scratch); });
   }
 
+  /// f_t over the ascending states `xs` into out[0, |xs|) (1 <= t <= T):
+  /// table lookups on a DenseProblem, one walk of the form on a PwlProblem
+  /// (ConvexPwl::eval_at_sorted), and on the CostFunction forms one
+  /// eval_row when xs is all of {0,..,m}, else f_t.at per state — so a
+  /// sparse gather stays sublinear in m.  A table and its cost functions
+  /// yield the same bits.  Throws std::out_of_range when a state lies
+  /// outside [0, m], on every form.
+  void gather(int t, std::span<const int> xs, std::span<double> out) const {
+    visit([&](const auto& src) {
+      if (!xs.empty() && (xs.front() < 0 || xs.back() > src.max_servers())) {
+        throw std::out_of_range("SlotSource::gather: state out of [0, m]");
+      }
+      gather_slot(slot(src, t), xs, out);
+    });
+  }
+
+  /// f_t(x), the one-state gather.
+  double at(int t, int x) const {
+    double value = 0.0;
+    gather(t, {&x, 1}, {&value, 1});
+    return value;
+  }
+
  private:
   template <typename T>
   const T* get() const noexcept {
@@ -138,6 +166,30 @@ class SlotSource {
                                  std::span<double> scratch) const {
     f.materialize(max_servers(), scratch);
     return scratch;
+  }
+
+  static void gather_slot(std::span<const double> row,
+                          std::span<const int> xs, std::span<double> out) {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      out[i] = row[static_cast<std::size_t>(xs[i])];
+    }
+  }
+  void gather_slot(const CostFunction& f, std::span<const int> xs,
+                   std::span<double> out) const {
+    const int m = max_servers();
+    bool full = xs.size() == static_cast<std::size_t>(m) + 1;
+    for (std::size_t i = 0; full && i < xs.size(); ++i) {
+      full = xs[i] == static_cast<int>(i);
+    }
+    if (full) {
+      f.eval_row(m, out);  // one virtual call for the whole row
+      return;
+    }
+    for (std::size_t i = 0; i < xs.size(); ++i) out[i] = f.at(xs[i]);
+  }
+  static void gather_slot(const ConvexPwl& f, std::span<const int> xs,
+                          std::span<double> out) {
+    f.eval_at_sorted(xs, out);
   }
 
   std::variant<const Problem*, const DenseProblem*, const PwlProblem*,

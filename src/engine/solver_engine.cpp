@@ -89,9 +89,11 @@ SolveOutcome run_one(const SolveJob& job, const DenseProblem* dense,
     }
     case SolverKind::kLcp:
       outcome.schedule = rs::online::run_lcp(source);
-      outcome.cost =
-          dense ? rs::core::total_cost(*dense, outcome.schedule)
-                : rs::core::total_cost(*job.problem, outcome.schedule);
+      // Priced on the table when there is one, else on the Problem (also
+      // for PWL-routed jobs, whose cost bits thus match a solo replay).
+      outcome.cost = rs::core::total_cost(
+          dense ? SlotSource(*dense) : SlotSource(*job.problem),
+          outcome.schedule);
       break;
     case SolverKind::kLowMemory: {
       rs::offline::OfflineResult result =

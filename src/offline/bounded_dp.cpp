@@ -13,17 +13,17 @@
 namespace rs::offline {
 
 using rs::core::ConvexPwl;
-using rs::core::Problem;
-using rs::core::Schedule;
+using rs::core::SlotSource;
 using rs::util::kInf;
 using rs::util::pos;
 
 namespace {
 
-void validate_columns(const Problem& p,
+void validate_columns(const SlotSource& source,
                       const std::vector<std::vector<int>>& states,
                       std::size_t& max_columns, std::size_t& total_states) {
-  if (static_cast<int>(states.size()) != p.horizon()) {
+  const int m = source.max_servers();
+  if (static_cast<int>(states.size()) != source.horizon()) {
     throw std::invalid_argument("solve_bounded: need one state set per slot");
   }
   max_columns = 1;
@@ -35,7 +35,7 @@ void validate_columns(const Problem& p,
     if (!std::is_sorted(column.begin(), column.end())) {
       throw std::invalid_argument("solve_bounded: candidates must be sorted");
     }
-    if (column.front() < 0 || column.back() > p.max_servers()) {
+    if (column.front() < 0 || column.back() > m) {
       throw std::invalid_argument("solve_bounded: candidate out of [0, m]");
     }
     max_columns = std::max(max_columns, column.size());
@@ -82,11 +82,10 @@ ConvexPwl up_transition_kernel(double beta, int y, int m_y) {
 // path's exact tie-breaking: final state = smallest argmin of W_T, parent
 // of y = smallest argmin of W_{t-1}(y') + β_y(y − y')⁺ — the same "strict
 // improvement, ascending scan" rule the parent pointers record.
-OfflineResult solve_bounded_grid_pwl(const Problem& p,
-                                     const rs::core::PwlProblem& pwl,
+OfflineResult solve_bounded_grid_pwl(const rs::core::PwlProblem& pwl,
                                      int stride, int m_y) {
-  const int T = p.horizon();
-  const double beta_y = p.beta() * static_cast<double>(stride);
+  const int T = pwl.horizon();
+  const double beta_y = pwl.beta() * static_cast<double>(stride);
   std::vector<ConvexPwl> labels;
   labels.reserve(static_cast<std::size_t>(T));
   ConvexPwl w = ConvexPwl::point(0, 0.0);  // x_0 = 0
@@ -124,18 +123,15 @@ OfflineResult solve_bounded_grid_pwl(const Problem& p,
   return result;
 }
 
-// The candidate-column DP shared by the dense and the PWL-cached
-// evaluation paths; `eval_column(t, column, out)` fills f_t over the
-// column.  Callers have already validated the columns (max_columns /
-// total_states come from that pass) and handled T = 0.
-template <typename EvalColumn>
-OfflineResult solve_bounded_impl(const Problem& p,
-                                 const std::vector<std::vector<int>>& states,
-                                 BoundedDpStats* stats,
-                                 std::size_t max_columns,
-                                 std::size_t total_states,
-                                 EvalColumn&& eval_column) {
-  const int T = p.horizon();
+// The candidate-column DP, reading f_t over each column through
+// SlotSource::gather.  Callers have already validated the columns
+// (max_columns / total_states come from that pass) and handled T = 0.
+OfflineResult solve_columns(const SlotSource& source,
+                            const std::vector<std::vector<int>>& states,
+                            BoundedDpStats* stats, std::size_t max_columns,
+                            std::size_t total_states) {
+  const int T = source.horizon();
+  const double beta = source.beta();
   OfflineResult result;
 
   // labels[i]: best cost ending in states[t-1][i].  Parents for backtracking
@@ -169,7 +165,7 @@ OfflineResult solve_bounded_impl(const Problem& p,
         parents.data() + offsets[static_cast<std::size_t>(t - 1)];
     std::fill(parent_row, parent_row + column.size(), std::int32_t{-1});
 
-    eval_column(t, column, fvals.span());
+    source.gather(t, column, fvals.span());
     poisoned =
         poisoned || rs::util::any_nan(fvals.span().first(column.size()));
     if (stats != nullptr) {
@@ -186,7 +182,7 @@ OfflineResult solve_bounded_impl(const Problem& p,
         if (std::isinf(previous_labels[j])) continue;
         const double candidate =
             previous_labels[j] +
-            p.beta() * static_cast<double>(pos(column[i] - previous_column[j]));
+            beta * static_cast<double>(pos(column[i] - previous_column[j]));
         if (candidate < best) {
           best = candidate;
           best_parent = static_cast<std::int32_t>(j);
@@ -232,90 +228,32 @@ OfflineResult empty_horizon_result() {
 
 }  // namespace
 
-OfflineResult solve_bounded(const Problem& p,
+OfflineResult solve_bounded(const SlotSource& source,
                             const std::vector<std::vector<int>>& states,
                             BoundedDpStats* stats) {
   std::size_t max_columns = 1;
   std::size_t total_states = 0;
-  validate_columns(p, states, max_columns, total_states);
-  if (p.horizon() == 0) return empty_horizon_result();
-  const int m = p.max_servers();
-  return solve_bounded_impl(
-      p, states, stats, max_columns, total_states,
-      [&p, m](int t, const std::vector<int>& column, std::span<double> out) {
-        // Row-oriented evaluation: resolve f_t once.  A column covering all
-        // of {0,..,m} (the exact-DP configurations) goes through eval_row —
-        // one virtual call for the whole row; sparse columns (the O(log m)
-        // binary-search grids) gather per candidate, keeping the solver's
-        // sublinear evaluation count in m.
-        const rs::core::CostFunction& f = p.f(t);
-        bool dense_column = column.size() == static_cast<std::size_t>(m) + 1;
-        if (dense_column) {
-          for (std::size_t i = 0; i < column.size(); ++i) {
-            if (column[i] != static_cast<int>(i)) {
-              dense_column = false;
-              break;
-            }
-          }
-        }
-        if (dense_column) {
-          f.eval_row(m, out);
-        } else {
-          for (std::size_t i = 0; i < column.size(); ++i) {
-            out[i] = f.at(column[i]);
-          }
-        }
-      });
+  validate_columns(source, states, max_columns, total_states);
+  if (source.horizon() == 0) return empty_horizon_result();
+  if (const rs::core::PwlProblem* pwl = source.pwl(); pwl != nullptr) {
+    if (const int stride = uniform_grid_stride(states); stride > 0) {
+      // stats stays untouched on this path: the label recursion enumerates
+      // no per-state evaluations or transitions, which is the point.
+      return solve_bounded_grid_pwl(
+          *pwl, stride, static_cast<int>(states.front().size()) - 1);
+    }
+  }
+  return solve_columns(source, states, stats, max_columns, total_states);
 }
 
-OfflineResult solve_bounded(const Problem& p,
-                            const std::vector<std::vector<int>>& states,
-                            const rs::core::PwlProblem& pwl,
-                            BoundedDpStats* stats) {
-  if (pwl.horizon() != p.horizon() || pwl.max_servers() != p.max_servers()) {
-    throw std::invalid_argument(
-        "solve_bounded: PwlProblem does not match the instance");
-  }
-  std::size_t max_columns = 1;
-  std::size_t total_states = 0;
-  validate_columns(p, states, max_columns, total_states);
-  if (p.horizon() == 0) return empty_horizon_result();
-  if (const int stride = uniform_grid_stride(states); stride > 0) {
-    // stats stays untouched on this path: the label recursion enumerates
-    // no per-state evaluations or transitions, which is the point.
-    return solve_bounded_grid_pwl(
-        p, pwl, stride,
-        static_cast<int>(states.front().size()) - 1);
-  }
-  // Irregular columns: the same DP, with column values filled from the
-  // cached forms in one O(K + |column|) walk per slot (no re-conversion,
-  // no virtual per-candidate dispatch).
-  return solve_bounded_impl(
-      p, states, stats, max_columns, total_states,
-      [&pwl](int t, const std::vector<int>& column, std::span<double> out) {
-        pwl.form(t).eval_at_sorted(column, out);
-      });
-}
-
-OfflineResult solve_phi_restricted(const Problem& p, int k) {
+OfflineResult solve_phi_restricted(const SlotSource& source, int k) {
   if (k < 0) throw std::invalid_argument("solve_phi_restricted: k < 0");
   const std::vector<int> column =
-      rs::core::multiples_of(1 << k, p.max_servers());
+      rs::core::multiples_of(1 << k, source.max_servers());
   return solve_bounded(
-      p, std::vector<std::vector<int>>(static_cast<std::size_t>(p.horizon()),
-                                       column));
-}
-
-OfflineResult solve_phi_restricted(const Problem& p, int k,
-                                   const rs::core::PwlProblem& pwl) {
-  if (k < 0) throw std::invalid_argument("solve_phi_restricted: k < 0");
-  const std::vector<int> column =
-      rs::core::multiples_of(1 << k, p.max_servers());
-  return solve_bounded(
-      p,
-      std::vector<std::vector<int>>(static_cast<std::size_t>(p.horizon()),
-                                    column),
-      pwl);
+      source,
+      std::vector<std::vector<int>>(static_cast<std::size_t>(source.horizon()),
+                                    column));
 }
 
 }  // namespace rs::offline

@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "core/pwl_problem.hpp"
+#include "core/slot_source.hpp"
 #include "offline/solver.hpp"
 
 namespace rs::offline {
@@ -22,32 +22,27 @@ struct BoundedDpStats {
 /// Optimal schedule over schedules with x_t ∈ states[t-1] for every t.
 /// Each states[t-1] must be non-empty, sorted ascending, within [0, m].
 /// Returns an infeasible result if every allowed path has infinite cost.
-OfflineResult solve_bounded(const rs::core::Problem& p,
+///
+/// The input form picks the path.  A PwlProblem whose columns form one
+/// uniform grid {0, s, 2s, ..} — the full-state and Φ_k configurations —
+/// runs a convex label recursion in grid units whose per-step cost is
+/// independent of m *and* of the column size, with the candidate DP's
+/// exact tie-breaking (bit-identical schedules on integer-valued
+/// instances; ULP-level label agreement otherwise, the DESIGN.md §8
+/// contract); `stats` stays untouched there (nothing is enumerated).
+/// Every other input runs the candidate-column DP, reading f_t over each
+/// column through SlotSource::gather: one eval_row for a full column of a
+/// CostFunction form, one lookup per candidate on a table, one walk per
+/// slot on the forms, and one evaluation per candidate on a sparse column
+/// (the O(log m) binary-search grids stay sublinear in m).
+OfflineResult solve_bounded(const rs::core::SlotSource& source,
                             const std::vector<std::vector<int>>& states,
-                            BoundedDpStats* stats = nullptr);
-
-/// Convex-PWL-backed variant running on an instance's cached forms (one
-/// conversion per slot for the whole batch, shared with every other PWL
-/// consumer).  Uniform-grid columns — every column equal to {0, s, 2s, ..},
-/// the full-state and Φ_k configurations — run a convex label recursion in
-/// grid units whose per-step cost is independent of m *and* of the column
-/// size, with the dense path's exact tie-breaking (bit-identical schedules
-/// on integer-valued instances; ULP-level label agreement otherwise, the
-/// DESIGN.md §8 contract).  Irregular columns run the ordinary DP with the
-/// column values filled from the forms in one walk per slot.  `stats`
-/// stays untouched on the grid fast path (nothing is enumerated).
-OfflineResult solve_bounded(const rs::core::Problem& p,
-                            const std::vector<std::vector<int>>& states,
-                            const rs::core::PwlProblem& pwl,
                             BoundedDpStats* stats = nullptr);
 
 /// Optimal schedule of P_k = Φ_k(P): states restricted to multiples of
-/// 2^k (Section 2.3).  k = 0 reproduces the unrestricted optimum.
-OfflineResult solve_phi_restricted(const rs::core::Problem& p, int k);
-
-/// Same, on cached convex-PWL forms — the Φ_k grid is a uniform grid, so
-/// this always takes the m-independent label fast path.
-OfflineResult solve_phi_restricted(const rs::core::Problem& p, int k,
-                                   const rs::core::PwlProblem& pwl);
+/// 2^k (Section 2.3).  k = 0 reproduces the unrestricted optimum.  The
+/// Φ_k columns are a uniform grid, so a PwlProblem always takes the
+/// m-independent label path.
+OfflineResult solve_phi_restricted(const rs::core::SlotSource& source, int k);
 
 }  // namespace rs::offline

@@ -17,7 +17,14 @@
 //     exactly);
 //   * LowMemorySolver: one schedule across all four forms, the Lemma-11
 //     projection of the shared corridor; its cost is bitwise the convex
-//     DP's on every source that runs the same labels.
+//     DP's on every source that runs the same labels;
+//   * the integral accounting (total_cost, cost_up_to / cost_down_up_to at
+//     a mid τ, is_feasible) of the LCP schedule: bitwise equal on the
+//     Problem, its table and its runs, within 1e-9 relative on the forms;
+//   * solve_phi_restricted at k ∈ {0, 1}: bitwise equal on the Problem,
+//     its table and its runs (one candidate-column DP); the forms take the
+//     grid label path — cost within 1e-9 relative, the schedule exact on
+//     integer-valued instances and optimal otherwise.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -31,7 +38,9 @@
 #include "core/problem.hpp"
 #include "core/pwl_problem.hpp"
 #include "core/rle_problem.hpp"
+#include "core/schedule.hpp"
 #include "offline/backward_solver.hpp"
+#include "offline/bounded_dp.hpp"
 #include "offline/dp_solver.hpp"
 #include "offline/low_memory_solver.hpp"
 #include "offline/work_function.hpp"
@@ -129,6 +138,70 @@ inline void expect_forms_agree(const rs::core::RleProblem& rle,
   expect_low_memory(dense, dp_cost_ref, "dense");
   if (pwl) expect_low_memory(*pwl, cx_ref.cost, "pwl");
   expect_low_memory(rle, cx_rle.cost, "rle");
+
+  // Accounting of the LCP schedule: one definition, read per form.
+  const int mid = p.horizon() / 2;
+  const double total_ref = rs::core::total_cost(p, lcp_ref);
+  const double up_ref = rs::core::cost_up_to(p, lcp_ref, mid);
+  const double down_ref = rs::core::cost_down_up_to(p, lcp_ref, mid);
+  const bool feasible_ref = rs::core::is_feasible(p, lcp_ref);
+  EXPECT_EQ(feasible_ref, std::isfinite(total_ref));
+  const auto expect_accounting = [&](const rs::core::SlotSource& source,
+                                     const char* form) {
+    EXPECT_EQ(rs::core::total_cost(source, lcp_ref), total_ref) << form;
+    EXPECT_EQ(rs::core::cost_up_to(source, lcp_ref, mid), up_ref) << form;
+    EXPECT_EQ(rs::core::cost_down_up_to(source, lcp_ref, mid), down_ref)
+        << form;
+    EXPECT_EQ(rs::core::is_feasible(source, lcp_ref), feasible_ref) << form;
+  };
+  expect_accounting(dense, "dense");
+  expect_accounting(rle, "rle");
+  if (pwl && std::isfinite(total_ref)) {
+    EXPECT_NEAR(rs::core::total_cost(*pwl, lcp_ref), total_ref,
+                1e-9 * std::max(1.0, std::fabs(total_ref)));
+    EXPECT_EQ(rs::core::is_feasible(*pwl, lcp_ref), feasible_ref);
+  }
+
+  // Φ_k-restricted optima: the candidate-column DP on every value form,
+  // the grid label path on the forms.
+  bool integer_valued = true;
+  for (int t = 1; t <= dense.horizon(); ++t) {
+    for (const double value : dense.row(t)) {
+      if (std::isfinite(value) && value != std::floor(value)) {
+        integer_valued = false;
+      }
+    }
+  }
+  for (const int k : {0, 1}) {
+    const rs::offline::OfflineResult phi_ref =
+        rs::offline::solve_phi_restricted(p, k);
+    const auto expect_phi = [&](const rs::core::SlotSource& source,
+                                const char* form) {
+      const rs::offline::OfflineResult got =
+          rs::offline::solve_phi_restricted(source, k);
+      EXPECT_EQ(got.cost, phi_ref.cost) << form << " k=" << k;
+      EXPECT_EQ(got.schedule, phi_ref.schedule) << form << " k=" << k;
+    };
+    expect_phi(dense, "dense");
+    expect_phi(rle, "rle");
+    if (!pwl) continue;
+    const rs::offline::OfflineResult grid =
+        rs::offline::solve_phi_restricted(*pwl, k);
+    if (!std::isfinite(phi_ref.cost)) {
+      EXPECT_EQ(grid.cost, phi_ref.cost) << "pwl k=" << k;
+      EXPECT_TRUE(grid.schedule.empty()) << "pwl k=" << k;
+      continue;
+    }
+    const double phi_tolerance = 1e-9 * std::max(1.0, std::fabs(phi_ref.cost));
+    EXPECT_NEAR(grid.cost, phi_ref.cost, phi_tolerance) << "pwl k=" << k;
+    if (integer_valued) {
+      EXPECT_EQ(grid.schedule, phi_ref.schedule) << "pwl k=" << k;
+    } else {
+      EXPECT_NEAR(rs::core::total_cost(p, grid.schedule), phi_ref.cost,
+                  phi_tolerance)
+          << "pwl k=" << k;
+    }
+  }
 }
 
 }  // namespace rs::test_support

@@ -5,6 +5,7 @@
 #include "analysis/competitive.hpp"
 #include "analysis/monte_carlo.hpp"
 #include "analysis/savings.hpp"
+#include "core/dense_problem.hpp"
 #include "online/baselines.hpp"
 #include "online/lcp.hpp"
 #include "online/level_flow.hpp"
@@ -39,6 +40,28 @@ TEST(MeasureRatio, FractionalVariant) {
   rs::online::LevelFlow flow;
   const RatioReport report = measure_ratio(flow, p);
   EXPECT_LE(report.ratio, 2.0 + 1e-6);
+}
+
+TEST(MeasureRatio, RejectsScoringOfAnotherInstance) {
+  // A scoring source of another instance — other T, m or β — is rejected
+  // by both the integral and the fractional measurement.
+  rs::util::Rng rng(36);
+  const Problem p = rs::workload::random_instance(
+      rng, InstanceFamily::kQuadratic, 20, 6, 1.0);
+  const Problem longer = rs::workload::random_instance(
+      rng, InstanceFamily::kQuadratic, 21, 6, 1.0);
+  const Problem wider = rs::workload::random_instance(
+      rng, InstanceFamily::kQuadratic, 20, 7, 1.0);
+  const Problem dearer = rs::workload::random_instance(
+      rng, InstanceFamily::kQuadratic, 20, 6, 2.0);
+  for (const Problem* other : {&longer, &wider, &dearer}) {
+    const rs::core::DenseProblem mismatched(*other);
+    rs::online::Lcp lcp;
+    rs::online::LevelFlow flow;
+    EXPECT_THROW(measure_ratio(lcp, p, mismatched), std::invalid_argument);
+    EXPECT_THROW(measure_ratio(flow, p, mismatched), std::invalid_argument);
+    EXPECT_THROW(measure_ratio(lcp, p, *other), std::invalid_argument);
+  }
 }
 
 TEST(MonteCarlo, DeterministicAcrossRuns) {

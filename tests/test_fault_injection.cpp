@@ -623,12 +623,20 @@ TEST(BatchIsolation, InfeasibleSlotIsNotAFault) {
   // +inf slot costs are *within* the extended-real contract: the solve
   // completes with status kOk and a +inf objective — the fault taxonomy
   // must not swallow legitimate infeasibility.
+  // A short plan can miss every slot for some seeds, so take the first seed
+  // from base_seed() + 5 on whose plan poisons at least one.
   Problem p = table_problem(5, 1.0, 8, 300);
   FaultPlan plan;
   plan.seed = base_seed() + 5;
   plan.period = 3;
   plan.poison = PoisonKind::kInfeasible;
-  ASSERT_FALSE(rs::scenario::poisoned_slots(plan, p.horizon()).empty());
+  for (int tries = 1; tries < 64 &&
+                      rs::scenario::poisoned_slots(plan, p.horizon()).empty();
+       ++tries) {
+    ++plan.seed;
+  }
+  ASSERT_FALSE(rs::scenario::poisoned_slots(plan, p.horizon()).empty())
+      << "no poisoning plan within 64 seeds of " << base_seed() + 5;
   const Problem infeasible = rs::scenario::apply_fault_plan(p, plan);
 
   SolveJob job;

@@ -8,8 +8,14 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "core/dense_problem.hpp"
 #include "core/problem.hpp"
+#include "core/pwl_problem.hpp"
+#include "core/rle_problem.hpp"
 #include "core/schedule.hpp"
 #include "util/math_util.hpp"
 #include "util/rng.hpp"
@@ -215,6 +221,42 @@ TEST(Schedule, LengthMismatchThrows) {
   EXPECT_THROW(total_cost(p, Schedule{0, 1}), std::invalid_argument);
   EXPECT_THROW(operating_cost(p, Schedule{0, 1, 2, 0}),
                std::invalid_argument);
+}
+
+TEST(Schedule, OutOfRangeStateThrowsOnEveryForm) {
+  // m = 5; the state 6 (or -1) lies outside [0, m].  A table must not read
+  // the neighbouring row: every form throws, and no form calls it feasible.
+  const Problem p = make_table_problem(5, 1.0,
+                                       {{3.0, 1.0, 0.5, 1.0, 2.0, 4.0},
+                                        {2.0, 1.0, 0.0, 0.5, 1.5, 3.0},
+                                        {1.0, 0.5, 0.25, 0.5, 1.0, 2.0},
+                                        {0.0, 0.5, 1.0, 1.5, 2.0, 2.5}});
+  const DenseProblem dense(p);
+  std::vector<RleProblem::Run> runs;
+  for (int t = 1; t <= p.horizon(); ++t) runs.push_back({p.f_ptr(t), 1});
+  const RleProblem rle(p.max_servers(), p.beta(), std::move(runs));
+  const std::optional<PwlProblem> pwl = PwlProblem::try_convert(p);
+  ASSERT_TRUE(pwl.has_value());
+
+  const auto expect_rejected = [](const SlotSource& source, const char* form) {
+    for (const Schedule& x : {Schedule{1, 6, 2, 1}, Schedule{1, -1, 2, 1}}) {
+      SCOPED_TRACE(std::string(form) + " x_2 = " + std::to_string(x[1]));
+      EXPECT_THROW(total_cost(source, x), std::out_of_range);
+      EXPECT_THROW(operating_cost(source, x, 2), std::out_of_range);
+      EXPECT_THROW(cost_up_to(source, x, 3), std::out_of_range);
+      EXPECT_THROW(cost_down_up_to(source, x), std::out_of_range);
+      EXPECT_THROW(total_cost_symmetric(source, x), std::out_of_range);
+      EXPECT_THROW(interval_cost(source, x, 0, 4), std::out_of_range);
+      EXPECT_FALSE(is_within_bounds(source, x));
+      EXPECT_FALSE(is_feasible(source, x));
+      // Slot 1 alone is in range and prices normally.
+      EXPECT_EQ(operating_cost(source, x, 1), 1.0);
+    }
+  };
+  expect_rejected(p, "problem");
+  expect_rejected(dense, "dense");
+  expect_rejected(rle, "rle");
+  expect_rejected(*pwl, "pwl");
 }
 
 TEST(Schedule, InfeasibleScheduleHasInfiniteCost) {

@@ -381,7 +381,7 @@ TEST(BoundedDpPwl, GridColumnsMatchDenseAcrossFamilies) {
         const rs::offline::OfflineResult dense =
             rs::offline::solve_bounded(p, states);
         const rs::offline::OfflineResult fast =
-            rs::offline::solve_bounded(p, states, *pwl);
+            rs::offline::solve_bounded(*pwl, states);
         if (std::isinf(dense.cost)) {
           EXPECT_TRUE(std::isinf(fast.cost));
           continue;
@@ -416,7 +416,7 @@ TEST(BoundedDpPwl, GridColumnsBitIdenticalOnIntegerInstances) {
       const rs::offline::OfflineResult dense =
           rs::offline::solve_phi_restricted(p, k);
       const rs::offline::OfflineResult fast =
-          rs::offline::solve_phi_restricted(p, k, *pwl);
+          rs::offline::solve_phi_restricted(*pwl, k);
       EXPECT_EQ(fast.cost, dense.cost) << "trial=" << trial << " k=" << k;
       EXPECT_EQ(fast.schedule, dense.schedule)
           << "trial=" << trial << " k=" << k;
@@ -451,7 +451,7 @@ TEST(BoundedDpPwl, IrregularColumnsEvaluateFromFormsBitIdentically) {
     const rs::offline::OfflineResult dense =
         rs::offline::solve_bounded(p, states, &dense_stats);
     const rs::offline::OfflineResult fast =
-        rs::offline::solve_bounded(p, states, *pwl, &fast_stats);
+        rs::offline::solve_bounded(*pwl, states, &fast_stats);
     EXPECT_EQ(fast.cost, dense.cost) << trial;
     EXPECT_EQ(fast.schedule, dense.schedule) << trial;
     EXPECT_EQ(fast_stats.function_evaluations,
@@ -459,17 +459,6 @@ TEST(BoundedDpPwl, IrregularColumnsEvaluateFromFormsBitIdentically) {
     EXPECT_EQ(fast_stats.transitions_evaluated,
               dense_stats.transitions_evaluated);
   }
-}
-
-TEST(BoundedDpPwl, ValidatesMismatchedCache) {
-  rs::util::Rng rng(7);
-  const Problem p = integer_instance(rng, 4, 5, 1.0);
-  const Problem q = integer_instance(rng, 5, 5, 1.0);
-  const std::optional<PwlProblem> pwl =
-      PwlProblem::try_convert(q, rs::core::kUnboundedBreakpoints);
-  ASSERT_TRUE(pwl.has_value());
-  EXPECT_THROW(rs::offline::solve_bounded(p, grid_columns(p, 1), *pwl),
-               std::invalid_argument);
 }
 
 // --- low-memory corridor solve on the cache ---------------------------------
@@ -608,7 +597,7 @@ TEST(LinearLoadPwl, TariffInstancesRideEveryPwlConsumer) {
               rs::offline::LowMemorySolver().solve(p).schedule);
 
     const std::vector<std::vector<int>> states = grid_columns(p, 1);
-    EXPECT_EQ(rs::offline::solve_bounded(p, states, *pwl).schedule,
+    EXPECT_EQ(rs::offline::solve_bounded(*pwl, states).schedule,
               rs::offline::solve_bounded(p, states).schedule);
   }
 }
