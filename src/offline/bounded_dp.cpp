@@ -247,7 +247,10 @@ OfflineResult solve_bounded(const SlotSource& source,
 }
 
 OfflineResult solve_phi_restricted(const SlotSource& source, int k) {
-  if (k < 0) throw std::invalid_argument("solve_phi_restricted: k < 0");
+  // 2^k must fit an int; any k past log2(m) already leaves only {0}.
+  if (k < 0 || k > 30) {
+    throw std::invalid_argument("solve_phi_restricted: k out of [0, 30]");
+  }
   const std::vector<int> column =
       rs::core::multiples_of(1 << k, source.max_servers());
   return solve_bounded(

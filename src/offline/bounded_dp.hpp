@@ -40,7 +40,8 @@ OfflineResult solve_bounded(const rs::core::SlotSource& source,
                             BoundedDpStats* stats = nullptr);
 
 /// Optimal schedule of P_k = Φ_k(P): states restricted to multiples of
-/// 2^k (Section 2.3).  k = 0 reproduces the unrestricted optimum.  The
+/// 2^k (Section 2.3), 0 <= k <= 30 (else std::invalid_argument).  k = 0
+/// reproduces the unrestricted optimum.  The
 /// Φ_k columns are a uniform grid, so a PwlProblem always takes the
 /// m-independent label path.
 OfflineResult solve_phi_restricted(const rs::core::SlotSource& source, int k);

@@ -145,6 +145,12 @@ TEST(BoundedDp, InputValidation) {
                std::invalid_argument);
   EXPECT_THROW(solve_bounded(p, {std::vector<int>{0, 3}}),
                std::invalid_argument);
+  // 2^k must fit an int: k = 31 used to fail inside multiples_of, k >= 32
+  // shifted out of range.
+  EXPECT_THROW(solve_phi_restricted(p, -1), std::invalid_argument);
+  EXPECT_THROW(solve_phi_restricted(p, 31), std::invalid_argument);
+  EXPECT_THROW(solve_phi_restricted(p, 40), std::invalid_argument);
+  EXPECT_EQ(solve_phi_restricted(p, 30).schedule, std::vector<int>{0});
 }
 
 TEST(BoundedDp, StatsCountWork) {
