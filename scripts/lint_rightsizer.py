@@ -41,6 +41,15 @@ shipped or explicitly guards against:
                             CostPtr or a value key, or annotate a key that
                             something else keeps alive with
                             `rs-lint: pinned-key (<why>)`.
+  RS007 problem-solver-entry  A method of an OfflineSolver subclass, or a
+                            free solver entry point (a function returning
+                            OfflineResult), in src/offline/ that takes
+                            `const rs::core::Problem&`.  Every offline
+                            solver reads its instance through one
+                            core::SlotSource, which a Problem binds to as
+                            is, so a Problem overload is a second signature
+                            to keep in step.  begin_delta is exempt: a
+                            delta session edits its Problem.
 
 Suppressions are read from raw source text (comments included): a file
 marker applies anywhere in the file; line annotations apply on the flagged
@@ -152,6 +161,17 @@ RAW_COST_KEY = re.compile(
     r"\b(?:unordered_)?(?:multi)?(?:map|set)\s*<\s*const\s+"
     r"(?:[\w:]+::)?CostFunction\s*\*"
 )
+SOLVER_SUBCLASS = re.compile(
+    r"\bclass\s+\w+[^;{]*:\s*(?:public\s+)?(?:rs::offline::)?OfflineSolver\b"
+)
+# A declarator or call: optional OfflineResult return type, optional
+# qualifiers, the name, and the parameter text up to the first `)`.
+DECLARATOR = re.compile(
+    r"(?:\b(OfflineResult)\s+)?((?:\w+::)*)(\w+)\s*\(([^)]*)")
+PROBLEM_PARAM = re.compile(r"\bconst\s+(?:rs::)?(?:core::)?Problem\s*&")
+OFFLINE_DIR = "src/offline/"
+# The one solver member that needs a Problem: a delta session edits it.
+PROBLEM_ENTRY_EXEMPT = {"begin_delta"}
 COST_SUBCLASS = re.compile(
     r"\bclass\s+(\w+)[^;{]*:\s*(?:public\s+)?(?:rs::core::)?CostFunction\b"
 )
@@ -260,8 +280,39 @@ def check_raw_cost_key(path: str, raw: list[str], code: list[str],
                 f"'{OK_PINNED_KEY} (<why>)'"))
 
 
+def check_problem_entry(path: str, raw: list[str], code: list[str],
+                        findings: list[Finding]) -> None:
+    if not path.startswith(OFFLINE_DIR):
+        return
+    in_solver = [False] * len(code)
+    for i, line in enumerate(code):
+        if SOLVER_SUBCLASS.search(line):
+            for j in range(i, len(code)):
+                in_solver[j] = True
+                if code[j].startswith("};"):
+                    break
+    for i, line in enumerate(code):
+        # A parameter list can break across lines; a declarator is
+        # reported on the line where it starts.
+        window = " ".join(code[i:i + 3])
+        for match in DECLARATOR.finditer(window):
+            if match.start() >= len(line):
+                break
+            returns, qualifiers, name, params = match.groups()
+            entry = (in_solver[i] or returns is not None
+                     or qualifiers.endswith("Solver::"))
+            if (entry and name not in PROBLEM_ENTRY_EXEMPT
+                    and PROBLEM_PARAM.search(params)):
+                findings.append(Finding(
+                    path, i + 1, "RS007",
+                    f"offline solver entry {name} takes a const Problem&: "
+                    "take a const rs::core::SlotSource& instead (a Problem "
+                    "binds to it as is)"))
+
+
 CHECKS = (check_minmax_folds, check_float_eq, check_catch_all,
-          check_eval_row, check_value_key, check_raw_cost_key)
+          check_eval_row, check_value_key, check_raw_cost_key,
+          check_problem_entry)
 
 
 def lint_text(path: str, text: str) -> list[Finding]:
@@ -399,13 +450,35 @@ SELF_TESTS = (
      "std::map<CostPtr, int> seen_;\n"
      "std::unordered_set<rs::core::CostPtr> live_;\n",
      "RS006", False),
+    ("RS007 fires on a Problem overload of a solver and a free entry",
+     "class GraphSolver final : public OfflineSolver {\n"
+     " public:\n"
+     "  OfflineResult solve(const rs::core::Problem& p) const override;\n"
+     "};\n"
+     "OfflineResult solve_windowed(int k,\n"
+     "                             const Problem& p);\n",
+     "RS007", True),
+    ("RS007 quiet on SlotSource entries and begin_delta",
+     "class DpSolver final : public OfflineSolver {\n"
+     " public:\n"
+     "  OfflineResult solve(const rs::core::SlotSource& source) const;\n"
+     "  DpDeltaSession begin_delta(const rs::core::Problem& p) const;\n"
+     "};\n"
+     "DpDeltaSession DpSolver::begin_delta(const rs::core::Problem& p) {\n"
+     "  return DpDeltaSession(p);\n"
+     "}\n",
+     "RS007", False),
 )
+
+# Self-test snippets are linted as if they lived here, so path-scoped rules
+# (RS007) see them.
+SELF_TEST_PATH = OFFLINE_DIR + "self_test.hpp"
 
 
 def run_self_test() -> int:
     failures = 0
     for name, snippet, rule, should_fire in SELF_TESTS:
-        hits = [f for f in lint_text("<self-test>", snippet)
+        hits = [f for f in lint_text(SELF_TEST_PATH, snippet)
                 if f.rule == rule]
         ok = bool(hits) == should_fire
         print(f"{'PASS' if ok else 'FAIL'}: {name}")

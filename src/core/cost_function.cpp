@@ -550,44 +550,29 @@ bool StrideCost::value_key_impl(ValueKey& key) const {
 
 // ---------------------------------------------------------------------------
 
+PaddingTail::PaddingTail(double f_below_m, double f_m) : f_m(f_m) {
+  if (std::isfinite(f_m) && std::isfinite(f_below_m)) {
+    slope = std::max(f_m - f_below_m, 0.0) + 1.0;
+  }
+}
+
 PaddedCost::PaddedCost(CostPtr base, int original_m)
     : base_(std::move(base)), original_m_(original_m) {
   if (!base_) throw std::invalid_argument("PaddedCost: null base");
   if (original_m < 0) throw std::invalid_argument("PaddedCost: m < 0");
-  // For convex base, the maximum slope on {0,..,m} is the last one; extend
-  // with a strictly larger slope so every state above m is strictly
-  // dominated and the extension stays convex.
-  double last_slope = 0.0;
-  if (original_m >= 1) {
-    const double fm = base_->at(original_m);
-    const double fm1 = base_->at(original_m - 1);
-    if (std::isfinite(fm) && std::isfinite(fm1)) last_slope = fm - fm1;
-  }
-  extension_slope_ = std::max(last_slope, 0.0) + 1.0;
+  tail_ = PaddingTail(original_m >= 1 ? base_->at(original_m - 1) : kInf,
+                      base_->at(original_m));
 }
 
 double PaddedCost::at(int x) const {
-  if (x <= original_m_) return base_->at(x);
-  const double base_value = base_->at(original_m_);
-  if (std::isinf(base_value)) return base_value;
-  return base_value + extension_slope_ * static_cast<double>(x - original_m_);
+  return x <= original_m_ ? base_->at(x) : tail_.at(x - original_m_);
 }
 
 void PaddedCost::eval_row(int m, std::span<double> out) const {
   assert(m >= 0 && out.size() >= static_cast<std::size_t>(m) + 1);
-  const int inner = std::min(m, original_m_);
-  base_->eval_row(inner, out);
-  if (m <= original_m_) return;
-  // Infinite anchors are hoisted so the extension loop is branch-free.
-  const double base_value = base_->at(original_m_);
-  if (std::isinf(base_value)) {
-    std::fill(out.begin() + (original_m_ + 1), out.begin() + (m + 1),
-              base_value);
-    return;
-  }
+  base_->eval_row(std::min(m, original_m_), out);
   for (int x = original_m_ + 1; x <= m; ++x) {
-    out[static_cast<std::size_t>(x)] =
-        base_value + extension_slope_ * static_cast<double>(x - original_m_);
+    out[static_cast<std::size_t>(x)] = tail_.at(x - original_m_);
   }
 }
 
@@ -610,7 +595,7 @@ std::string PaddedCost::name() const {
 }
 
 bool PaddedCost::value_key_impl(ValueKey& key) const {
-  // extension_slope_ is derived from the base and original_m_.
+  // tail_ is derived from the base and original_m_.
   key.push_back(value_key_tag("padded"));
   key.push_back(static_cast<std::uint64_t>(original_m_));
   return base_->append_value_key(key);

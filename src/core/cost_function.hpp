@@ -350,10 +350,26 @@ class StrideCost final : public CostFunction {
   int stride_;
 };
 
+/// The Section 2.2 padding above m: f(m + d) = f(m) + slope·d with slope
+/// max(f(m) − f(m−1), 0) + 1, steeper than any slope of a convex f, so
+/// padded states are strictly dominated (DESIGN.md §2).  An infinite f(m)
+/// stays infinite; a non-finite f(m−1) (pass +inf at m = 0) gives slope 1.
+/// Shared by PaddedCost and BinarySearchSolver.
+struct PaddingTail {
+  PaddingTail() = default;
+  PaddingTail(double f_below_m, double f_m);
+
+  /// f(m + d) for d >= 1.
+  double at(int d) const {
+    return std::isinf(f_m) ? f_m : f_m + slope * static_cast<double>(d);
+  }
+
+  double f_m = 0.0;
+  double slope = 1.0;
+};
+
 /// Extension used by the power-of-two padding of Section 2.2: equals `base`
-/// on {0,..,m} and continues linearly above m with a slope strictly larger
-/// than any slope of `base` (see DESIGN.md §2 for why this deviates from the
-/// paper's literal x·(f(m)+ε) formula).
+/// on {0,..,m} and continues above m as its PaddingTail.
 class PaddedCost final : public CostFunction {
  public:
   PaddedCost(CostPtr base, int original_m);
@@ -369,7 +385,7 @@ class PaddedCost final : public CostFunction {
  private:
   CostPtr base_;
   int original_m_;
-  double extension_slope_;
+  PaddingTail tail_;
 };
 
 // ---------------------------------------------------------------------------

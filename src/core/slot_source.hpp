@@ -5,10 +5,11 @@
 //   * a PwlProblem: exact convex-PWL forms, converted once;
 //   * an RleProblem: (CostFunction, run length) runs.
 //
-// Every corridor consumer (compute_bounds, run_lcp, DpSolver,
-// LowMemorySolver), the integral cost accounting of core/schedule,
-// solve_bounded / solve_phi_restricted and the ratio harnesses
-// (measure_ratio, monte_carlo) are written once over this view.  It owns
+// Every corridor consumer (compute_bounds, run_lcp), every OfflineSolver
+// (DpSolver, LowMemorySolver, GraphSolver, BruteForceSolver,
+// BackwardSolver, BinarySearchSolver), the integral cost accounting of
+// core/schedule, solve_bounded / solve_phi_restricted and the ratio
+// harnesses (measure_ratio, monte_carlo) are written once over this view.  It owns
 // nothing — the instance must outlive it — and its constructors are
 // implicit, like std::span's, so any of the four binds to a
 // `const SlotSource&` as is.  Row consumers visit the form once per call,

@@ -15,24 +15,6 @@ int next_power_of_two(int n) {
   return p;
 }
 
-PaddedProblem pad_to_power_of_two(const Problem& p) {
-  if (p.max_servers() < 1) {
-    throw std::invalid_argument("pad_to_power_of_two: m < 1");
-  }
-  const int padded_m = next_power_of_two(p.max_servers());
-  std::vector<CostPtr> fs;
-  fs.reserve(static_cast<std::size_t>(p.horizon()));
-  for (int t = 1; t <= p.horizon(); ++t) {
-    if (padded_m == p.max_servers()) {
-      fs.push_back(p.f_ptr(t));
-    } else {
-      fs.push_back(std::make_shared<PaddedCost>(p.f_ptr(t), p.max_servers()));
-    }
-  }
-  return PaddedProblem{Problem(padded_m, p.beta(), std::move(fs)),
-                       p.max_servers()};
-}
-
 std::vector<int> multiples_of(int step, int m) {
   if (step <= 0) throw std::invalid_argument("multiples_of: step <= 0");
   if (m < 0) throw std::invalid_argument("multiples_of: m < 0");
@@ -42,7 +24,9 @@ std::vector<int> multiples_of(int step, int m) {
 }
 
 Problem psi_scale(const Problem& p, int l) {
-  if (l < 0) throw std::invalid_argument("psi_scale: l < 0");
+  if (l < 0 || l > 30) {
+    throw std::invalid_argument("psi_scale: l out of [0, 30]");
+  }
   const int stride = 1 << l;
   if (p.max_servers() % stride != 0) {
     throw std::invalid_argument("psi_scale: 2^l must divide m");

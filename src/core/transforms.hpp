@@ -13,22 +13,11 @@ namespace rs::core {
 /// Smallest power of two >= n (n >= 1).
 int next_power_of_two(int n);
 
-struct PaddedProblem {
-  Problem problem;   // padded instance with m' = 2^⌈log2 m⌉
-  int original_m;    // m of the source instance
-};
-
-/// Section 2.2 padding: extends the instance to a power-of-two number of
-/// servers.  Slot costs are extended via PaddedCost (convex, strictly
-/// increasing above the original m), so optimal schedules never use padded
-/// states and coincide with the original optimum.
-PaddedProblem pad_to_power_of_two(const Problem& p);
-
 /// The state set M_k = {n in [m]_0 : n mod 2^k = 0} of the Φ_k transform.
 std::vector<int> multiples_of(int step, int m);
 
 /// Ψ_l rescaling (Section 2.3): (T, m/2^l, β·2^l, f'_t(x) = f_t(x·2^l)).
-/// Requires 2^l to divide m.
+/// Requires 0 <= l <= 30 and 2^l to divide m (else std::invalid_argument).
 Problem psi_scale(const Problem& p, int l);
 
 /// Theorem-10 stretching: each f_t is replaced by `factor` consecutive

@@ -245,9 +245,9 @@ SolverEngine::SolverEngine(Options options) : options_(options) {
 }
 
 std::size_t SolverEngine::threads() const noexcept {
-  if (pool_) return pool_->size();
   if (options_.threads == 1) return 1;
-  return rs::util::global_pool().size();
+  // parallel_for_dynamic drains work on the calling thread too.
+  return (pool_ ? pool_->size() : rs::util::global_pool().size()) + 1;
 }
 
 void SolverEngine::dispatch(

@@ -209,7 +209,8 @@ class SolverEngine {
                       std::span<double> seconds,
                       BatchStats* stats = nullptr) const;
 
-  /// Worker count the batch runs on (1 for inline mode).
+  /// Worker count the batch runs on: the pool's workers plus the calling
+  /// thread, which drains work beside them (1 for inline mode).
   std::size_t threads() const noexcept;
 
   const Options& options() const noexcept { return options_; }

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/dense_problem.hpp"
 #include "util/math_util.hpp"
 
 namespace rs::offline {
@@ -43,22 +42,11 @@ OfflineResult corridor_solve(const rs::core::SlotSource& source,
   return result;
 }
 
-OfflineResult BackwardSolver::solve(const rs::core::Problem& p) const {
+OfflineResult BackwardSolver::solve(const rs::core::SlotSource& source) const {
   OfflineResult result;
-  if (p.horizon() == 0) {
-    result.schedule = {};
-    result.cost = 0.0;
-    return result;
-  }
-  // The bound pass reads every row anyway, so materialize them once and let
-  // the final cost accounting reuse the table instead of re-dispatching
-  // through the cost functions.  Neither pass queries minimizers.
-  const rs::core::DenseProblem dense(
-      p, rs::core::DenseProblem::Mode::kEager,
-      rs::core::DenseProblem::MinimizerCache::kOnDemand);
-  const BoundTrajectory bounds = compute_bounds(dense);
-  result.schedule = backward_schedule(bounds);
-  result.cost = rs::core::total_cost(dense, result.schedule);
+  result.schedule = backward_schedule(
+      compute_bounds(source, WorkFunctionTracker::Backend::kDense));
+  result.cost = rs::core::total_cost(source, result.schedule);
   if (!result.feasible()) result.schedule.clear();
   return result;
 }

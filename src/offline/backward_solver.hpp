@@ -14,11 +14,11 @@
 
 namespace rs::offline {
 
-/// The reference solver: an explicit bound pass over a materialized table,
+/// The reference solver: an explicit dense bound pass over any input form,
 /// the schedule priced by total_cost (the property tests' witness).
 class BackwardSolver final : public OfflineSolver {
  public:
-  OfflineResult solve(const rs::core::Problem& p) const override;
+  OfflineResult solve(const rs::core::SlotSource& source) const override;
   std::string name() const override { return "backward_lemma11"; }
 };
 

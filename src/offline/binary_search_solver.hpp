@@ -7,7 +7,9 @@
 // { x̂^{k+1}_t + ξ·2^k : ξ ∈ {−2,−1,0,1,2} } ∩ [0, m] around the previous
 // iterate.  Lemma 5 guarantees an optimal schedule of P_k within distance
 // 2^{k+1} of any optimal schedule of P_{k+1}, so the final iteration (k = 0)
-// is optimal for the original instance.  Running time O(T·log m).
+// is optimal for the original instance.  Running time O(T·log m).  The
+// padding lives in the values read: a state above m reads its slot's
+// core::PaddingTail, computed once per slot.
 #pragma once
 
 #include "offline/bounded_dp.hpp"
@@ -22,11 +24,11 @@ struct BinarySearchStats {
 
 class BinarySearchSolver final : public OfflineSolver {
  public:
-  OfflineResult solve(const rs::core::Problem& p) const override;
+  OfflineResult solve(const rs::core::SlotSource& source) const override;
 
   /// As solve(), additionally reporting iteration and evaluation counts
   /// (used by the Theorem-1 scaling experiment to verify O(T·log m)).
-  OfflineResult solve_with_stats(const rs::core::Problem& p,
+  OfflineResult solve_with_stats(const rs::core::SlotSource& source,
                                  BinarySearchStats& stats) const;
 
   std::string name() const override { return "binary_search"; }

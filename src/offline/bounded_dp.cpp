@@ -19,15 +19,14 @@ using rs::util::pos;
 
 namespace {
 
-void validate_columns(const SlotSource& source,
-                      const std::vector<std::vector<int>>& states,
-                      std::size_t& max_columns, std::size_t& total_states) {
-  const int m = source.max_servers();
-  if (static_cast<int>(states.size()) != source.horizon()) {
+// Checks one non-empty, sorted column per slot within [0, max_state];
+// returns the widest column's size.
+std::size_t validate_columns(int horizon, int max_state,
+                             const std::vector<std::vector<int>>& states) {
+  if (static_cast<int>(states.size()) != horizon) {
     throw std::invalid_argument("solve_bounded: need one state set per slot");
   }
-  max_columns = 1;
-  total_states = 0;
+  std::size_t max_columns = 1;
   for (const std::vector<int>& column : states) {
     if (column.empty()) {
       throw std::invalid_argument("solve_bounded: empty candidate column");
@@ -35,12 +34,12 @@ void validate_columns(const SlotSource& source,
     if (!std::is_sorted(column.begin(), column.end())) {
       throw std::invalid_argument("solve_bounded: candidates must be sorted");
     }
-    if (column.front() < 0 || column.back() > m) {
+    if (column.front() < 0 || column.back() > max_state) {
       throw std::invalid_argument("solve_bounded: candidate out of [0, m]");
     }
     max_columns = std::max(max_columns, column.size());
-    total_states += column.size();
   }
+  return max_columns;
 }
 
 // Stride s when every column is the same arithmetic progression
@@ -123,15 +122,14 @@ OfflineResult solve_bounded_grid_pwl(const rs::core::PwlProblem& pwl,
   return result;
 }
 
-// The candidate-column DP, reading f_t over each column through
-// SlotSource::gather.  Callers have already validated the columns
-// (max_columns / total_states come from that pass) and handled T = 0.
-OfflineResult solve_columns(const SlotSource& source,
+}  // namespace
+
+OfflineResult solve_columns(int max_state, double beta,
                             const std::vector<std::vector<int>>& states,
-                            BoundedDpStats* stats, std::size_t max_columns,
-                            std::size_t total_states) {
-  const int T = source.horizon();
-  const double beta = source.beta();
+                            const ColumnReader& read, BoundedDpStats* stats) {
+  const int T = static_cast<int>(states.size());
+  const std::size_t max_columns = validate_columns(T, max_state, states);
+  if (T == 0) return OfflineResult{{}, 0.0};
   OfflineResult result;
 
   // labels[i]: best cost ending in states[t-1][i].  Parents for backtracking
@@ -139,7 +137,6 @@ OfflineResult solve_columns(const SlotSource& source,
   // the repeated-solve consumers (binary-search grids, sweeps) stay
   // allocation-free after warm-up.
   rs::util::Workspace& workspace = rs::util::this_thread_workspace();
-  auto parents = workspace.borrow<std::int32_t>(total_states);
   auto offsets = workspace.borrow<std::int64_t>(static_cast<std::size_t>(T) + 1);
   offsets[0] = 0;
   for (int t = 1; t <= T; ++t) {
@@ -147,6 +144,8 @@ OfflineResult solve_columns(const SlotSource& source,
         offsets[static_cast<std::size_t>(t - 1)] +
         static_cast<std::int64_t>(states[static_cast<std::size_t>(t - 1)].size());
   }
+  auto parents = workspace.borrow<std::int32_t>(
+      static_cast<std::size_t>(offsets[static_cast<std::size_t>(T)]));
   auto labels = workspace.borrow<double>(max_columns);
   auto previous_labels = workspace.borrow<double>(max_columns);
   auto fvals = workspace.borrow<double>(max_columns);  // f_t over the column
@@ -165,7 +164,7 @@ OfflineResult solve_columns(const SlotSource& source,
         parents.data() + offsets[static_cast<std::size_t>(t - 1)];
     std::fill(parent_row, parent_row + column.size(), std::int32_t{-1});
 
-    source.gather(t, column, fvals.span());
+    read(t, column, fvals.span());
     poisoned =
         poisoned || rs::util::any_nan(fvals.span().first(column.size()));
     if (stats != nullptr) {
@@ -219,22 +218,10 @@ OfflineResult solve_columns(const SlotSource& source,
   return result;
 }
 
-OfflineResult empty_horizon_result() {
-  OfflineResult result;
-  result.schedule = {};
-  result.cost = 0.0;
-  return result;
-}
-
-}  // namespace
-
 OfflineResult solve_bounded(const SlotSource& source,
                             const std::vector<std::vector<int>>& states,
                             BoundedDpStats* stats) {
-  std::size_t max_columns = 1;
-  std::size_t total_states = 0;
-  validate_columns(source, states, max_columns, total_states);
-  if (source.horizon() == 0) return empty_horizon_result();
+  validate_columns(source.horizon(), source.max_servers(), states);
   if (const rs::core::PwlProblem* pwl = source.pwl(); pwl != nullptr) {
     if (const int stride = uniform_grid_stride(states); stride > 0) {
       // stats stays untouched on this path: the label recursion enumerates
@@ -243,7 +230,12 @@ OfflineResult solve_bounded(const SlotSource& source,
           *pwl, stride, static_cast<int>(states.front().size()) - 1);
     }
   }
-  return solve_columns(source, states, stats, max_columns, total_states);
+  return solve_columns(
+      source.max_servers(), source.beta(), states,
+      [&source](int t, std::span<const int> xs, std::span<double> out) {
+        source.gather(t, xs, out);
+      },
+      stats);
 }
 
 OfflineResult solve_phi_restricted(const SlotSource& source, int k) {

@@ -7,6 +7,8 @@
 // correctness lemmas of Section 2.3 quantify over.
 #pragma once
 
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/slot_source.hpp"
@@ -37,6 +39,18 @@ struct BoundedDpStats {
 /// (the O(log m) binary-search grids stay sublinear in m).
 OfflineResult solve_bounded(const rs::core::SlotSource& source,
                             const std::vector<std::vector<int>>& states,
+                            BoundedDpStats* stats = nullptr);
+
+/// Writes f_t over the ascending states `xs` into out[0, |xs|).
+using ColumnReader = std::function<void(int t, std::span<const int> xs,
+                                        std::span<double> out)>;
+
+/// The candidate-column DP behind solve_bounded, over columns within
+/// [0, max_state] read through `read` (T = states.size()): how
+/// BinarySearchSolver reads its padded states above m.
+OfflineResult solve_columns(int max_state, double beta,
+                            const std::vector<std::vector<int>>& states,
+                            const ColumnReader& read,
                             BoundedDpStats* stats = nullptr);
 
 /// Optimal schedule of P_k = Φ_k(P): states restricted to multiples of

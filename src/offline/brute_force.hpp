@@ -9,7 +9,7 @@ namespace rs::offline {
 
 class BruteForceSolver final : public OfflineSolver {
  public:
-  OfflineResult solve(const rs::core::Problem& p) const override;
+  OfflineResult solve(const rs::core::SlotSource& source) const override;
   std::string name() const override { return "brute_force"; }
 };
 

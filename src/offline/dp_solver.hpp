@@ -49,18 +49,12 @@ class DpSolver final : public OfflineSolver {
   /// per-step cost is a contiguous O(m) scan with no virtual dispatch in
   /// the inner loop.  On the table DP a NaN slot cost yields a NaN cost
   /// and no schedule (the convex path rejects it with invalid_argument).
-  OfflineResult solve(const rs::core::SlotSource& source) const;
-  OfflineResult solve(const rs::core::Problem& p) const override {
-    return solve(rs::core::SlotSource(p));
-  }
+  OfflineResult solve(const rs::core::SlotSource& source) const override;
 
   /// O(m)-memory variant that skips parent bookkeeping (O(K)-memory on the
   /// convex fast path); used by the scaling benchmarks where T·m parent
   /// tables would not fit.  Same backend selection as solve().
-  double solve_cost(const rs::core::SlotSource& source) const;
-  double solve_cost(const rs::core::Problem& p) const override {
-    return solve_cost(rs::core::SlotSource(p));
-  }
+  double solve_cost(const rs::core::SlotSource& source) const override;
 
   Backend backend() const noexcept { return backend_; }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 
 #include "util/math_util.hpp"
@@ -12,39 +13,33 @@ namespace rs::offline {
 using rs::util::kInf;
 using rs::util::pos;
 
-OfflineResult GraphSolver::solve(const rs::core::Problem& p) const {
-  OfflineResult result;
-  const int T = p.horizon();
-  if (T == 0) {
-    result.schedule = {};
-    result.cost = 0.0;
-    return result;
-  }
-  const int m = p.max_servers();
-  const double beta = p.beta();
+OfflineResult GraphSolver::solve(const rs::core::SlotSource& source) const {
+  const int T = source.horizon();
+  if (T == 0) return OfflineResult{{}, 0.0};
+  const int m = source.max_servers();
+  const double beta = source.beta();
   const std::size_t width = static_cast<std::size_t>(m) + 1;
 
   rs::util::Workspace& workspace = rs::util::this_thread_workspace();
   auto dist = workspace.borrow<double>(width);
   auto next = workspace.borrow<double>(width);
-  auto frow = workspace.borrow<double>(width);
+  auto scratch = workspace.borrow<double>(width);
   auto parents =
       workspace.borrow<std::int32_t>(static_cast<std::size_t>(T) * width);
 
-  const auto fill_row = [&](int t) {
-    p.f(t).eval_row(m, frow.span());
-    for (int x = 0; x <= m; ++x) {
-      if (std::isnan(frow[static_cast<std::size_t>(x)])) {
-        // The explicit builder rejected NaN at add_edge time; keep the
-        // contract.
-        throw std::invalid_argument("GraphSolver: NaN edge weight");
-      }
+  const auto read_row = [&](int t) {
+    const std::span<const double> row = source.row(t, scratch.span());
+    if (rs::util::any_nan(row)) {
+      // The explicit builder rejected NaN at add_edge time; keep the
+      // contract.
+      throw std::invalid_argument("GraphSolver: NaN edge weight");
     }
+    return row;
   };
 
   // Layer 0 -> 1: the single source v_{0,0} pays f_1(j) + β·j (power-up
   // from x_0 = 0); same expression as the explicit edge weights.
-  fill_row(1);
+  std::span<const double> frow = read_row(1);
   for (int j = 0; j <= m; ++j) {
     dist[static_cast<std::size_t>(j)] =
         frow[static_cast<std::size_t>(j)] + beta * static_cast<double>(j);
@@ -56,7 +51,7 @@ OfflineResult GraphSolver::solve(const rs::core::Problem& p) const {
   // exactly the insertion order of the explicit per-layer edge lists, so
   // argmin ties resolve identically (first strict improvement wins).
   for (int t = 2; t <= T; ++t) {
-    fill_row(t);
+    frow = read_row(t);
     std::int32_t* parent_row =
         parents.data() + static_cast<std::size_t>(t - 1) * width;
     for (int jp = 0; jp <= m; ++jp) {
@@ -92,6 +87,7 @@ OfflineResult GraphSolver::solve(const rs::core::Problem& p) const {
       final_state = j;
     }
   }
+  OfflineResult result;
   result.cost = final_state >= 0 ? best : kInf;
   if (!result.feasible()) return result;
 

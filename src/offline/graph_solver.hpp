@@ -10,7 +10,8 @@
 // state (distance rows, the f_t row, the T×(m+1) parent table) is borrowed
 // from the per-thread workspace arenas (util/workspace.hpp), so repeated
 // solves are allocation-free after warm-up; this is what made the solver
-// stable enough to rejoin the bench smoke gate.
+// stable enough to rejoin the bench smoke gate.  Rows are read through
+// core::SlotSource::row (table views on a DenseProblem).
 //
 // Kept as an independently-implemented cross-check for the DP and
 // binary-search solvers (it relaxes every O(m²) transition, no
@@ -25,7 +26,7 @@ namespace rs::offline {
 
 class GraphSolver final : public OfflineSolver {
  public:
-  OfflineResult solve(const rs::core::Problem& p) const override;
+  OfflineResult solve(const rs::core::SlotSource& source) const override;
   std::string name() const override { return "graph_sssp"; }
 };
 

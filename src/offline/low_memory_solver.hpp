@@ -23,11 +23,8 @@ class LowMemorySolver final : public OfflineSolver {
   /// conversion, DenseProblem rows the dense labels, and Problem or
   /// RleProblem slots convert as they are fed (dense fallback from the
   /// first slot without a compact form).
-  OfflineResult solve(const rs::core::SlotSource& source) const {
+  OfflineResult solve(const rs::core::SlotSource& source) const override {
     return corridor_solve(source);
-  }
-  OfflineResult solve(const rs::core::Problem& p) const override {
-    return solve(rs::core::SlotSource(p));
   }
 
   std::string name() const override { return "low_memory"; }

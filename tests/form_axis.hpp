@@ -1,8 +1,8 @@
 // The input form as a test axis: one instance, given as a run-grouped
-// RleProblem, is fed to every corridor consumer in each of the four forms
-// a core::SlotSource wraps — the expanded Problem, its DenseProblem table,
-// its PwlProblem forms (when every slot converts within the auto budget)
-// and the RleProblem itself.
+// RleProblem, is fed to every corridor consumer and every exact offline
+// solver in each of the four forms a core::SlotSource wraps — the expanded
+// Problem, its DenseProblem table, its PwlProblem forms (when every slot
+// converts within the auto budget) and the RleProblem itself.
 //
 // Contracts checked (DESIGN.md §8):
 //   * compute_bounds and run_lcp: bitwise equal across all forms and every
@@ -24,7 +24,12 @@
 //   * solve_phi_restricted at k ∈ {0, 1}: bitwise equal on the Problem,
 //     its table and its runs (one candidate-column DP); the forms take the
 //     grid label path — cost within 1e-9 relative, the schedule exact on
-//     integer-valued instances and optimal otherwise.
+//     integer-valued instances and optimal otherwise;
+//   * GraphSolver, BruteForceSolver (when the search has at most 10^7
+//     schedules), BackwardSolver and BinarySearchSolver (with its
+//     BinarySearchStats counts): bitwise equal on the Problem, its table
+//     and its runs; on the forms, cost within 1e-9 relative and a schedule
+//     that prices to it on the Problem.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -33,6 +38,7 @@
 #include <cmath>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/dense_problem.hpp"
 #include "core/problem.hpp"
@@ -40,8 +46,11 @@
 #include "core/rle_problem.hpp"
 #include "core/schedule.hpp"
 #include "offline/backward_solver.hpp"
+#include "offline/binary_search_solver.hpp"
 #include "offline/bounded_dp.hpp"
+#include "offline/brute_force.hpp"
 #include "offline/dp_solver.hpp"
+#include "offline/graph_solver.hpp"
 #include "offline/low_memory_solver.hpp"
 #include "offline/work_function.hpp"
 #include "online/lcp.hpp"
@@ -201,6 +210,52 @@ inline void expect_forms_agree(const rs::core::RleProblem& rle,
                   phi_tolerance)
           << "pwl k=" << k;
     }
+  }
+
+  // The remaining exact solvers, one SlotSource entry each.
+  const rs::offline::GraphSolver graph;
+  const rs::offline::BruteForceSolver brute_force;
+  const rs::offline::BackwardSolver backward;
+  const rs::offline::BinarySearchSolver binary_search;
+  std::vector<const rs::offline::OfflineSolver*> exact = {&graph, &backward,
+                                                          &binary_search};
+  if (std::pow(p.max_servers() + 1.0, p.horizon()) <= 1e7) {
+    exact.push_back(&brute_force);
+  }
+  for (const rs::offline::OfflineSolver* solver : exact) {
+    const rs::offline::OfflineResult want = solver->solve(p);
+    const auto expect_same = [&](const rs::core::SlotSource& source,
+                                 const char* form) {
+      const rs::offline::OfflineResult got = solver->solve(source);
+      EXPECT_EQ(got.cost, want.cost) << solver->name() << " " << form;
+      EXPECT_EQ(got.schedule, want.schedule) << solver->name() << " " << form;
+    };
+    expect_same(dense, "dense");
+    expect_same(rle, "rle");
+    if (!pwl) continue;
+    const rs::offline::OfflineResult got = solver->solve(*pwl);
+    if (!std::isfinite(want.cost)) {
+      EXPECT_EQ(got.cost, want.cost) << solver->name() << " pwl";
+      EXPECT_TRUE(got.schedule.empty()) << solver->name() << " pwl";
+      continue;
+    }
+    const double exact_tolerance = 1e-9 * std::max(1.0, std::fabs(want.cost));
+    EXPECT_NEAR(got.cost, want.cost, exact_tolerance) << solver->name();
+    EXPECT_NEAR(rs::core::total_cost(p, got.schedule), want.cost,
+                exact_tolerance)
+        << solver->name();
+  }
+  rs::offline::BinarySearchStats stats_ref;
+  binary_search.solve_with_stats(p, stats_ref);
+  for (const rs::core::SlotSource& source :
+       {rs::core::SlotSource(dense), rs::core::SlotSource(rle)}) {
+    rs::offline::BinarySearchStats stats;
+    binary_search.solve_with_stats(source, stats);
+    EXPECT_EQ(stats.iterations, stats_ref.iterations);
+    EXPECT_EQ(stats.dp.transitions_evaluated,
+              stats_ref.dp.transitions_evaluated);
+    EXPECT_EQ(stats.dp.function_evaluations,
+              stats_ref.dp.function_evaluations);
   }
 }
 

@@ -6,7 +6,11 @@
 // out of the per-thread workspace arenas.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "rightsizer/rightsizer.hpp"
@@ -373,6 +377,28 @@ TEST(SolverEngine, ForEachReportsBatchStats) {
   EXPECT_THROW(engine.for_each(1, nullptr), std::invalid_argument);
 }
 
+TEST(SolverEngine, ThreadsCountsTheCallingThread) {
+  // parallel_for_dynamic drains work on the calling thread beside the
+  // pool's workers, so a pooled batch runs on workers + 1 threads.
+  EXPECT_EQ(SolverEngine({.threads = 1}).threads(), 1u);
+  EXPECT_EQ(SolverEngine({.threads = 3}).threads(), 4u);
+  EXPECT_EQ(SolverEngine().threads(), rs::util::global_pool().size() + 1);
+  const SolverEngine engine({.threads = 2});
+  std::mutex mutex;
+  std::set<std::thread::id> ran_on;
+  rs::engine::BatchStats stats;
+  engine.for_each(
+      64,
+      [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        const std::lock_guard<std::mutex> lock(mutex);
+        ran_on.insert(std::this_thread::get_id());
+      },
+      &stats);
+  EXPECT_EQ(stats.threads, 3u);
+  EXPECT_LE(ran_on.size(), stats.threads);
+}
+
 TEST(SolverEngine, ForEachTimedFillsPerItemSeconds) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
     const SolverEngine engine({.threads = threads});
@@ -408,7 +434,7 @@ TEST(SweepRunner, EngineRunRecordsStatsAndMatchesDefaultRun) {
     EXPECT_EQ(plain.rows()[i], engined.rows()[i]);
   }
   EXPECT_EQ(engined.stats().jobs, points.size());
-  EXPECT_EQ(engined.stats().threads, 2u);
+  EXPECT_EQ(engined.stats().threads, 3u);  // 2 workers + the caller
   EXPECT_EQ(plain.stats().jobs, points.size());
 }
 

@@ -20,6 +20,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -39,6 +40,7 @@
 #include "online/lcp.hpp"
 #include "online/online_algorithm.hpp"
 #include "scenario/fault_plan.hpp"
+#include "scenario/rle.hpp"
 #include "util/fault_injection.hpp"
 #include "util/math_util.hpp"
 #include "util/rng.hpp"
@@ -432,10 +434,16 @@ TEST(BatchIsolation, NaNPoisonFailsEverySolverKind) {
        {3.0, 2.0, 1.0, 2.0}});
   expect_every_kind_fails(single_point, "single-point NaN table");
 
-  // Every exact offline solver, outside the engine: a NaN cost with no
-  // schedule, or std::invalid_argument — never a finite cost.  The
-  // candidate-column DP under BinarySearchSolver and the exhaustive search
-  // both used to skip the NaN state and return 10.
+  // Every exact offline solver, outside the engine, on the instance as a
+  // Problem, as its DenseProblem and as its RleProblem (a NaN instance has
+  // no PWL form): a NaN cost with no schedule, or std::invalid_argument —
+  // never a finite cost.  The candidate-column DP under BinarySearchSolver
+  // and the exhaustive search both used to skip the NaN state and return
+  // 10.
+  const rs::core::DenseProblem single_point_dense(single_point);
+  const rs::core::RleProblem single_point_rle =
+      rs::scenario::rle_compress(single_point);
+  ASSERT_LT(single_point_rle.run_count(), single_point.horizon());
   const rs::offline::DpSolver dp_dense;
   const rs::offline::DpSolver dp_convex(
       rs::offline::DpSolver::Backend::kConvexAuto);
@@ -444,26 +452,33 @@ TEST(BatchIsolation, NaNPoisonFailsEverySolverKind) {
   const rs::offline::GraphSolver graph;
   const rs::offline::BackwardSolver backward;
   const rs::offline::LowMemorySolver low_memory;
-  for (const rs::offline::OfflineSolver* solver :
-       std::vector<const rs::offline::OfflineSolver*>{
-           &dp_dense, &dp_convex, &binary_search, &brute_force, &graph,
-           &backward, &low_memory}) {
-    try {
-      const rs::offline::OfflineResult result = solver->solve(single_point);
-      EXPECT_TRUE(std::isnan(result.cost))
-          << solver->name() << " returned " << result.cost;
-      EXPECT_TRUE(result.schedule.empty()) << solver->name();
-    } catch (const std::invalid_argument&) {
-      // Rejecting the poisoned instance is the other legal answer.
+  const std::vector<std::pair<const char*, rs::core::SlotSource>> forms = {
+      {"problem", single_point},
+      {"dense", single_point_dense},
+      {"rle", single_point_rle}};
+  for (const auto& [form, source] : forms) {
+    for (const rs::offline::OfflineSolver* solver :
+         std::vector<const rs::offline::OfflineSolver*>{
+             &dp_dense, &dp_convex, &binary_search, &brute_force, &graph,
+             &backward, &low_memory}) {
+      try {
+        const rs::offline::OfflineResult result = solver->solve(source);
+        EXPECT_TRUE(std::isnan(result.cost))
+            << solver->name() << " on " << form << " returned "
+            << result.cost;
+        EXPECT_TRUE(result.schedule.empty()) << solver->name() << " " << form;
+      } catch (const std::invalid_argument&) {
+        // Rejecting the poisoned instance is the other legal answer.
+      }
     }
+    for (const rs::offline::OfflineResult& result :
+         {binary_search.solve(source), brute_force.solve(source),
+          rs::offline::solve_phi_restricted(source, 0)}) {
+      EXPECT_TRUE(std::isnan(result.cost)) << form;
+      EXPECT_TRUE(result.schedule.empty()) << form;
+    }
+    EXPECT_TRUE(std::isnan(dp_dense.solve(source).cost)) << form;
   }
-  for (const rs::offline::OfflineResult& result :
-       {binary_search.solve(single_point), brute_force.solve(single_point),
-        rs::offline::solve_phi_restricted(single_point, 0)}) {
-    EXPECT_TRUE(std::isnan(result.cost));
-    EXPECT_TRUE(result.schedule.empty());
-  }
-  EXPECT_TRUE(std::isnan(dp_dense.solve(single_point).cost));
 }
 
 TEST(BatchIsolation, ThrowingJobLeavesRestValid) {

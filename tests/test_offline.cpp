@@ -7,6 +7,7 @@
 // all instance families.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <tuple>
 
@@ -373,6 +374,96 @@ TEST(GridContinuous, FloorAndCeilOfOptimumAreOptimal) {
 TEST(GridContinuous, RejectsBadResolution) {
   const Problem p = rs::core::make_table_problem(1, 1.0, {{0.0, 1.0}});
   EXPECT_THROW(solve_continuous_on_grid(p, 0), std::invalid_argument);
+}
+
+
+// --- golden differential: the Problem-input bits ----------------------------
+
+// FNV-1a over every cost, schedule and BinarySearchStats count that
+// GraphSolver, BruteForceSolver (when the search has at most 10^5
+// schedules, which keeps the test fast), BackwardSolver and
+// BinarySearchSolver return on Problem inputs: every random_instance
+// family (the CrossSolverTest families) and a windowed family whose narrow
+// feasible ranges miss the binary search's grids, so its Φ_k and exact-DP
+// fallbacks run (16 times each), at m ∈ {1, 2, 3, 5, 7, 9, 17, 33}.  The
+// expected value was recorded while the four solvers still took a Problem
+// and binary search padded m by building a PaddedCost instance, so reading
+// through core::SlotSource and padding through the values read must leave
+// every bit where it was.
+class Fnv64 {
+ public:
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ p[i]) * 0x100000001b3ull;
+    }
+  }
+  void i64(std::int64_t v) { bytes(&v, sizeof v); }
+  void result(const OfflineResult& r) {
+    i64(std::bit_cast<std::int64_t>(r.cost));
+    i64(static_cast<std::int64_t>(r.schedule.size()));
+    bytes(r.schedule.data(), r.schedule.size() * sizeof(int));
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+// A convex table finite only on a window of width 0-2 inside [0, m].
+Problem windowed_instance(rs::util::Rng& rng, int T, int m, double beta) {
+  std::vector<std::vector<double>> rows;
+  for (int t = 1; t <= T; ++t) {
+    const int lo = static_cast<int>(rng.uniform_int(0, m));
+    const int hi = std::min(m, lo + static_cast<int>(rng.uniform_int(0, 2)));
+    std::vector<double> row(static_cast<std::size_t>(m) + 1, kInf);
+    const double center = rng.uniform(lo, hi);
+    for (int x = lo; x <= hi; ++x) {
+      row[static_cast<std::size_t>(x)] = (x - center) * (x - center);
+    }
+    rows.push_back(std::move(row));
+  }
+  return rs::core::make_table_problem(m, beta, rows);
+}
+
+TEST(OfflineGolden, ProblemInputSolversMatchRecordedHash) {
+  Fnv64 h;
+  int brute_runs = 0;
+  const GraphSolver graph;
+  const BruteForceSolver brute;
+  const BackwardSolver backward;
+  const BinarySearchSolver binary;
+  const std::size_t windowed = rs::workload::all_instance_families().size();
+  for (std::size_t family = 0; family <= windowed; ++family) {
+    for (const int m : {1, 2, 3, 5, 7, 9, 17, 33}) {
+      for (const int T : {3, 6}) {
+        rs::util::Rng rng(family * 1000 + static_cast<std::uint64_t>(m) * 10 +
+                          static_cast<std::uint64_t>(T));
+        const double beta = rng.uniform(0.3, 3.0);
+        const Problem p =
+            family == windowed
+                ? windowed_instance(rng, T, m, beta)
+                : rs::workload::random_instance(
+                      rng, rs::workload::all_instance_families()[family], T,
+                      m, beta);
+        h.result(graph.solve(p));
+        if (std::pow(m + 1.0, T) <= 1e5) {
+          h.result(brute.solve(p));
+          ++brute_runs;
+        }
+        h.result(backward.solve(p));
+        BinarySearchStats stats;
+        const OfflineResult search = binary.solve_with_stats(p, stats);
+        h.result(search);
+        h.result(binary.solve(p));
+        h.i64(stats.iterations);
+        h.i64(stats.dp.transitions_evaluated);
+        h.i64(stats.dp.function_evaluations);
+      }
+    }
+  }
+  EXPECT_GT(brute_runs, 60);
+  EXPECT_EQ(h.value(), 0x7b59608c1c8bcbceull) << std::hex << h.value();
 }
 
 }  // namespace

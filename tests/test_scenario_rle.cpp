@@ -254,6 +254,16 @@ TEST(RleReplay, EveryInputFormAgrees) {
                                              family.cost_of),
         family.name);
   }
+  // A short horizon with a repeated stretch, so the exhaustive search runs
+  // on every form too.
+  const RleTrace short_trace =
+      rs::scenario::rle_encode(Trace{{0.5, 2.0, 2.0, 2.0, 1.0, 3.0, 0.0}});
+  for (const Family& family : all_families(3)) {
+    rs::test_support::expect_forms_agree(
+        rs::scenario::rle_problem_from_trace(short_trace, 3, 2.5,
+                                             family.cost_of),
+        std::string(family.name) + " (T = 7, m = 3)");
+  }
   rs::test_support::expect_forms_agree(RleProblem(m, 2.5, {}), "T = 0");
   const auto zero = std::make_shared<rs::core::TableCost>(
       std::vector<double>{1.5});

@@ -3,8 +3,11 @@
 // and the restricted-model reduction (eq. 2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
+#include "core/cost_function.hpp"
 #include "core/schedule.hpp"
 #include "core/transforms.hpp"
 #include "util/math_util.hpp"
@@ -24,29 +27,52 @@ TEST(NextPowerOfTwo, Values) {
   EXPECT_THROW(next_power_of_two(0), std::invalid_argument);
 }
 
+// The Section 2.2 padding is one definition, PaddingTail: PaddedCost and
+// BinarySearchSolver's padded reads both continue f_t above m through it.
+CostPtr padded_slot(const Problem& p, int t, int padded_m) {
+  if (padded_m == p.max_servers()) return p.f_ptr(t);
+  return std::make_shared<PaddedCost>(p.f_ptr(t), p.max_servers());
+}
+
 TEST(Padding, KeepsInstanceWhenAlreadyPowerOfTwo) {
   const Problem p = make_table_problem(
       4, 1.0, {{4.0, 3.0, 2.0, 2.5, 3.0}, {1.0, 0.0, 1.0, 2.0, 3.0}});
-  const PaddedProblem padded = pad_to_power_of_two(p);
-  EXPECT_EQ(padded.problem.max_servers(), 4);
-  EXPECT_EQ(padded.original_m, 4);
-  EXPECT_DOUBLE_EQ(padded.problem.cost_at(1, 3), 2.5);
+  EXPECT_EQ(next_power_of_two(p.max_servers()), 4);
+  const PaddedCost f(p.f_ptr(1), 4);
+  std::vector<double> row(5);
+  f.eval_row(4, row);
+  for (int x = 0; x <= 4; ++x) EXPECT_EQ(row[x], p.cost_at(1, x));
+  EXPECT_DOUBLE_EQ(f.at(3), 2.5);
 }
 
 TEST(Padding, ExtendsToNextPowerOfTwoConvexly) {
   const Problem p =
       make_table_problem(5, 2.0, {{5.0, 3.0, 2.0, 2.0, 3.0, 5.0}});
-  const PaddedProblem padded = pad_to_power_of_two(p);
-  EXPECT_EQ(padded.problem.max_servers(), 8);
+  const int padded_m = next_power_of_two(p.max_servers());
+  EXPECT_EQ(padded_m, 8);
+  const Problem q(padded_m, p.beta(), {padded_slot(p, 1, padded_m)});
   // Original values preserved.
   for (int x = 0; x <= 5; ++x) {
-    EXPECT_DOUBLE_EQ(padded.problem.cost_at(1, x), p.cost_at(1, x));
+    EXPECT_DOUBLE_EQ(q.cost_at(1, x), p.cost_at(1, x));
   }
-  // Extension strictly increasing and convex overall.
+  // Extension strictly increasing and convex overall: the tail's slope
+  // beats the last slope f(5) − f(4) = 2.
+  const PaddingTail tail(p.cost_at(1, 4), p.cost_at(1, 5));
+  EXPECT_DOUBLE_EQ(tail.slope, 3.0);
   for (int x = 6; x <= 8; ++x) {
-    EXPECT_GT(padded.problem.cost_at(1, x), padded.problem.cost_at(1, x - 1));
+    EXPECT_GT(q.cost_at(1, x), q.cost_at(1, x - 1));
+    EXPECT_EQ(q.cost_at(1, x), tail.at(x - 5));
   }
-  EXPECT_NO_THROW(padded.problem.validate());
+  EXPECT_NO_THROW(q.validate());
+}
+
+TEST(Padding, TailOfInfiniteOrDegenerateEdges) {
+  // An infinite f(m) stays infinite; a non-finite f(m−1) (or m = 0, passed
+  // as +inf) falls back to slope 1; a falling edge is clamped to slope 1.
+  EXPECT_EQ(PaddingTail(1.0, kInf).at(3), kInf);
+  EXPECT_DOUBLE_EQ(PaddingTail(kInf, 2.0).at(3), 5.0);
+  EXPECT_DOUBLE_EQ(PaddingTail(4.0, 2.0).slope, 1.0);
+  EXPECT_DOUBLE_EQ(PaddingTail(1.0, 2.5).slope, 2.5);
 }
 
 TEST(Padding, OptimalNeverUsesPaddedStates) {
@@ -54,9 +80,10 @@ TEST(Padding, OptimalNeverUsesPaddedStates) {
   // strictly dominated by its clamped version.
   const Problem p =
       make_table_problem(3, 1.0, {{3.0, 1.0, 0.5, 2.0}, {2.0, 1.5, 1.0, 0.5}});
-  const PaddedProblem padded = pad_to_power_of_two(p);
-  const Problem& q = padded.problem;
-  ASSERT_EQ(q.max_servers(), 4);
+  const int padded_m = next_power_of_two(p.max_servers());
+  ASSERT_EQ(padded_m, 4);
+  const Problem q(padded_m, p.beta(),
+                  {padded_slot(p, 1, padded_m), padded_slot(p, 2, padded_m)});
   for (int x1 = 0; x1 <= 4; ++x1) {
     for (int x2 = 0; x2 <= 4; ++x2) {
       if (x1 <= 3 && x2 <= 3) continue;
@@ -104,6 +131,9 @@ TEST(PsiScale, RequiresDivisibility) {
   const Problem p = make_table_problem(3, 1.0, {{0.0, 0.0, 0.0, 0.0}});
   EXPECT_THROW(psi_scale(p, 1), std::invalid_argument);
   EXPECT_THROW(psi_scale(p, -1), std::invalid_argument);
+  // 2^l must fit an int: l >= 32 used to shift out of range.
+  EXPECT_THROW(psi_scale(p, 31), std::invalid_argument);
+  EXPECT_THROW(psi_scale(p, 40), std::invalid_argument);
 }
 
 TEST(PsiScale, IdentityForZero) {
