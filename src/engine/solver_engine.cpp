@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -10,9 +11,10 @@
 #include <utility>
 
 #include "core/slot_source.hpp"
+#include "offline/backward_solver.hpp"
 #include "offline/delta_session.hpp"
 #include "offline/dp_solver.hpp"
-#include "offline/low_memory_solver.hpp"
+#include "offline/work_function.hpp"
 #include "online/lcp.hpp"
 #include "util/audit.hpp"
 #include "util/fault_injection.hpp"
@@ -55,164 +57,250 @@ struct DeltaSlot {
   std::optional<rs::offline::DpDeltaSession> session;
 };
 
-SolveOutcome run_one(const SolveJob& job, const DenseProblem* dense,
-                     const rs::core::PwlProblem* pwl, DeltaSlot* delta,
-                     std::size_t index, std::mutex& stats_mutex,
-                     BatchStats& stats) {
-  // pwl: the batch's shared form cache for this instance (non-null exactly
-  // when it admits a compact convex-PWL form and no table was materialized
-  // for it).  Every kind replays from the cached forms — no job performs a
-  // conversion of its own.
-  if (rs::util::fault_fires(pwl != nullptr ? rs::util::FaultSite::kPwlBackend
-                                           : rs::util::FaultSite::kDenseBackend,
-                            index)) {
-    throw BackendFailureError(pwl != nullptr
-                                  ? "injected fault: PWL backend"
-                                  : "injected fault: dense backend");
-  }
-  // The job's one slot source: the cached forms, else the shared table,
-  // else the Problem itself (rows streamed per solve).
-  using rs::core::SlotSource;
-  const SlotSource source = pwl     ? SlotSource(*pwl)
-                            : dense ? SlotSource(*dense)
-                                    : SlotSource(*job.problem);
-  SolveOutcome outcome;
-  switch (job.kind) {
-    case SolverKind::kDpCost:
-      outcome.cost = rs::offline::DpSolver().solve_cost(source);
-      break;
-    case SolverKind::kDpSchedule: {
-      rs::offline::OfflineResult result = rs::offline::DpSolver().solve(source);
-      outcome.cost = result.cost;
-      outcome.schedule = std::move(result.schedule);
-      break;
-    }
-    case SolverKind::kLcp:
-      outcome.schedule = rs::online::run_lcp(source);
-      // Priced on the table when there is one, else on the Problem (also
-      // for PWL-routed jobs, whose cost bits thus match a solo replay).
-      outcome.cost = rs::core::total_cost(
-          dense ? SlotSource(*dense) : SlotSource(*job.problem),
-          outcome.schedule);
-      break;
-    case SolverKind::kLowMemory: {
-      rs::offline::OfflineResult result =
-          rs::offline::LowMemorySolver().solve(source);
-      outcome.cost = result.cost;
-      outcome.schedule = std::move(result.schedule);
-      break;
-    }
-    case SolverKind::kDeltaResolve: {
-      {
-        const std::lock_guard<std::mutex> lock(delta->mutex);
-        if (!delta->session.has_value()) {
-          delta->session.emplace(*job.problem);  // one base solve per instance
-        }
-      }
-      const rs::offline::DpDeltaSession& session = *delta->session;
-      rs::offline::DpDeltaSession::DeltaStats ds;
-      rs::offline::OfflineResult result =
-          session.probe_delta(job.edit_slot, job.edit_cost, &ds);
-      outcome.cost = result.cost;
-      outcome.schedule = std::move(result.schedule);
-      {
-        const std::lock_guard<std::mutex> stats_lock(stats_mutex);
-        stats.slots_repaired += static_cast<std::size_t>(ds.slots_repaired);
-        if (ds.early_exit) ++stats.early_exits;
-      }
-      break;
-    }
-  }
-  return outcome;
+// The two passes jobs share, and the one-probe delta task.  Both kinds of
+// a pass read the same slot source the same way: kDpCost and kDpSchedule
+// one DP, kLcp and kLowMemory one work-function corridor.
+enum class PassKind { kDp, kCorridor, kDelta };
+
+PassKind pass_of(SolverKind kind) {
+  if (kind == SolverKind::kDeltaResolve) return PassKind::kDelta;
+  return kind == SolverKind::kDpCost || kind == SolverKind::kDpSchedule
+             ? PassKind::kDp
+             : PassKind::kCorridor;
 }
 
-// One classified solve attempt: the outcome on success, nullopt with
-// (status, error) filled on any fault.  A NaN total cost is demoted to
+// One task of a batch: the jobs that share one pass over one slot source —
+// the cached forms, else the table, else the members' one Problem streamed.
+// A kDelta pass has exactly one member.
+struct Pass {
+  PassKind kind = PassKind::kDp;
+  const PwlProblem* pwl = nullptr;
+  const DenseProblem* dense = nullptr;
+  DeltaSlot* delta = nullptr;
+  std::vector<std::size_t> members;  // job indices, ascending
+};
+
+// The outcome of a failed job: its status and error, nothing else.
+SolveOutcome failed(SolveStatus status, std::string error) {
+  SolveOutcome out;
+  out.status = status;
+  out.error = std::move(error);
+  return out;
+}
+
+// Runs `fn` behind a fault boundary: nullopt when it returns, else the
+// failure its exception classifies to.
+template <typename Fn>
+std::optional<SolveOutcome> guarded(Fn&& fn) {
+  try {
+    fn();
+    return std::nullopt;
+  } catch (const BackendFailureError& e) {
+    return failed(SolveStatus::kBackendFailure, e.what());
+  } catch (const std::invalid_argument& e) {
+    return failed(SolveStatus::kInvalidInput, e.what());
+  } catch (const std::domain_error& e) {
+    return failed(SolveStatus::kInvalidInput, e.what());
+  } catch (const std::exception& e) {
+    return failed(SolveStatus::kException, e.what());
+  } catch (...) {  // rs-lint: catch-all-ok (classified to kException)
+    return failed(SolveStatus::kException, "unknown exception");
+  }
+}
+
+// The pass's shared work behind the fault boundary of every live member (a
+// member whose outcome is still ok): on a throw, each of them fails with
+// the classified error, as each would have failed solving alone.
+template <typename Step>
+bool shared_step(const Pass& pass, std::span<SolveOutcome> outcomes,
+                 Step&& step) {
+  const std::optional<SolveOutcome> failure = guarded(step);
+  if (!failure) return true;
+  for (const std::size_t i : pass.members) {
+    if (outcomes[i].ok()) outcomes[i] = *failure;
+  }
+  return false;
+}
+
+// One member's own part behind its own fault boundary: `fill` writes the
+// cost (and schedule) from the shared pass.  A NaN total cost is demoted to
 // kInvalidInput here so poisoned instances that slip through a solver
 // without throwing still fail *their* job instead of polluting the batch.
-std::optional<SolveOutcome> try_solve(const SolveJob& job,
-                                      const DenseProblem* dense,
-                                      const rs::core::PwlProblem* pwl,
-                                      DeltaSlot* delta, std::size_t index,
-                                      SolveStatus& status, std::string& error,
-                                      std::mutex& stats_mutex,
-                                      BatchStats& stats) {
-  try {
-    SolveOutcome outcome =
-        run_one(job, dense, pwl, delta, index, stats_mutex, stats);
-    if (std::isnan(outcome.cost)) {
-      status = SolveStatus::kInvalidInput;
-      error = "solver produced a NaN total cost";
-      return std::nullopt;
+template <typename Fill>
+void finish([[maybe_unused]] const SolveJob& job, SolveOutcome& out,
+            Fill&& fill) {
+  std::optional<SolveOutcome> failure = guarded([&]() {
+    fill(out);
+    if (std::isnan(out.cost)) {
+      throw std::invalid_argument("solver produced a NaN total cost");
     }
     // A kOk outcome contract audit (DESIGN.md §13): schedule-producing
     // kinds return one state per slot, every state inside [0, m], and
     // extended-real costs never go negative or -inf.
     RS_AUDIT({
       namespace audit = rs::util::audit;
-      audit::require(!(outcome.cost < 0.0),
-                     "engine-outcome-cost-nonnegative", "try_solve");
-      if (!outcome.schedule.empty() && job.problem != nullptr) {
-        audit::require(outcome.schedule.size() ==
+      audit::require(!(out.cost < 0.0), "engine-outcome-cost-nonnegative",
+                     "finish");
+      if (!out.schedule.empty() && job.problem != nullptr) {
+        audit::require(out.schedule.size() ==
                            static_cast<std::size_t>(job.problem->horizon()),
-                       "engine-outcome-schedule-shape", "try_solve");
+                       "engine-outcome-schedule-shape", "finish");
         const int m = job.problem->max_servers();
-        for (const int x : outcome.schedule) {
-          audit::require(0 <= x && x <= m,
-                         "engine-outcome-schedule-in-range", "try_solve");
+        for (const int x : out.schedule) {
+          audit::require(0 <= x && x <= m, "engine-outcome-schedule-in-range",
+                         "finish");
         }
       }
     });
-    return outcome;
-  } catch (const BackendFailureError& e) {
-    status = SolveStatus::kBackendFailure;
-    error = e.what();
-  } catch (const std::invalid_argument& e) {
-    status = SolveStatus::kInvalidInput;
-    error = e.what();
-  } catch (const std::domain_error& e) {
-    status = SolveStatus::kInvalidInput;
-    error = e.what();
-  } catch (const std::exception& e) {
-    status = SolveStatus::kException;
-    error = e.what();
-  } catch (...) {  // rs-lint: catch-all-ok (classified to kException)
-    status = SolveStatus::kException;
-    error = "unknown exception";
-  }
-  return std::nullopt;
+  });
+  if (failure) out = std::move(*failure);
 }
 
-// The per-job fault boundary: nothing a job does can escape this function.
-// PWL-routed failures get one dense-streaming retry (no table build in the
-// worker — the solvers stream rows from the original Problem), recorded as
-// a DegradeEvent; a failure on the final attempt becomes a non-kOk outcome
-// with an empty schedule.
-void run_isolated(const SolveJob& job, const DenseProblem* dense,
-                  const rs::core::PwlProblem* pwl, DeltaSlot* delta,
-                  std::size_t index, SolveOutcome& out,
-                  std::mutex& stats_mutex, BatchStats& stats) {
-  SolveStatus status = SolveStatus::kOk;
-  std::string error;
-  if (std::optional<SolveOutcome> outcome = try_solve(
-          job, dense, pwl, delta, index, status, error, stats_mutex, stats)) {
-    out = std::move(*outcome);
-    return;
-  }
-  if (pwl != nullptr && job.problem != nullptr) {
-    const std::string first_error = error;
-    if (std::optional<SolveOutcome> outcome =
-            try_solve(job, nullptr, nullptr, nullptr, index, status, error,
-                      stats_mutex, stats)) {
-      out = std::move(*outcome);
-      const std::lock_guard<std::mutex> lock(stats_mutex);
-      stats.degrade_events.push_back(DegradeEvent{index, first_error});
+// Solves a pass for its live members.
+void solve_pass(const Pass& pass, std::span<const SolveJob> jobs,
+                std::span<SolveOutcome> outcomes, std::mutex& stats_mutex,
+                BatchStats& stats) {
+  using rs::core::SlotSource;
+  const SlotSource source =
+      pass.pwl     ? SlotSource(*pass.pwl)
+      : pass.dense ? SlotSource(*pass.dense)
+                   : SlotSource(*jobs[pass.members.front()].problem);
+  switch (pass.kind) {
+    case PassKind::kDp: {
+      // One DP gives every member its answer; a kDpCost member takes the
+      // schedule DP's cost, bitwise the cost-only DP's.
+      const bool want_schedule = std::any_of(
+          pass.members.begin(), pass.members.end(), [&](std::size_t i) {
+            return outcomes[i].ok() && jobs[i].kind == SolverKind::kDpSchedule;
+          });
+      rs::offline::OfflineResult shared;
+      if (!shared_step(pass, outcomes, [&]() {
+            if (want_schedule) {
+              shared = rs::offline::DpSolver().solve(source);
+            } else {
+              shared.cost = rs::offline::DpSolver().solve_cost(source);
+            }
+          })) {
+        return;
+      }
+      for (const std::size_t i : pass.members) {
+        if (!outcomes[i].ok()) continue;
+        finish(jobs[i], outcomes[i], [&](SolveOutcome& out) {
+          out.cost = shared.cost;
+          if (jobs[i].kind == SolverKind::kDpSchedule) {
+            out.schedule = shared.schedule;
+          }
+        });
+      }
+      return;
+    }
+    case PassKind::kCorridor: {
+      // One tracker pass: kLcp projects forward through the corridor,
+      // kLowMemory backward, with the cost min Ĉ^L_T.
+      rs::offline::BoundTrajectory bounds;
+      std::optional<rs::offline::WorkFunctionTracker> tracker;
+      if (!shared_step(pass, outcomes, [&]() {
+            tracker.emplace(rs::offline::track_slots(
+                source, rs::offline::WorkFunctionTracker::Backend::kAuto,
+                &bounds));
+          })) {
+        return;
+      }
+      for (const std::size_t i : pass.members) {
+        if (!outcomes[i].ok()) continue;
+        finish(jobs[i], outcomes[i], [&](SolveOutcome& out) {
+          if (jobs[i].kind == SolverKind::kLcp) {
+            out.schedule = rs::online::lcp_schedule(bounds);
+            // Priced on the table when there is one, else on the Problem
+            // (also for PWL-routed jobs, whose cost bits thus match a solo
+            // replay).
+            out.cost = rs::core::total_cost(
+                pass.dense ? SlotSource(*pass.dense)
+                           : SlotSource(*jobs[i].problem),
+                out.schedule);
+          } else {
+            rs::offline::OfflineResult result =
+                rs::offline::corridor_optimum(*tracker, &bounds);
+            out.cost = result.cost;
+            out.schedule = std::move(result.schedule);
+          }
+        });
+      }
+      return;
+    }
+    case PassKind::kDelta: {
+      const std::size_t i = pass.members.front();
+      DeltaSlot& delta = *pass.delta;
+      finish(jobs[i], outcomes[i], [&](SolveOutcome& out) {
+        {
+          const std::lock_guard<std::mutex> lock(delta.mutex);
+          if (!delta.session.has_value()) {
+            delta.session.emplace(*jobs[i].problem);  // one base solve
+          }
+        }
+        rs::offline::DpDeltaSession::DeltaStats ds;
+        rs::offline::OfflineResult result = delta.session->probe_delta(
+            jobs[i].edit_slot, jobs[i].edit_cost, &ds);
+        out.cost = result.cost;
+        out.schedule = std::move(result.schedule);
+        const std::lock_guard<std::mutex> stats_lock(stats_mutex);
+        stats.slots_repaired += static_cast<std::size_t>(ds.slots_repaired);
+        if (ds.early_exit) ++stats.early_exits;
+      });
       return;
     }
   }
-  out = SolveOutcome{};
-  out.status = status;
-  out.error = std::move(error);
+}
+
+// The batch's one task runner, and its fault boundary: nothing a pass does
+// can escape it, and each member gets its own outcome.  A member whose own
+// fault site fires fails alone and the rest share the pass.  A failed
+// member of a PWL-routed pass gets one dense-streaming retry, a pass of its
+// own over the Problem (no table build in the worker), recorded as a
+// DegradeEvent; a failure on the final attempt becomes a non-kOk outcome
+// with an empty schedule.
+void run_pass(const Pass& pass, std::span<const SolveJob> jobs,
+              std::span<SolveOutcome> outcomes, std::mutex& stats_mutex,
+              BatchStats& stats) {
+  const bool on_pwl = pass.pwl != nullptr;
+  bool any_live = false;
+  for (const std::size_t i : pass.members) {
+    outcomes[i] = SolveOutcome{};
+    if (rs::util::fault_fires(on_pwl ? rs::util::FaultSite::kPwlBackend
+                                     : rs::util::FaultSite::kDenseBackend,
+                              i)) {
+      outcomes[i] = failed(SolveStatus::kBackendFailure,
+                           on_pwl ? "injected fault: PWL backend"
+                                  : "injected fault: dense backend");
+    } else {
+      any_live = true;
+    }
+  }
+  if (any_live) solve_pass(pass, jobs, outcomes, stats_mutex, stats);
+  if (!on_pwl) return;
+  for (const std::size_t i : pass.members) {
+    if (outcomes[i].ok() || jobs[i].problem == nullptr) continue;
+    std::string first_error = std::move(outcomes[i].error);
+    run_pass(Pass{pass.kind, nullptr, nullptr, nullptr, {i}}, jobs, outcomes,
+             stats_mutex, stats);
+    if (outcomes[i].ok()) {
+      const std::lock_guard<std::mutex> lock(stats_mutex);
+      stats.degrade_events.push_back(DegradeEvent{i, std::move(first_error)});
+    }
+  }
+}
+
+// Whether the streamed corridor pass over `p` (kAuto) runs dense labels from
+// its first slot: then it is bitwise the pass over p's table.  A throwing
+// conversion answers no, so the job streams and meets the error itself.
+bool streams_dense_from_first_slot(const Problem& p) {
+  if (p.horizon() == 0) return false;
+  try {
+    return !rs::offline::auto_pwl_form(p.f(1), p.max_servers()).has_value();
+  } catch (...) {  // rs-lint: catch-all-ok (the streamed solve re-hits and
+                   // classifies the error)
+    return false;
+  }
 }
 
 // Brackets one batch: samples the global workspace-growth counter and the
@@ -268,6 +356,14 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
   for (const SolveJob& job : jobs) {
     if (job.problem == nullptr && job.dense == nullptr) {
       throw std::invalid_argument("SolverEngine::run: job has no instance");
+    }
+    if (job.problem != nullptr && job.dense != nullptr &&
+        (job.dense->horizon() != job.problem->horizon() ||
+         job.dense->max_servers() != job.problem->max_servers() ||
+         job.dense->beta() != job.problem->beta())) {
+      throw std::invalid_argument(
+          "SolverEngine::run: job's dense table differs from its Problem in "
+          "T, m or beta");
     }
     if (job.kind == SolverKind::kDeltaResolve) {
       if (job.problem == nullptr) {
@@ -369,10 +465,10 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
         dense_of[i] = job.dense;
         continue;
       }
-      // kLowMemory runs from a caller's table but never gets one built:
-      // its O(m + T) memory contract streams the Problem instead.
-      if (job.kind == SolverKind::kLowMemory) continue;
       if (pwl_of[i]) continue;  // served without rows
+      // kLowMemory never causes a table (its O(m + T) memory contract); it
+      // may read one its siblings caused, below.
+      if (job.kind == SolverKind::kLowMemory) continue;
       const auto [it, inserted] =
           table_index.try_emplace(job.problem, table_problems.size());
       if (inserted) table_problems.push_back(job.problem);
@@ -422,16 +518,54 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
         tables[k] = nullptr;
       }
     }
+    // A streamed kLowMemory job reads its instance's table when its solo
+    // solve would run dense labels from the first slot anyway: then the
+    // table's corridor pass is bitwise its own.  An instance whose first
+    // slot has a compact form keeps streaming, since its PWL labels over
+    // the leading slots differ from dense ones in the last bits.
+    std::vector<signed char> low_memory_reads(table_count, -1);  // -1: unasked
     for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const SolveJob& job = jobs[i];
+      if (job.kind == SolverKind::kLowMemory && !dense_of[i] && !pwl_of[i]) {
+        const auto it = table_index.find(job.problem);
+        if (it == table_index.end() || tables[it->second] == nullptr) continue;
+        signed char& reads = low_memory_reads[it->second];
+        if (reads < 0) reads = streams_dense_from_first_slot(*job.problem);
+        if (reads != 0) table_of[i] = it->second;
+      }
       if (table_of[i] != kNoTable) dense_of[i] = tables[table_of[i]];
     }
 
+    // One pass per (slot source, pass kind): jobs on one instance that
+    // read the same source share its DP and its corridor.
+    std::vector<Pass> passes;
+    std::map<std::pair<const void*, PassKind>, std::size_t> pass_index;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const PassKind kind = pass_of(jobs[i].kind);
+      if (kind != PassKind::kDelta) {
+        const void* source = jobs[i].problem;
+        if (dense_of[i]) source = dense_of[i].get();
+        if (pwl_of[i]) source = pwl_of[i].get();
+        const auto [it, inserted] =
+            pass_index.try_emplace({source, kind}, passes.size());
+        if (!inserted) {
+          passes[it->second].members.push_back(i);
+          continue;
+        }
+      }
+      passes.push_back(Pass{kind, pwl_of[i].get(), dense_of[i].get(),
+                            delta_of[i], {i}});
+    }
+
     std::mutex stats_mutex;
-    dispatch(jobs.size(), [&jobs, &result, &dense_of, &pwl_of, &delta_of,
-                           &stats_mutex, &stats](std::size_t i) {
-      run_isolated(jobs[i], dense_of[i].get(), pwl_of[i].get(), delta_of[i],
-                   i, result.outcomes[i], stats_mutex, stats);
+    dispatch(passes.size(), [&](std::size_t k) {
+      run_pass(passes[k], jobs, result.outcomes, stats_mutex, stats);
     });
+    // Retries land in completion order; the stats list them by job.
+    std::sort(stats.degrade_events.begin(), stats.degrade_events.end(),
+              [](const DegradeEvent& a, const DegradeEvent& b) {
+                return a.job < b.job;
+              });
     for (const SolveOutcome& outcome : result.outcomes) {
       if (!outcome.ok()) ++stats.failed_jobs;
     }

@@ -10,7 +10,12 @@
 //     (immutable once sealed, thread-safe), so K jobs on the same instance
 //     evaluate its cost rows once instead of K times; the rows are filled
 //     in chunks on the same executor the jobs run on;
-//   * jobs run with dynamic scheduling across a ThreadPool (the global
+//   * jobs that read the same slot source share one solve pass over it:
+//     kDpCost and kDpSchedule one DP, kLcp and kLowMemory one
+//     work-function corridor (LCP projects forward through it, the
+//     Lemma-11 solve backward).  Each job keeps its own fault-site check,
+//     NaN demotion, outcome audit, error classification and PWL retry;
+//   * passes run with dynamic scheduling across a ThreadPool (the global
 //     pool, a dedicated pool, or inline for threads = 1), and every solver
 //     draws its scratch from the per-thread workspace arenas
 //     (util/workspace.hpp), so a warm batch performs zero allocations in
@@ -46,16 +51,19 @@ enum class SolverKind {
   kDpCost,        // DpSolver::solve_cost — O(m) memory, cost only
   kDpSchedule,    // DpSolver::solve — cost + optimal schedule
   kLcp,           // LCP replay — schedule + its total cost
-  kLowMemory,     // LowMemorySolver — O(m + T) memory, no table built
+  kLowMemory,     // LowMemorySolver — O(m + T) memory, never causes a table
   kDeltaResolve,  // what-if probe on a shared DpDeltaSession (see SolveJob)
 };
 
 /// One batch entry.  `problem` is non-owning and must outlive run(); jobs
-/// may alternatively (or additionally) carry a pre-built dense table.
-/// Every kind but kDeltaResolve uses `dense` when present; otherwise the
-/// engine serves `problem` from its shared materialization, except that
-/// kLowMemory is never given a table it did not bring (its O(m + T)
-/// memory contract) and streams the Problem instead.
+/// may alternatively (or additionally) carry a pre-built dense table of the
+/// same instance (same T, m and β).  Every kind but kDeltaResolve uses
+/// `dense` when present; otherwise the engine serves `problem` from its
+/// shared materialization.  kLowMemory never causes a table (its O(m + T)
+/// memory contract): it reads the one its sibling jobs caused only when
+/// its streamed solve would run dense labels from the first slot (slot 1
+/// has no compact convex-PWL form), where the table's corridor is bitwise
+/// the streamed one, and otherwise streams the Problem.
 ///
 /// kDeltaResolve answers "what if slot `edit_slot` of `problem` cost
 /// `edit_cost` instead?": the batch lazily base-solves each distinct
@@ -178,9 +186,10 @@ class SolverEngine {
 
   /// Runs every job and returns outcomes by job index plus batch stats.
   ///
-  /// Fault isolation: *structural* job errors — no instance, a
-  /// kDeltaResolve job without a Problem or with a malformed edit — are
-  /// caller bugs and throw std::invalid_argument before anything runs.
+  /// Fault isolation: *structural* job errors — no instance, a table whose
+  /// T, m or β differ from the job's Problem, a kDeltaResolve job without
+  /// a Problem or with a malformed edit — are caller bugs and throw
+  /// std::invalid_argument before anything runs.
   /// Faults *during* execution (throwing cost functions, NaN costs, backend
   /// failures) never escape: the affected job's outcome carries a non-kOk
   /// SolveStatus and the error message, every other job completes

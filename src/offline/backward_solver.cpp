@@ -25,21 +25,22 @@ rs::core::Schedule backward_schedule(const BoundTrajectory& bounds) {
   return x;
 }
 
-OfflineResult corridor_solve(const rs::core::SlotSource& source,
-                             bool want_schedule) {
+OfflineResult corridor_optimum(const WorkFunctionTracker& tracker,
+                               const BoundTrajectory* bounds) {
   OfflineResult result;
-  if (source.horizon() == 0) {
-    result.cost = 0.0;
-    return result;
-  }
-  BoundTrajectory bounds;
-  result.cost = track_slots(source, WorkFunctionTracker::Backend::kAuto,
-                            want_schedule ? &bounds : nullptr)
-                    .chat_min();
-  if (want_schedule && result.feasible()) {
-    result.schedule = backward_schedule(bounds);
+  result.cost = tracker.tau() == 0 ? 0.0 : tracker.chat_min();
+  if (bounds != nullptr && result.feasible()) {
+    result.schedule = backward_schedule(*bounds);
   }
   return result;
+}
+
+OfflineResult corridor_solve(const rs::core::SlotSource& source,
+                             bool want_schedule) {
+  BoundTrajectory bounds;
+  BoundTrajectory* const kept = want_schedule ? &bounds : nullptr;
+  return corridor_optimum(
+      track_slots(source, WorkFunctionTracker::Backend::kAuto, kept), kept);
 }
 
 OfflineResult BackwardSolver::solve(const rs::core::SlotSource& source) const {

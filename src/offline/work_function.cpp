@@ -78,10 +78,9 @@ void WorkFunctionTracker::ensure_dense_backend() {
 WorkFunctionTracker::InputRef WorkFunctionTracker::resolve(
     const rs::core::CostFunction& f, std::optional<ConvexPwl>& converted) {
   if (takes_pwl()) {
-    const int budget = backend_ == Backend::kPwl
-                           ? rs::core::kUnboundedBreakpoints
-                           : rs::core::compact_pwl_budget_for(m_);
-    converted = f.as_convex_pwl(m_, budget);
+    converted = backend_ == Backend::kPwl
+                    ? f.as_convex_pwl(m_, rs::core::kUnboundedBreakpoints)
+                    : auto_pwl_form(f, m_);
     if (converted) return InputRef{&*converted, {}};
     if (backend_ == Backend::kPwl) {
       throw std::invalid_argument(
@@ -844,6 +843,11 @@ WorkFunctionTracker track_slots(const rs::core::SlotSource& source,
     offset += n;
   });
   return tracker;
+}
+
+std::optional<ConvexPwl> auto_pwl_form(const rs::core::CostFunction& f,
+                                        int m) {
+  return f.as_convex_pwl(m, rs::core::compact_pwl_budget_for(m));
 }
 
 BoundTrajectory compute_bounds(const rs::core::SlotSource& source,

@@ -433,6 +433,15 @@ WorkFunctionTracker track_slots(const rs::core::SlotSource& source,
                                 BoundTrajectory* bounds,
                                 int rewind_capacity = 0);
 
+/// The form a kAuto tracker in PWL mode advances on for `f`: its compact
+/// convex-PWL form under compact_pwl_budget_for(m), or nullopt when the
+/// tracker evaluates f's dense row instead and stays dense from then on.
+/// The tracker's own resolution calls it, and so does the batch engine to
+/// tell when a streamed corridor pass runs dense labels from its first
+/// slot and may read a table instead.
+std::optional<rs::core::ConvexPwl> auto_pwl_form(
+    const rs::core::CostFunction& f, int m);
+
 /// The corridor of every slot of `source` (backend chosen as in
 /// track_slots).  Bit-identical across the four input forms of one
 /// instance and across backends (DESIGN.md §8).

@@ -387,13 +387,15 @@ int project_corridor(int state, std::span<const int> lower,
   return state;
 }
 
-rs::core::Schedule run_lcp(const rs::core::SlotSource& source,
-                           rs::offline::WorkFunctionTracker::Backend backend) {
-  const rs::offline::BoundTrajectory bounds =
-      rs::offline::compute_bounds(source, backend);
+rs::core::Schedule lcp_schedule(const rs::offline::BoundTrajectory& bounds) {
   rs::core::Schedule schedule(bounds.lower.size());
   project_corridor(0, bounds.lower, bounds.upper, schedule);
   return schedule;
+}
+
+rs::core::Schedule run_lcp(const rs::core::SlotSource& source,
+                           rs::offline::WorkFunctionTracker::Backend backend) {
+  return lcp_schedule(rs::offline::compute_bounds(source, backend));
 }
 
 rs::core::Schedule run_lcp_dense(const rs::core::DenseProblem& dense) {

@@ -184,6 +184,10 @@ class Lcp final : public OnlineAlgorithm {
 int project_corridor(int state, std::span<const int> lower,
                      std::span<const int> upper, std::span<int> decisions = {});
 
+/// The LCP schedule of a whole corridor: eq. 13 from x_0 = 0 through every
+/// slot of `bounds`.
+rs::core::Schedule lcp_schedule(const rs::offline::BoundTrajectory& bounds);
+
 /// Replays LCP over any input form: the corridor of compute_bounds(source,
 /// backend) projected through eq. 13.  The form decides the backend of
 /// materialized inputs (rows run dense, forms run PWL); `backend` applies

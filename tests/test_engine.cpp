@@ -6,6 +6,7 @@
 // out of the per-thread workspace arenas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -279,11 +280,13 @@ TEST(SolverEngine, LowMemoryStreamsMixedFormInstances) {
   // Instances whose leading slots have compact convex-PWL forms
   // (AffineAbsCost) but whose later slots are opaque M/M/1 restricted
   // costs: no compact form overall, so the batch builds each a shared
-  // table.  kLowMemory must not read it and must equal the streamed
-  // LowMemorySolver solo solve bitwise.  The streamed solve runs PWL labels
-  // over the leading slots and the table-fed one runs dense labels
-  // throughout; on seeds 21, 78, 86 and 168 their costs differ in the last
-  // bits, so a batch that fed kLowMemory the table would fail here.
+  // table.  kLowMemory reads a sibling's table only when its streamed solve
+  // would run dense labels from the first slot; here slot 1 has a compact
+  // form, so it must stream and equal the LowMemorySolver solo solve
+  // bitwise.  The streamed solve runs PWL labels over the leading slots and
+  // the table-fed one runs dense labels throughout; on seeds 21, 78, 86 and
+  // 168 their costs differ in the last bits, so a batch that fed kLowMemory
+  // the table would fail here.
   std::vector<Problem> instances;
   for (const std::uint64_t seed : {0u, 21u, 78u, 86u, 168u}) {
     rs::util::Rng rng(1000 + seed);
@@ -340,6 +343,140 @@ TEST(SolverEngine, LowMemoryStreamsMixedFormInstances) {
   const BatchResult alone = SolverEngine({.threads = 2}).run(low_memory_only);
   EXPECT_EQ(alone.stats.dense_tables_built, 0u);
   expect_streamed(low_memory_only, alone);
+}
+
+TEST(SolverEngine, SharedPassesMatchSoloSolves) {
+  // Jobs on one instance share its DP pass (kDpCost, kDpSchedule) and its
+  // corridor pass (kLcp, kLowMemory); a restricted M/M/1 instance's
+  // kLowMemory reads the table its siblings caused.  Whatever the mix, the
+  // duplicates, the job order and the thread count, every outcome must be
+  // bitwise its solo call: the job alone in a batch, and the library's
+  // plain entry point on the same form.
+  std::vector<Problem> instances;
+  for (int i = 0; i < 3; ++i) {
+    rs::util::Rng rng(900 + static_cast<std::uint64_t>(i));
+    rs::dcsim::DataCenterModel model;
+    model.servers = 12 + 10 * i;
+    const rs::workload::Trace trace =
+        rs::workload::hotmail_like(rng, 1, 40, 0.6 * model.servers);
+    instances.push_back(rs::dcsim::restricted_datacenter_problem(model, trace));
+    ASSERT_FALSE(instances.back().f(1).as_convex_pwl(model.servers));
+  }
+  {
+    rs::util::Rng rng(77);
+    instances.push_back(rs::workload::random_instance(
+        rng, rs::workload::InstanceFamily::kQuadratic, 14, 9, 2.0));
+    std::vector<rs::core::CostPtr> hinges;
+    for (int t = 0; t < 20; ++t) {
+      hinges.push_back(std::make_shared<rs::core::AffineAbsCost>(
+          static_cast<double>(rng.uniform_int(1, 3)),
+          static_cast<double>(rng.uniform_int(0, 10)), 0.0));
+    }
+    instances.emplace_back(10, 3.0, std::move(hinges));
+    ASSERT_TRUE(rs::core::admits_compact_pwl(instances.back()));
+  }
+  const std::shared_ptr<const DenseProblem> caller_table =
+      std::make_shared<const DenseProblem>(instances[1]);
+  const std::shared_ptr<const DenseProblem> caller_only_table =
+      std::make_shared<const DenseProblem>(instances[3]);
+
+  std::vector<SolveJob> jobs;
+  for (const Problem& p : instances) {
+    for (SolverKind kind : kAllKinds) {
+      jobs.push_back(SolveJob{&p, nullptr, kind});
+      jobs.push_back(SolveJob{&p, nullptr, kind});  // a duplicate kind
+    }
+  }
+  for (SolverKind kind : kAllKinds) {
+    jobs.push_back(SolveJob{&instances[1], caller_table, kind});
+    jobs.push_back(SolveJob{nullptr, caller_only_table, kind});
+  }
+  // Lone kinds: a pass with one member is the plain per-job solve.
+  jobs.push_back(SolveJob{&instances[2],
+                          std::make_shared<const DenseProblem>(instances[2]),
+                          SolverKind::kLowMemory});
+  rs::util::Rng order(4242);
+  std::shuffle(jobs.begin(), jobs.end(), order);
+
+  // The library reference for one job: the form the engine serves it from.
+  const auto reference = [](const SolveJob& job) {
+    if (job.dense == nullptr) return solo_solve(*job.problem, job.kind);
+    const DenseProblem& dense = *job.dense;
+    rs::engine::SolveOutcome out;
+    switch (job.kind) {
+      case SolverKind::kDpCost:
+        out.cost = rs::offline::DpSolver().solve_cost(dense);
+        break;
+      case SolverKind::kDpSchedule: {
+        rs::offline::OfflineResult r = rs::offline::DpSolver().solve(dense);
+        out.cost = r.cost;
+        out.schedule = std::move(r.schedule);
+        break;
+      }
+      case SolverKind::kLcp:
+        out.schedule = rs::online::run_lcp(dense);
+        out.cost = rs::core::total_cost(dense, out.schedule);
+        break;
+      case SolverKind::kLowMemory: {
+        rs::offline::OfflineResult r =
+            rs::offline::LowMemorySolver().solve(dense);
+        out.cost = r.cost;
+        out.schedule = std::move(r.schedule);
+        break;
+      }
+      case SolverKind::kDeltaResolve:
+        ADD_FAILURE() << "no kDeltaResolve reference";
+        break;
+    }
+    return out;
+  };
+
+  const SolverEngine inline_engine({.threads = 1});
+  for (std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    const BatchResult batch = SolverEngine({.threads = threads}).run(jobs);
+    ASSERT_EQ(batch.outcomes.size(), jobs.size());
+    EXPECT_EQ(batch.stats.failed_jobs, 0u);
+    // Tables for the restricted and quadratic instances; the hinge one is
+    // PWL-routed; kLowMemory and the callers' tables cause none.
+    EXPECT_EQ(batch.stats.dense_tables_built, 4u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const BatchResult solo = inline_engine.run({jobs[i]});
+      const rs::engine::SolveOutcome want = reference(jobs[i]);
+      const rs::engine::SolveOutcome& got = batch.outcomes[i];
+      ASSERT_TRUE(got.ok()) << "job " << i << ": " << got.error;
+      EXPECT_EQ(solo.outcomes[0].cost, want.cost) << "job " << i;
+      EXPECT_EQ(solo.outcomes[0].schedule, want.schedule) << "job " << i;
+      EXPECT_EQ(got.cost, want.cost) << "job " << i;  // bitwise (EQ)
+      EXPECT_EQ(got.schedule, want.schedule) << "job " << i;
+    }
+  }
+}
+
+TEST(SolverEngine, RejectsTablesThatDifferFromTheirProblem) {
+  rs::util::Rng rng(8);
+  const Problem p = rs::workload::random_instance(
+      rng, rs::workload::InstanceFamily::kConvexTable, 6, 4, 2.0);
+  const auto table_of = [&](int horizon, int m, double beta) {
+    return std::make_shared<const DenseProblem>(rs::workload::random_instance(
+        rng, rs::workload::InstanceFamily::kConvexTable, horizon, m, beta));
+  };
+  const SolverEngine engine({.threads = 1});
+  const BatchResult matching =
+      engine.run({SolveJob{&p, table_of(6, 4, 2.0), SolverKind::kLcp}});
+  EXPECT_TRUE(matching.outcomes[0].ok()) << matching.outcomes[0].error;
+  const std::vector<std::pair<const char*, std::shared_ptr<const DenseProblem>>>
+      mismatched = {{"T", table_of(5, 4, 2.0)},
+                    {"m", table_of(6, 5, 2.0)},
+                    {"beta", table_of(6, 4, 1.5)}};
+  for (const auto& [field, table] : mismatched) {
+    for (SolverKind kind : kAllKinds) {
+      EXPECT_THROW(engine.run({SolveJob{&p, table, kind}}),
+                   std::invalid_argument)
+          << field << " kind " << static_cast<int>(kind);
+    }
+  }
 }
 
 // --- warm arenas -------------------------------------------------------------

@@ -532,6 +532,39 @@ Problem restricted_problem(int servers, std::uint64_t seed) {
   return rs::dcsim::restricted_datacenter_problem(model, trace);
 }
 
+// A job's solo outcome through the library's plain entry points, each on
+// the Problem as given.
+SolveOutcome solo_outcome(const Problem& p, SolverKind kind) {
+  SolveOutcome out;
+  switch (kind) {
+    case SolverKind::kDpCost:
+      out.cost = rs::offline::DpSolver().solve_cost(p);
+      break;
+    case SolverKind::kDpSchedule: {
+      rs::offline::OfflineResult r = rs::offline::DpSolver().solve(p);
+      out.cost = r.cost;
+      out.schedule = std::move(r.schedule);
+      break;
+    }
+    case SolverKind::kLcp: {
+      rs::online::Lcp lcp;
+      out.schedule = rs::online::run_online(lcp, p);
+      out.cost = rs::core::total_cost(p, out.schedule);
+      break;
+    }
+    case SolverKind::kLowMemory: {
+      rs::offline::OfflineResult r = rs::offline::LowMemorySolver().solve(p);
+      out.cost = r.cost;
+      out.schedule = std::move(r.schedule);
+      break;
+    }
+    case SolverKind::kDeltaResolve:
+      ADD_FAILURE() << "no kDeltaResolve reference";
+      break;
+  }
+  return out;
+}
+
 TEST(BatchIsolation, PoisonedTablesFailAloneAtEveryThreadCount) {
   // One throwing and one NaN-poisoned restricted instance among healthy
   // ones, all needing shared tables.  A throw while a worker fills a table
@@ -567,37 +600,6 @@ TEST(BatchIsolation, PoisonedTablesFailAloneAtEveryThreadCount) {
       jobs.push_back(job);
     }
   }
-  const auto solo = [](const Problem& p, SolverKind kind) {
-    SolveOutcome out;
-    switch (kind) {
-      case SolverKind::kDpCost:
-        out.cost = rs::offline::DpSolver().solve_cost(p);
-        break;
-      case SolverKind::kDpSchedule: {
-        rs::offline::OfflineResult r = rs::offline::DpSolver().solve(p);
-        out.cost = r.cost;
-        out.schedule = std::move(r.schedule);
-        break;
-      }
-      case SolverKind::kLcp: {
-        rs::online::Lcp lcp;
-        out.schedule = rs::online::run_online(lcp, p);
-        out.cost = rs::core::total_cost(p, out.schedule);
-        break;
-      }
-      case SolverKind::kLowMemory: {
-        rs::offline::OfflineResult r = rs::offline::LowMemorySolver().solve(p);
-        out.cost = r.cost;
-        out.schedule = std::move(r.schedule);
-        break;
-      }
-      case SolverKind::kDeltaResolve:
-        ADD_FAILURE() << "no kDeltaResolve reference";
-        break;
-    }
-    return out;
-  };
-
   std::vector<SolveOutcome> first;
   for (std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
@@ -627,7 +629,8 @@ TEST(BatchIsolation, PoisonedTablesFailAloneAtEveryThreadCount) {
         }
       } else {
         EXPECT_TRUE(got.ok()) << "job " << j << ": " << got.error;
-        expect_outcome_bitwise(got, solo(*jobs[j].problem, jobs[j].kind), j);
+        expect_outcome_bitwise(
+            got, solo_outcome(*jobs[j].problem, jobs[j].kind), j);
       }
     }
     if (first.empty()) first = result.outcomes;
@@ -777,6 +780,87 @@ TEST(InjectedFaults, DenseRoutedJobsFailWithoutRetry) {
   }
   // Dense jobs have no fallback: no degrade events, only failures.
   EXPECT_TRUE(result.stats.degrade_events.empty());
+}
+
+TEST(InjectedFaults, SharedPassMemberFailsAlone) {
+  // Every kind twice on restricted M/M/1 instances: per instance, four
+  // jobs share the DP pass over its table and four the corridor pass.  A
+  // fault fired on one member fails that job alone with kBackendFailure;
+  // the pass still runs for its siblings, which stay bitwise their solo
+  // solves.  Take the first injector seed from base_seed() + 73 that fails
+  // some but not all members of at least one pass.
+  std::vector<Problem> problems;
+  for (int i = 0; i < 3; ++i) {
+    problems.push_back(restricted_problem(10 + 6 * i, 700 + i));
+    ASSERT_FALSE(rs::core::admits_compact_pwl(problems.back()));
+  }
+  const SolverKind kinds[] = {SolverKind::kDpCost, SolverKind::kDpSchedule,
+                              SolverKind::kLcp, SolverKind::kLowMemory};
+  std::vector<SolveJob> jobs;
+  for (const Problem& p : problems) {
+    for (int copy = 0; copy < 2; ++copy) {
+      for (SolverKind kind : kinds) {
+        SolveJob job;
+        job.kind = kind;
+        job.problem = &p;
+        jobs.push_back(job);
+      }
+    }
+  }
+  // Job j's pass: its instance, and DP (kinds 0, 1) or corridor (2, 3).
+  const auto pass_of = [&](std::size_t j) {
+    return 2 * (j / (2 * std::size(kinds))) + (j % std::size(kinds)) / 2;
+  };
+  const std::size_t passes = 2 * problems.size();
+  const auto splits_a_pass = [&](const FaultInjector& inj) {
+    std::vector<int> fired(passes, 0);
+    std::vector<int> members(passes, 0);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      ++members[pass_of(j)];
+      if (inj.fires(FaultSite::kDenseBackend, j)) ++fired[pass_of(j)];
+    }
+    for (std::size_t k = 0; k < passes; ++k) {
+      if (fired[k] > 0 && fired[k] < members[k]) return true;
+    }
+    return false;
+  };
+  std::uint64_t seed = base_seed() + 73;
+  for (int tries = 1; tries < 64 && !splits_a_pass(FaultInjector(seed, 3));
+       ++tries) {
+    ++seed;
+  }
+  const FaultInjector inj(seed, 3);
+  ASSERT_TRUE(splits_a_pass(inj))
+      << "no splitting injector within 64 seeds of " << base_seed() + 73;
+
+  for (std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    SolverEngine::Options options;
+    options.threads = threads;
+    const SolverEngine engine(options);
+    const BatchResult result = [&] {
+      const ScopedFaultInjection guard{inj};
+      return engine.run(jobs);
+    }();
+    ASSERT_EQ(result.outcomes.size(), jobs.size());
+    std::size_t failed = 0;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const SolveOutcome& got = result.outcomes[j];
+      if (inj.fires(FaultSite::kDenseBackend, j)) {
+        ++failed;
+        EXPECT_EQ(got.status, SolveStatus::kBackendFailure) << "job " << j;
+        EXPECT_EQ(got.error, "injected fault: dense backend") << "job " << j;
+        EXPECT_TRUE(got.schedule.empty()) << "job " << j;
+      } else {
+        expect_outcome_bitwise(
+            got, solo_outcome(*jobs[j].problem, jobs[j].kind), j);
+      }
+    }
+    EXPECT_EQ(result.stats.failed_jobs, failed);
+    EXPECT_TRUE(result.stats.degrade_events.empty());
+    EXPECT_EQ(result.stats.dense_tables_built, problems.size());
+  }
 }
 
 TEST(InjectedFaults, StatusStringsAreStable) {
