@@ -8,6 +8,7 @@
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "core/slot_source.hpp"
@@ -78,6 +79,10 @@ struct Pass {
   const DenseProblem* dense = nullptr;
   DeltaSlot* delta = nullptr;
   std::vector<std::size_t> members;  // job indices, ascending
+  // The corridor labels over a streamed Problem: kAuto, or kDense for the
+  // retry of a failed PWL pass, which must not run PWL again.
+  rs::offline::WorkFunctionTracker::Backend labels =
+      rs::offline::WorkFunctionTracker::Backend::kAuto;
 };
 
 // The outcome of a failed job: its status and error, nothing else.
@@ -195,14 +200,13 @@ void solve_pass(const Pass& pass, std::span<const SolveJob> jobs,
       return;
     }
     case PassKind::kCorridor: {
-      // One tracker pass: kLcp projects forward through the corridor,
-      // kLowMemory backward, with the cost min Ĉ^L_T.
+      // One tracker pass: kLcp projects forward through the corridor, the
+      // other kinds backward, with the cost min Ĉ^L_T.
       rs::offline::BoundTrajectory bounds;
       std::optional<rs::offline::WorkFunctionTracker> tracker;
       if (!shared_step(pass, outcomes, [&]() {
-            tracker.emplace(rs::offline::track_slots(
-                source, rs::offline::WorkFunctionTracker::Backend::kAuto,
-                &bounds));
+            tracker.emplace(
+                rs::offline::track_slots(source, pass.labels, &bounds));
           })) {
         return;
       }
@@ -219,8 +223,9 @@ void solve_pass(const Pass& pass, std::span<const SolveJob> jobs,
                            : SlotSource(*jobs[i].problem),
                 out.schedule);
           } else {
-            rs::offline::OfflineResult result =
-                rs::offline::corridor_optimum(*tracker, &bounds);
+            const bool schedule = jobs[i].kind != SolverKind::kDpCost;
+            rs::offline::OfflineResult result = rs::offline::corridor_optimum(
+                *tracker, schedule ? &bounds : nullptr);
             out.cost = result.cost;
             out.schedule = std::move(result.schedule);
           }
@@ -256,7 +261,8 @@ void solve_pass(const Pass& pass, std::span<const SolveJob> jobs,
 // can escape it, and each member gets its own outcome.  A member whose own
 // fault site fires fails alone and the rest share the pass.  A failed
 // member of a PWL-routed pass gets one dense-streaming retry, a pass of its
-// own over the Problem (no table build in the worker), recorded as a
+// own over the Problem (no table build in the worker): the table DP for the
+// DP kinds, dense corridor labels for the others.  It is recorded as a
 // DegradeEvent; a failure on the final attempt becomes a non-kOk outcome
 // with an empty schedule.
 void run_pass(const Pass& pass, std::span<const SolveJob> jobs,
@@ -281,25 +287,13 @@ void run_pass(const Pass& pass, std::span<const SolveJob> jobs,
   for (const std::size_t i : pass.members) {
     if (outcomes[i].ok() || jobs[i].problem == nullptr) continue;
     std::string first_error = std::move(outcomes[i].error);
-    run_pass(Pass{pass.kind, nullptr, nullptr, nullptr, {i}}, jobs, outcomes,
-             stats_mutex, stats);
+    run_pass(Pass{pass_of(jobs[i].kind), nullptr, nullptr, nullptr, {i},
+                  rs::offline::WorkFunctionTracker::Backend::kDense},
+             jobs, outcomes, stats_mutex, stats);
     if (outcomes[i].ok()) {
       const std::lock_guard<std::mutex> lock(stats_mutex);
       stats.degrade_events.push_back(DegradeEvent{i, std::move(first_error)});
     }
-  }
-}
-
-// Whether the streamed corridor pass over `p` (kAuto) runs dense labels from
-// its first slot: then it is bitwise the pass over p's table.  A throwing
-// conversion answers no, so the job streams and meets the error itself.
-bool streams_dense_from_first_slot(const Problem& p) {
-  if (p.horizon() == 0) return false;
-  try {
-    return !rs::offline::auto_pwl_form(p.f(1), p.max_servers()).has_value();
-  } catch (...) {  // rs-lint: catch-all-ok (the streamed solve re-hits and
-                   // classifies the error)
-    return false;
   }
 }
 
@@ -397,6 +391,7 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
     // jobs replay from, not a discarded capability bit.
     std::unordered_map<const Problem*, std::shared_ptr<const PwlProblem>>
         pwl_cache;
+    std::unordered_set<const Problem*> probe_threw;
     std::vector<std::shared_ptr<const PwlProblem>> pwl_of(jobs.size());
     // Delta probes share one lazily base-solved session per distinct
     // instance; they never touch the PWL probe or the dense tables (the
@@ -433,6 +428,7 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
         } catch (...) {  // rs-lint: catch-all-ok (cache probe: a failed
                          // conversion is a miss; jobs classify their own)
           it->second = nullptr;
+          probe_threw.insert(job.problem);
         }
       }
       if (it->second) {
@@ -454,8 +450,6 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
     // its own table: that instance's jobs stream from the Problem, where
     // the per-job isolation classifies the error.
     std::vector<std::shared_ptr<const DenseProblem>> dense_of(jobs.size());
-    constexpr std::size_t kNoTable = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> table_of(jobs.size(), kNoTable);
     std::unordered_map<const Problem*, std::size_t> table_index;
     std::vector<const Problem*> table_problems;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -465,14 +459,12 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
         dense_of[i] = job.dense;
         continue;
       }
-      if (pwl_of[i]) continue;  // served without rows
-      // kLowMemory never causes a table (its O(m + T) memory contract); it
-      // may read one its siblings caused, below.
-      if (job.kind == SolverKind::kLowMemory) continue;
-      const auto [it, inserted] =
-          table_index.try_emplace(job.problem, table_problems.size());
-      if (inserted) table_problems.push_back(job.problem);
-      table_of[i] = it->second;
+      // PWL-routed jobs need no rows, and kLowMemory never causes a table
+      // (its O(m + T) memory contract); it may read one, below.
+      if (pwl_of[i] || job.kind == SolverKind::kLowMemory) continue;
+      if (table_index.try_emplace(job.problem, table_problems.size()).second) {
+        table_problems.push_back(job.problem);
+      }
     }
     const std::size_t table_count = table_problems.size();
     std::vector<std::shared_ptr<DenseProblem>> tables(table_count);
@@ -518,22 +510,20 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
         tables[k] = nullptr;
       }
     }
-    // A streamed kLowMemory job reads its instance's table when its solo
-    // solve would run dense labels from the first slot anyway: then the
-    // table's corridor pass is bitwise its own.  An instance whose first
-    // slot has a compact form keeps streaming, since its PWL labels over
-    // the leading slots differ from dense ones in the last bits.
-    std::vector<signed char> low_memory_reads(table_count, -1);  // -1: unasked
+    // Jobs on a Problem read its table when one was built.  So does a
+    // kLowMemory job: the probe found a slot with no compact form, so its
+    // own solve would run dense labels from slot 1 (track_slots), bitwise
+    // the table's pass.  After a probe that threw it streams instead, to
+    // meet the error itself.
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const SolveJob& job = jobs[i];
-      if (job.kind == SolverKind::kLowMemory && !dense_of[i] && !pwl_of[i]) {
-        const auto it = table_index.find(job.problem);
-        if (it == table_index.end() || tables[it->second] == nullptr) continue;
-        signed char& reads = low_memory_reads[it->second];
-        if (reads < 0) reads = streams_dense_from_first_slot(*job.problem);
-        if (reads != 0) table_of[i] = it->second;
+      if (dense_of[i] || pwl_of[i] || job.kind == SolverKind::kDeltaResolve ||
+          (job.kind == SolverKind::kLowMemory &&
+           probe_threw.contains(job.problem))) {
+        continue;
       }
-      if (table_of[i] != kNoTable) dense_of[i] = tables[table_of[i]];
+      const auto it = table_index.find(job.problem);
+      if (it != table_index.end()) dense_of[i] = tables[it->second];
     }
 
     // One pass per (slot source, pass kind): jobs on one instance that
@@ -541,7 +531,10 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
     std::vector<Pass> passes;
     std::map<std::pair<const void*, PassKind>, std::size_t> pass_index;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const PassKind kind = pass_of(jobs[i].kind);
+      // On cached forms the DP *is* the corridor solve (DpSolver runs
+      // corridor_solve on a PwlProblem), so there every kind shares it.
+      const PassKind kind =
+          pwl_of[i] ? PassKind::kCorridor : pass_of(jobs[i].kind);
       if (kind != PassKind::kDelta) {
         const void* source = jobs[i].problem;
         if (dense_of[i]) source = dense_of[i].get();

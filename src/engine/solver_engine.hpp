@@ -13,8 +13,9 @@
 //   * jobs that read the same slot source share one solve pass over it:
 //     kDpCost and kDpSchedule one DP, kLcp and kLowMemory one
 //     work-function corridor (LCP projects forward through it, the
-//     Lemma-11 solve backward).  Each job keeps its own fault-site check,
-//     NaN demotion, outcome audit, error classification and PWL retry;
+//     Lemma-11 solve backward; on cached PWL forms all four kinds share
+//     it).  Each job keeps its own fault-site check, NaN demotion, outcome
+//     audit, error classification and PWL retry;
 //   * passes run with dynamic scheduling across a ThreadPool (the global
 //     pool, a dedicated pool, or inline for threads = 1), and every solver
 //     draws its scratch from the per-thread workspace arenas
@@ -60,10 +61,10 @@ enum class SolverKind {
 /// same instance (same T, m and β).  Every kind but kDeltaResolve uses
 /// `dense` when present; otherwise the engine serves `problem` from its
 /// shared materialization.  kLowMemory never causes a table (its O(m + T)
-/// memory contract): it reads the one its sibling jobs caused only when
-/// its streamed solve would run dense labels from the first slot (slot 1
-/// has no compact convex-PWL form), where the table's corridor is bitwise
-/// the streamed one, and otherwise streams the Problem.
+/// memory contract) but reads one its sibling jobs caused: then some slot
+/// has no compact convex-PWL form, so its streamed solve would run dense
+/// labels from slot 1 too (offline::track_slots) and equals the table's
+/// bitwise.  After a PWL probe that threw it streams the Problem.
 ///
 /// kDeltaResolve answers "what if slot `edit_slot` of `problem` cost
 /// `edit_cost` instead?": the batch lazily base-solves each distinct

@@ -33,7 +33,9 @@ rs::core::Schedule backward_schedule(const BoundTrajectory& bounds);
 /// O(T·m); memory O(T) corridor ints plus O(K) or O(m) labels, and no
 /// corridor at all without `want_schedule`.  The schedule follows the
 /// shared tie rule (core/tie_rule.hpp), so it is bitwise the same for every
-/// input form and backend.  A NaN slot cost throws std::invalid_argument.
+/// input form and backend; kAuto is resolved per instance, so the cost is
+/// too wherever a slot has no compact form (all forms run dense labels).
+/// A NaN slot cost throws std::invalid_argument.
 OfflineResult corridor_solve(const rs::core::SlotSource& source,
                              bool want_schedule = true);
 

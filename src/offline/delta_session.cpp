@@ -78,16 +78,31 @@ void DpDeltaSession::check_edit(int slot, const rs::core::CostPtr& cost) const {
   }
 }
 
-DpDeltaSession DpDeltaSession::edited(int slot, rs::core::CostPtr cost) const {
+DpDeltaSession DpDeltaSession::edited(int slot, rs::core::CostPtr cost,
+                                      DeltaStats* stats) const {
   std::vector<rs::core::CostPtr> costs = costs_;
   costs[static_cast<std::size_t>(slot - 1)] = std::move(cost);
-  return DpDeltaSession(rs::core::Problem(m_, beta_, std::move(costs)),
-                        backend_);
+  DpDeltaSession fresh(rs::core::Problem(m_, beta_, std::move(costs)),
+                       backend_);
+  if (stats != nullptr) *stats = {horizon(), false, true};
+  return fresh;
+}
+
+bool DpDeltaSession::may_turn_pwl(int slot,
+                                  const rs::core::CostFunction& cost) const {
+  const int budget = rs::core::compact_pwl_budget_for(m_);
+  return backend_ == WorkFunctionTracker::Backend::kAuto &&
+         !tracker_.using_pwl() && cost.as_convex_pwl(m_, budget) &&
+         !costs_[static_cast<std::size_t>(slot - 1)]->as_convex_pwl(m_, budget);
 }
 
 void DpDeltaSession::resolve_delta(int slot, rs::core::CostPtr cost,
                                    DeltaStats* stats) {
   check_edit(slot, cost);
+  if (may_turn_pwl(slot, *cost)) {
+    *this = edited(slot, std::move(cost), stats);
+    return;
+  }
   try {
     const WorkFunctionTracker::Repair repair =
         tracker_.repair_from(slot, *cost);
@@ -104,14 +119,16 @@ void DpDeltaSession::resolve_delta(int slot, rs::core::CostPtr cost,
     // so do the from-scratch run.  The repair left the session untouched,
     // and a throwing re-solve (forced-PWL, non-convertible edit) leaves it
     // so too.
-    *this = edited(slot, std::move(cost));
-    if (stats != nullptr) *stats = {horizon(), false, true};
+    *this = edited(slot, std::move(cost), stats);
   }
 }
 
 OfflineResult DpDeltaSession::probe_delta(int slot, rs::core::CostPtr cost,
                                           DeltaStats* stats) const {
   check_edit(slot, cost);
+  if (may_turn_pwl(slot, *cost)) {
+    return edited(slot, std::move(cost), stats).result();
+  }
   try {
     const WorkFunctionTracker::Repair repair = tracker_.probe_from(slot, *cost);
     BoundTrajectory bounds = bounds_;
@@ -121,9 +138,7 @@ OfflineResult DpDeltaSession::probe_delta(int slot, rs::core::CostPtr cost,
     }
     return solved(repair.chat_min, bounds);
   } catch (const std::invalid_argument&) {
-    DpDeltaSession fresh = edited(slot, std::move(cost));
-    if (stats != nullptr) *stats = {horizon(), false, true};
-    return fresh.result();
+    return edited(slot, std::move(cost), stats).result();
   }
 }
 

@@ -7,9 +7,10 @@
 // reconvergence early-exit — instead of an O(T) replay.  The repaired
 // result (cost, corridor bounds, Lemma-11 schedule) is bit-identical to
 // tearing the session down and re-solving the edited instance from scratch
-// on the same backend; edits that would flip the kAuto backend trajectory
-// (a convertible slot becoming non-convertible or vice versa) are handled
-// by an automatic full re-solve, preserving the same contract.
+// on the same backend; edits that may flip a kAuto base's whole-instance
+// backend choice (a convertible slot becoming non-convertible on a PWL
+// base, or vice versa on a dense one) are handled by an automatic full
+// re-solve, preserving the same contract.
 //
 // probe_delta answers what-if questions without touching the session: the
 // tracker replays the edit off to the side (WorkFunctionTracker::
@@ -42,8 +43,7 @@ class DpDeltaSession {
   /// non-empty horizon.  The slot costs are retained (shared_ptr copies);
   /// the Problem itself is not referenced after construction.
   /// `backend` picks the label representation that carries the session
-  /// (kAuto = PWL while every slot converts compactly, dense after the
-  /// first that does not).
+  /// (kAuto = PWL if every slot converts compactly, else dense).
   explicit DpDeltaSession(const rs::core::Problem& p,
                           WorkFunctionTracker::Backend backend =
                               WorkFunctionTracker::Backend::kAuto);
@@ -79,9 +79,13 @@ class DpDeltaSession {
 
  private:
   void check_edit(int slot, const rs::core::CostPtr& cost) const;
+  // Whether the edit gives a slot with no compact form one on a dense kAuto
+  // base, which may flip the base to PWL (a repair would stay dense).
+  bool may_turn_pwl(int slot, const rs::core::CostFunction& cost) const;
   // A fresh session over the current costs with f_slot replaced: the full
-  // re-solve of an edit that flips the backend trajectory.
-  DpDeltaSession edited(int slot, rs::core::CostPtr cost) const;
+  // re-solve of an edit that flips the backend, reported in `stats`.
+  DpDeltaSession edited(int slot, rs::core::CostPtr cost,
+                        DeltaStats* stats) const;
 
   int m_;
   double beta_;

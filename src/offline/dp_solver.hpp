@@ -18,9 +18,9 @@
 //                 (per-step cost independent of m), the optimal cost is
 //                 min Ĉ^L_T, and an optimal schedule follows from the
 //                 Lemma-11 backward projection through the per-step bound
-//                 corridor.  Instances that do not convert fall back to
-//                 the same work-function recursion on dense rows (still
-//                 O(T·m), no parent table).  The cost
+//                 corridor.  One slot without a compact form runs the
+//                 whole instance on the same work-function recursion on
+//                 dense rows (still O(T·m), no parent table).  The cost
 //                 agrees with kDense up to FP association order
 //                 (bit-identical on integer instances); the schedule is
 //                 optimal but tie-breaks per Lemma 11 rather than per the
@@ -61,8 +61,8 @@ class DpSolver final : public OfflineSolver {
   /// Solves `p` and keeps the solution live for incremental re-solves:
   /// edited slots are repaired in place via the work-function rewind buffer
   /// (offline/delta_session.hpp) instead of replaying the horizon.  The
-  /// session labels follow this solver's backend (kConvexAuto → PWL with
-  /// dense fallback, kDense → dense label rows); defined in
+  /// session labels follow this solver's backend (kConvexAuto → PWL or
+  /// dense per instance, kDense → dense label rows); defined in
   /// delta_session.cpp.
   DpDeltaSession begin_delta(const rs::core::Problem& p) const;
 

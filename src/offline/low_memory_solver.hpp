@@ -21,8 +21,8 @@ class LowMemorySolver final : public OfflineSolver {
  public:
   /// Solves any input form: PwlProblem forms run the PWL labels with no
   /// conversion, DenseProblem rows the dense labels, and Problem or
-  /// RleProblem slots convert as they are fed (dense fallback from the
-  /// first slot without a compact form).
+  /// RleProblem slots convert as they are fed (dense labels from slot 1
+  /// when some slot has no compact form, bitwise the table's solve).
   OfflineResult solve(const rs::core::SlotSource& source) const override {
     return corridor_solve(source);
   }

@@ -78,9 +78,9 @@ void WorkFunctionTracker::ensure_dense_backend() {
 WorkFunctionTracker::InputRef WorkFunctionTracker::resolve(
     const rs::core::CostFunction& f, std::optional<ConvexPwl>& converted) {
   if (takes_pwl()) {
-    converted = backend_ == Backend::kPwl
-                    ? f.as_convex_pwl(m_, rs::core::kUnboundedBreakpoints)
-                    : auto_pwl_form(f, m_);
+    converted = f.as_convex_pwl(
+        m_, backend_ == Backend::kPwl ? rs::core::kUnboundedBreakpoints
+                                      : rs::core::compact_pwl_budget_for(m_));
     if (converted) return InputRef{&*converted, {}};
     if (backend_ == Backend::kPwl) {
       throw std::invalid_argument(
@@ -830,7 +830,9 @@ WorkFunctionTracker track_slots(const rs::core::SlotSource& source,
   }
   std::vector<int> scratch;  // one run's bounds when the caller keeps none
   std::size_t offset = 0;
+  bool turned_dense = false;
   source.for_each_run([&](const auto& slot, int length) {
+    if (turned_dense) return;
     const std::size_t n = static_cast<std::size_t>(length);
     if (bounds == nullptr && scratch.size() < 2 * n) scratch.resize(2 * n);
     const std::span<int> lower =
@@ -839,15 +841,19 @@ WorkFunctionTracker track_slots(const rs::core::SlotSource& source,
     const std::span<int> upper =
         bounds != nullptr ? std::span<int>(bounds->upper).subspan(offset, n)
                           : std::span<int>(scratch).subspan(n, n);
+    const bool was_pwl = tracker.using_pwl();
     tracker.advance_repeated(slot, length, lower, upper);
+    turned_dense = was_pwl && !tracker.using_pwl();
     offset += n;
   });
+  // kAuto is resolved per instance: a tracker that turned dense past slot 1
+  // is dropped and the instance reruns on dense labels (rows, no
+  // conversions), so they do not depend on where the opaque slot sits.
+  if (turned_dense) {
+    return track_slots(source, WorkFunctionTracker::Backend::kDense, bounds,
+                       rewind_capacity);
+  }
   return tracker;
-}
-
-std::optional<ConvexPwl> auto_pwl_form(const rs::core::CostFunction& f,
-                                        int m) {
-  return f.as_convex_pwl(m, rs::core::compact_pwl_budget_for(m));
 }
 
 BoundTrajectory compute_bounds(const rs::core::SlotSource& source,

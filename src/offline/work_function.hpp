@@ -23,15 +23,18 @@
 //     the backend for m ~ 10⁵..10⁶ instances where even streaming O(m)
 //     rows is the bottleneck (arXiv:1807.05112 §LCP, arXiv:2108.09489).
 //
-// Backend::kAuto (the default) resolves per instance at runtime: advances
-// fed a CostFunction use kPwl while every slot converts compactly
-// (CostFunction::as_convex_pwl within kCompactPwlBudget breakpoints) and
-// switch to kDense permanently — materializing Ĉ^L into a label row — on
-// the first slot that does not.  Advances fed raw value rows always use
-// kDense.  Chat values agree across backends up to floating-point
-// association order (bit-identical on integer-valued instances), and the
-// tie rule absorbs that noise, so the bounds agree exactly: the backend is
-// a performance choice, never a semantic one (DESIGN.md §8).
+// Backend::kAuto (the default) resolves at runtime: advances fed a
+// CostFunction use kPwl while every slot converts compactly
+// (CostFunction::as_convex_pwl within compact_pwl_budget_for(m)
+// breakpoints) and switch to kDense permanently — materializing Ĉ^L into a
+// label row — on the first slot that does not.  That per-slot rule serves
+// the online Lcp; offline passes (track_slots) resolve kAuto per instance,
+// running dense from slot 1 when any slot does not convert.  Advances fed
+// raw value rows always use kDense.  Chat values agree across backends up
+// to floating-point association order (bit-identical on integer-valued
+// instances), and the tie rule absorbs that noise, so the bounds agree
+// exactly: the backend is a performance choice, never a semantic one
+// (DESIGN.md §8).
 //
 // This tracker powers the discrete LCP algorithm (Section 3) with and
 // without a prediction window, the Lemma-11 offline construction, and the
@@ -422,25 +425,18 @@ struct BoundTrajectory {
 /// Runs a fresh tracker over every slot of `source` in order — one advance
 /// per slot, one advance_repeated per RLE run — and returns it.  The form
 /// decides the backend of materialized inputs (rows run kDense, forms run
-/// kPwl); `backend` applies to Problem and RleProblem sources.  With
-/// `rewind_capacity` > 0 the tracker records its rewind buffer from the
-/// start (one entry per advance).  The per-slot corridor lands in `bounds`
-/// (resized to T) when non-null.  The one feed-and-collect loop behind
-/// compute_bounds, corridor_solve (offline/backward_solver.hpp) and
+/// kPwl); `backend` applies to Problem and RleProblem sources, where kAuto
+/// is resolved over the whole instance: PWL labels when every slot has a
+/// compact form, else dense labels from slot 1 (no slot converts twice).
+/// With `rewind_capacity` > 0 the tracker records its rewind buffer from
+/// the start (one entry per advance).  The per-slot corridor lands in
+/// `bounds` (resized to T) when non-null.  The one feed-and-collect loop
+/// behind compute_bounds, corridor_solve (offline/backward_solver.hpp) and
 /// DpDeltaSession's base solve.
 WorkFunctionTracker track_slots(const rs::core::SlotSource& source,
                                 WorkFunctionTracker::Backend backend,
                                 BoundTrajectory* bounds,
                                 int rewind_capacity = 0);
-
-/// The form a kAuto tracker in PWL mode advances on for `f`: its compact
-/// convex-PWL form under compact_pwl_budget_for(m), or nullopt when the
-/// tracker evaluates f's dense row instead and stays dense from then on.
-/// The tracker's own resolution calls it, and so does the batch engine to
-/// tell when a streamed corridor pass runs dense labels from its first
-/// slot and may read a table instead.
-std::optional<rs::core::ConvexPwl> auto_pwl_form(
-    const rs::core::CostFunction& f, int m);
 
 /// The corridor of every slot of `source` (backend chosen as in
 /// track_slots).  Bit-identical across the four input forms of one

@@ -10,14 +10,19 @@
 //     choice);
 //   * DpSolver solve/solve_cost: bitwise equal within a backend family —
 //     rows vs streamed dense (kDense), and forms vs kConvexAuto.  The one
-//     exception is the convex DP cost of an RLE source: its PWL runs
-//     fast-forward the work-function values, which matches stepping up to
-//     FP association order only, so that cost is compared to tolerance
-//     (its schedule, derived from the bitwise corridor, is still compared
-//     exactly);
+//     exception is the convex DP cost of an RLE source whose slots all
+//     convert: its PWL runs fast-forward the work-function values, which
+//     matches stepping up to FP association order only, so that cost is
+//     compared to tolerance (its schedule, derived from the bitwise
+//     corridor, is still compared exactly);
 //   * LowMemorySolver: one schedule across all four forms, the Lemma-11
 //     projection of the shared corridor; its cost is bitwise the convex
 //     DP's on every source that runs the same labels;
+//   * kAuto resolves per instance: on an instance with a slot that has no
+//     compact form the Problem and the RleProblem run dense labels from
+//     slot 1, so LowMemorySolver and the kConvexAuto DP give one cost,
+//     bitwise, on the Problem, its table and its runs (the table DP's
+//     cost), and LowMemorySolver one schedule;
 //   * the integral accounting (total_cost, cost_up_to / cost_down_up_to at
 //     a mid τ, is_feasible) of the LCP schedule: bitwise equal on the
 //     Problem, its table and its runs, within 1e-9 relative on the forms;
@@ -118,11 +123,12 @@ inline void expect_forms_agree(const rs::core::RleProblem& rle,
   }
   const rs::offline::OfflineResult cx_rle = dp_convex.solve(rle);
   const double tolerance = 1e-9 * std::max(1.0, std::fabs(cx_ref.cost));
-  if (std::isfinite(cx_ref.cost)) {
+  if (pwl && std::isfinite(cx_ref.cost)) {
     EXPECT_NEAR(cx_rle.cost, cx_ref.cost, tolerance);
     EXPECT_NEAR(dp_convex.solve_cost(rle), cx_cost_ref, tolerance);
   } else {
     EXPECT_EQ(cx_rle.cost, cx_ref.cost);
+    EXPECT_EQ(dp_convex.solve_cost(rle), cx_cost_ref);
   }
   EXPECT_EQ(cx_rle.schedule, cx_ref.schedule);
 
@@ -147,6 +153,11 @@ inline void expect_forms_agree(const rs::core::RleProblem& rle,
   expect_low_memory(dense, dp_cost_ref, "dense");
   if (pwl) expect_low_memory(*pwl, cx_ref.cost, "pwl");
   expect_low_memory(rle, cx_rle.cost, "rle");
+  if (!pwl) {
+    // No compact form somewhere: every form runs dense labels from slot 1.
+    EXPECT_EQ(lm_ref.cost, dp_cost_ref) << "problem vs table";
+    EXPECT_EQ(cx_rle.cost, dp_cost_ref) << "runs vs table";
+  }
 
   // Accounting of the LCP schedule: one definition, read per form.
   const int mid = p.horizon() / 2;

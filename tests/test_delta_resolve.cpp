@@ -37,6 +37,9 @@
 #include "util/rng.hpp"
 #include "workload/random_instance.hpp"
 
+#include "counting_cost.hpp"
+#include "mixed_form_instance.hpp"
+
 namespace {
 
 using rs::core::CostPtr;
@@ -229,6 +232,75 @@ TEST(DeltaSession, BackendTrajectoryFlipFallsBackToFullReplay) {
   session.resolve_delta(slot, light, &stats);
   EXPECT_TRUE(stats.full_replay);
   expect_matches_fresh(session, costs, "dense->pwl flip");
+}
+
+TEST(DeltaSession, MixedFormEditsMatchFromScratch) {
+  // A kAuto session picks its labels for the whole instance: PWL when
+  // every slot has a compact form, else dense from slot 1.  Start from a
+  // mixed instance cut down to one opaque M/M/1 slot among compact ones,
+  // so each edit below either may flip that choice (a re-solve) or cannot
+  // (a repair); either way the session must equal a fresh solve bitwise.
+  const Problem mixed = rs::test_support::mixed_form_instance(21);
+  const int m = mixed.max_servers();
+  const double beta = mixed.beta();
+  const auto compact = [m](const CostPtr& f) {
+    return f->as_convex_pwl(m, rs::core::compact_pwl_budget_for(m))
+        .has_value();
+  };
+  std::vector<CostPtr> costs = slot_costs(mixed);
+  int opaque = 1;
+  while (compact(costs[static_cast<std::size_t>(opaque - 1)])) ++opaque;
+  ASSERT_GT(opaque, 2);
+  const CostPtr opaque_cost = mixed.f_ptr(opaque);
+  const CostPtr other_opaque = mixed.f_ptr(opaque + 1);
+  ASSERT_FALSE(compact(other_opaque));
+  for (std::size_t t = static_cast<std::size_t>(opaque); t < costs.size();
+       ++t) {
+    costs[t] = costs[t % static_cast<std::size_t>(opaque - 1)];
+  }
+  const auto runs_pwl = [&]() {
+    return rs::offline::track_slots(Problem(m, beta, costs), Backend::kAuto,
+                                    nullptr)
+        .using_pwl();
+  };
+  ASSERT_FALSE(runs_pwl());
+
+  DpDeltaSession session(Problem(m, beta, costs), Backend::kAuto);
+  // Probes, then applies, the edit f_slot := cost; `full_replay` is the
+  // expected choice between re-solve and repair.
+  const auto edit = [&](int slot, CostPtr cost, bool full_replay,
+                        const std::string& label) {
+    costs[static_cast<std::size_t>(slot - 1)] = cost;
+    DpDeltaSession fresh(Problem(m, beta, costs), Backend::kAuto);
+    DpDeltaSession::DeltaStats stats;
+    const OfflineResult probed =
+        std::as_const(session).probe_delta(slot, cost, &stats);
+    EXPECT_EQ(stats.full_replay, full_replay) << label;
+    EXPECT_EQ(probed.cost, fresh.cost()) << label;
+    EXPECT_EQ(probed.schedule, fresh.result().schedule) << label;
+    stats = {};
+    session.resolve_delta(slot, cost, &stats);
+    EXPECT_EQ(stats.full_replay, full_replay) << label;
+    expect_matches_fresh(session, costs, label);
+  };
+
+  // Dense base: the only opaque slot gets a compact cost, and the fresh
+  // solve runs PWL.
+  edit(opaque, costs[0], true, "opaque -> compact on a dense base");
+  EXPECT_TRUE(runs_pwl());
+  // PWL base: a compact slot gets an opaque cost, back to dense labels.
+  edit(2, opaque_cost, true, "compact -> opaque on a PWL base");
+  EXPECT_FALSE(runs_pwl());
+  // Dense base: edits that give no opaque slot a compact form cannot flip
+  // the choice, so they repair.
+  edit(2, other_opaque, false, "opaque -> opaque on a dense base");
+  edit(1, costs[3], false, "compact -> compact on a dense base");
+  edit(opaque, opaque_cost, false, "compact -> opaque on a dense base");
+  EXPECT_FALSE(runs_pwl());
+  // Two opaque slots: giving one a compact form re-solves under the same
+  // rule, and the fresh solve stays dense.
+  edit(2, costs[0], true, "opaque -> compact, one opaque slot left");
+  EXPECT_FALSE(runs_pwl());
 }
 
 TEST(DeltaSession, ValidatesEdits) {
@@ -629,32 +701,7 @@ TEST(FleetPriority, InteractiveTenantsStartBeforeBatch) {
   EXPECT_EQ(fleet.tenant(b).steps(), 1u);
 }
 
-// Forwarding wrapper counting as_convex_pwl calls (the conversion-count
-// idiom of test_pwl_problem.cpp).
-class CountingCost final : public rs::core::CostFunction {
- public:
-  CountingCost(CostPtr base, std::shared_ptr<std::atomic<int>> conversions)
-      : base_(std::move(base)), conversions_(std::move(conversions)) {}
-  double at(int x) const override { return base_->at(x); }
-  void eval_row(int m, std::span<double> out) const override {
-    base_->eval_row(m, out);
-  }
-  bool is_convex() const override { return base_->is_convex(); }
-  std::string name() const override {
-    return "counting(" + base_->name() + ")";
-  }
-
- protected:
-  std::optional<rs::core::ConvexPwl> as_convex_pwl_impl(
-      int m, int max_breakpoints) const override {
-    conversions_->fetch_add(1, std::memory_order_relaxed);
-    return base_->as_convex_pwl(m, max_breakpoints);
-  }
-
- private:
-  CostPtr base_;
-  std::shared_ptr<std::atomic<int>> conversions_;
-};
+using rs::test_support::CountingCost;
 
 TEST(FleetFormCache, DistinctCostsConvertOnceAcrossTenants) {
   auto conversions = std::make_shared<std::atomic<int>>(0);

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "mixed_form_instance.hpp"
 #include "rightsizer/rightsizer.hpp"
 
 namespace {
@@ -280,37 +281,18 @@ TEST(SolverEngine, LowMemoryStreamsMixedFormInstances) {
   // Instances whose leading slots have compact convex-PWL forms
   // (AffineAbsCost) but whose later slots are opaque M/M/1 restricted
   // costs: no compact form overall, so the batch builds each a shared
-  // table.  kLowMemory reads a sibling's table only when its streamed solve
-  // would run dense labels from the first slot; here slot 1 has a compact
-  // form, so it must stream and equal the LowMemorySolver solo solve
-  // bitwise.  The streamed solve runs PWL labels over the leading slots and
-  // the table-fed one runs dense labels throughout; on seeds 21, 78, 86 and
-  // 168 their costs differ in the last bits, so a batch that fed kLowMemory
-  // the table would fail here.
+  // table, and kLowMemory reads it.  Its outcome must still equal the
+  // LowMemorySolver solo solve on the Problem bitwise: that solve resolves
+  // kAuto over the whole instance and runs dense labels from slot 1, as the
+  // table's pass does.  A per-slot choice would run PWL labels over the
+  // leading slots instead, and on seeds 21, 78, 86 and 168 its cost
+  // differs from the table's in the last bits, so this test fails if
+  // either side goes back to choosing per slot.
   std::vector<Problem> instances;
   for (const std::uint64_t seed : {0u, 21u, 78u, 86u, 168u}) {
-    rs::util::Rng rng(1000 + seed);
-    rs::dcsim::DataCenterModel model;
-    model.servers = 16 + 8 * static_cast<int>(seed % 4);
-    const rs::workload::Trace trace =
-        rs::workload::hotmail_like(rng, 1, 48, 0.6 * model.servers);
-    const Problem restricted =
-        rs::dcsim::restricted_datacenter_problem(model, trace);
-    const int leading = 4 + static_cast<int>(seed % 16);
-    std::vector<rs::core::CostPtr> fs;
-    for (int t = 1; t <= restricted.horizon(); ++t) {
-      if (t <= leading) {
-        const double slope = rng.uniform(0.001, 0.05);
-        const double center = rng.uniform(0.0, model.servers);
-        fs.push_back(std::make_shared<rs::core::AffineAbsCost>(
-            slope, center, rng.uniform(0.0, 0.1)));
-      } else {
-        fs.push_back(restricted.f_ptr(t));
-      }
-    }
-    instances.emplace_back(restricted.max_servers(), restricted.beta(),
-                           std::move(fs));
-    ASSERT_TRUE(instances.back().f(1).as_convex_pwl(model.servers));
+    instances.push_back(rs::test_support::mixed_form_instance(seed));
+    ASSERT_TRUE(instances.back().f(1).as_convex_pwl(
+        instances.back().max_servers()));
     ASSERT_FALSE(rs::core::admits_compact_pwl(instances.back()));
   }
 

@@ -12,12 +12,15 @@
 // printed seed.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -46,6 +49,8 @@
 #include "util/rng.hpp"
 #include "workload/generators.hpp"
 #include "workload/random_instance.hpp"
+
+#include "counting_cost.hpp"
 
 namespace {
 
@@ -637,6 +642,56 @@ TEST(BatchIsolation, PoisonedTablesFailAloneAtEveryThreadCount) {
   }
 }
 
+// Forwards every evaluation to `base` but throws from the PWL conversion:
+// the engine's probe of such an instance fails, while its rows fill.
+class ThrowingConversionCost final : public rs::core::CostFunction {
+ public:
+  explicit ThrowingConversionCost(rs::core::CostPtr base)
+      : base_(std::move(base)) {}
+  double at(int x) const override { return base_->at(x); }
+  void eval_row(int m, std::span<double> out) const override {
+    base_->eval_row(m, out);
+  }
+  bool is_convex() const override { return base_->is_convex(); }
+
+ protected:
+  std::optional<rs::core::ConvexPwl> as_convex_pwl_impl(
+      int /*m*/, int /*max_breakpoints*/) const override {
+    throw std::runtime_error("conversion crashed");
+  }
+
+ private:
+  rs::core::CostPtr base_;
+};
+
+TEST(BatchIsolation, ThrowingProbeLeavesLowMemoryStreaming) {
+  // kLowMemory reads the table its siblings caused only after a probe that
+  // found no compact form.  Here the probe throws: the kDpCost sibling
+  // still solves on the table, and kLowMemory streams the Problem and meets
+  // the throw itself, as it would alone.
+  const Problem base = restricted_problem(12, 910);
+  std::vector<rs::core::CostPtr> fs;
+  for (int t = 1; t <= base.horizon(); ++t) {
+    fs.push_back(std::make_shared<ThrowingConversionCost>(base.f_ptr(t)));
+  }
+  const Problem p(base.max_servers(), base.beta(), std::move(fs));
+  std::vector<SolveJob> jobs(2);
+  jobs[0].kind = SolverKind::kDpCost;
+  jobs[1].kind = SolverKind::kLowMemory;
+  for (SolveJob& job : jobs) job.problem = &p;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(threads);
+    SolverEngine::Options options;
+    options.threads = threads;
+    const BatchResult result = SolverEngine(options).run(jobs);
+    EXPECT_EQ(result.stats.dense_tables_built, 1u);
+    expect_outcome_bitwise(result.outcomes[0],
+                           solo_outcome(p, SolverKind::kDpCost), 0);
+    EXPECT_EQ(result.outcomes[1].status, SolveStatus::kException);
+    EXPECT_EQ(result.outcomes[1].error, "conversion crashed");
+  }
+}
+
 TEST(BatchIsolation, InfeasibleSlotIsNotAFault) {
   // +inf slot costs are *within* the extended-real contract: the solve
   // completes with status kOk and a +inf objective — the fault taxonomy
@@ -740,6 +795,58 @@ TEST(InjectedFaults, PwlFailuresDegradeToDenseWithEvents) {
   // The suite must cover all three fates; if this seed produces a
   // degenerate split the decorrelation test above has already failed.
   EXPECT_FALSE(expected_degrades.empty());
+}
+
+TEST(InjectedFaults, PwlRetryOfCorridorJobsRunsDense) {
+  // A PWL-routed kLcp job whose PWL pass fails is retried over its Problem
+  // on dense corridor labels: the retry converts nothing, so the batch
+  // converts every slot exactly once (its probe), and the tie rule makes
+  // the corridor, hence the schedule and its price, the clean run's.
+  const Problem hinge = integer_hinge_problem(12, 3.0, 32, 410);
+  std::vector<std::shared_ptr<std::atomic<int>>> conversions;
+  std::vector<rs::core::CostPtr> fs;
+  for (int t = 1; t <= hinge.horizon(); ++t) {
+    conversions.push_back(std::make_shared<std::atomic<int>>(0));
+    fs.push_back(std::make_shared<rs::test_support::CountingCost>(
+        hinge.f_ptr(t), conversions.back()));
+  }
+  const Problem p(hinge.max_servers(), hinge.beta(), std::move(fs));
+  SolveJob job;
+  job.kind = SolverKind::kLcp;
+  job.problem = &p;
+  const std::vector<SolveJob> jobs = {job};
+  SolverEngine::Options options;
+  options.threads = 1;
+  const SolverEngine engine(options);
+  const BatchResult clean = engine.run(jobs);
+  ASSERT_EQ(clean.stats.pwl_backed, 1u);
+  ASSERT_TRUE(clean.outcomes[0].ok());
+
+  // The first injector from base_seed() + 89 that fails the PWL pass of
+  // job 0 but not its dense retry.
+  std::uint64_t seed = base_seed() + 89;
+  const auto degrades = [](const FaultInjector& inj) {
+    return inj.fires(FaultSite::kPwlBackend, 0) &&
+           !inj.fires(FaultSite::kDenseBackend, 0);
+  };
+  for (int tries = 1; tries < 64 && !degrades(FaultInjector(seed, 2));
+       ++tries) {
+    ++seed;
+  }
+  const FaultInjector inj(seed, 2);
+  ASSERT_TRUE(degrades(inj)) << "no injector within 64 seeds of "
+                             << base_seed() + 89;
+  for (const auto& counter : conversions) counter->store(0);
+  const BatchResult faulty = [&] {
+    const ScopedFaultInjection guard{inj};
+    return engine.run(jobs);
+  }();
+  ASSERT_EQ(faulty.stats.degrade_events.size(), 1u);
+  EXPECT_EQ(faulty.stats.degrade_events[0].job, 0u);
+  expect_outcome_bitwise(faulty.outcomes[0], clean.outcomes[0], 0);
+  for (std::size_t t = 0; t < conversions.size(); ++t) {
+    EXPECT_EQ(conversions[t]->load(), 1) << "slot " << t + 1;
+  }
 }
 
 TEST(InjectedFaults, DenseRoutedJobsFailWithoutRetry) {
