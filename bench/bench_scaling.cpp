@@ -249,9 +249,7 @@ int main(int argc, char** argv) {
       const long long table_bytes = static_cast<long long>(row.T) *
                                     (static_cast<long long>(m) + 1) * 8;
       if (table_bytes <= table_budget_bytes) {
-        const rs::core::DenseProblem dense_table(
-            p, rs::core::DenseProblem::Mode::kEager,
-            rs::core::DenseProblem::MinimizerCache::kOnDemand);
+        const rs::core::DenseProblem dense_table(p);
         double best = rs::util::kInf;
         for (int rep = 0; rep < reps; ++rep) {
           rs::util::Stopwatch watch;

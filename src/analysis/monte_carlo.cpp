@@ -52,8 +52,7 @@ MonteCarloReport monte_carlo_randomized_rounding(const rs::core::Problem& p,
   // bounds checks per trial).  The online replay itself still reveals the
   // cost functions one slot at a time through the Problem, as the online
   // contract requires.
-  const DenseProblem dense(p, DenseProblem::Mode::kEager,
-                           DenseProblem::MinimizerCache::kOnDemand);
+  const DenseProblem dense(p);
   return monte_carlo(dense, trials, base_seed,
                      [&p, &dense](std::uint64_t seed) {
                        rs::online::RandomizedRounding algorithm(seed);

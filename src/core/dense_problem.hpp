@@ -38,14 +38,7 @@ class DenseProblem {
   /// Kept for call sites that name the mode; every table is eager.
   enum class Mode { kEager };
 
-  /// Minimizer-cache policy.  kPrecompute fills the per-row minimizer
-  /// caches at construction (the table stays fully immutable, so minimizer
-  /// queries are thread-safe).  kOnDemand skips that work — pure row
-  /// consumers (the DP kernels, run_lcp, the batch engine's shared tables)
-  /// never query minimizers, and at small m the two extra scans per row
-  /// are a measurable share of a solve.
-  /// On-demand minimizer queries mutate the cache and are NOT thread-safe;
-  /// row access stays safe either way.
+  /// Kept for call sites that name it; a table caches no minimizers.
   enum class MinimizerCache { kPrecompute, kOnDemand };
 
   explicit DenseProblem(const Problem& p, Mode mode = Mode::kEager,
@@ -56,7 +49,7 @@ class DenseProblem {
 
   /// Allocates p's T×(m+1) table without evaluating a row.  Fill rows
   /// [0, T) exactly once with fill_rows, then call seal() before any read.
-  DenseProblem(const Problem& p, Unfilled, MinimizerCache minimizers);
+  DenseProblem(const Problem& p, Unfilled);
 
   /// Evaluates rows first..last-1 (0-based, slots first+1..last) of p, the
   /// Problem this table was allocated for.  Calls on disjoint ranges may
@@ -88,28 +81,11 @@ class DenseProblem {
     return row(t)[static_cast<std::size_t>(x)];
   }
 
-  /// Cached smallest minimizer of f_t on {0,..,m} (paper's x_t^{min-});
-  /// tie-breaks identically to smallest_minimizer_scan.  Computed at
-  /// construction under kPrecompute, else on the first query.
-  int smallest_minimizer(int t) const {
-    assert(t >= 1 && t <= T_);
-    ensure_minimizers(t);
-    return min_small_[static_cast<std::size_t>(t - 1)];
-  }
-
-  /// Cached largest minimizer of f_t (paper's x_t^{min+}); ties move right.
-  int largest_minimizer(int t) const {
-    assert(t >= 1 && t <= T_);
-    ensure_minimizers(t);
-    return min_large_[static_cast<std::size_t>(t - 1)];
-  }
-
   /// Deep row-invariant audit (util/audit.hpp; DESIGN.md §13): table shape
-  /// consistent (T×(m+1) values, minimizer caches sized T), no row
-  /// containing -inf (extended-real costs live in [0, +inf]; NaN is legal
-  /// here — poisoned instances are *detected* on the dense path, not
-  /// rejected by it), and every computed minimizer cache equal to a
-  /// tie-break-exact re-scan of its row.  Raises
+  /// consistent (T×(m+1) values) and no row containing -inf or a negative
+  /// value (extended-real costs live in [0, +inf]; NaN is legal here —
+  /// poisoned instances are *detected* on the dense path, not rejected by
+  /// it).  Raises
   /// rs::util::audit::AuditError naming the violated invariant.  Always
   /// compiled; the RS_AUDIT hook after construction engages only under
   /// RIGHTSIZER_AUDIT.
@@ -117,7 +93,6 @@ class DenseProblem {
 
  private:
   friend struct DenseProblemTestAccess;
-  void ensure_minimizers(int t) const;
 
   int T_;
   int m_;
@@ -125,10 +100,7 @@ class DenseProblem {
   std::size_t stride_;          // m + 1
   std::vector<double> values_;  // T x (m+1), row-major
   bool has_nan_ = false;
-  bool precompute_minimizers_ = false;
   std::vector<std::uint8_t> nan_rows_;  // per-row flags until seal()
-  mutable std::vector<std::int32_t> min_small_;
-  mutable std::vector<std::int32_t> min_large_;
 };
 
 /// Test-only corruption hooks for the auditor's negative tests
@@ -136,9 +108,6 @@ class DenseProblem {
 struct DenseProblemTestAccess {
   static std::vector<double>& values(DenseProblem& d) noexcept {
     return d.values_;
-  }
-  static std::vector<std::int32_t>& min_small(DenseProblem& d) noexcept {
-    return d.min_small_;
   }
 };
 

@@ -444,11 +444,9 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
     // then one dispatch fills all of them in kFillRows-row chunks, and each
     // table is sealed (its per-row NaN flags reduced) before any job reads
     // it.  Sealed tables are immutable, so sharing them across the batch's
-    // workers is safe.  Rows only: the batch kinds never query the
-    // minimizer caches, and skipping them trims two O(m) scans per row.
-    // A build fault (throwing cost function, failed allocation) fails only
-    // its own table: that instance's jobs stream from the Problem, where
-    // the per-job isolation classifies the error.
+    // workers is safe.  A build fault (throwing cost function, failed
+    // allocation) fails only its own table: that instance's jobs stream
+    // from the Problem, where the per-job isolation classifies the error.
     std::vector<std::shared_ptr<const DenseProblem>> dense_of(jobs.size());
     std::unordered_map<const Problem*, std::size_t> table_index;
     std::vector<const Problem*> table_problems;
@@ -472,9 +470,8 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
     std::vector<std::pair<std::size_t, std::size_t>> chunks;  // (table, row)
     for (std::size_t k = 0; k < table_count; ++k) {
       try {
-        tables[k] = std::make_shared<DenseProblem>(
-            *table_problems[k], DenseProblem::Unfilled{},
-            DenseProblem::MinimizerCache::kOnDemand);
+        tables[k] = std::make_shared<DenseProblem>(*table_problems[k],
+                                                   DenseProblem::Unfilled{});
       } catch (...) {  // rs-lint: catch-all-ok (allocation failure: the
                        // instance's jobs stream and classify their own)
         continue;

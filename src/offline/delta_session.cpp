@@ -91,9 +91,19 @@ DpDeltaSession DpDeltaSession::edited(int slot, rs::core::CostPtr cost,
 bool DpDeltaSession::may_turn_pwl(int slot,
                                   const rs::core::CostFunction& cost) const {
   const int budget = rs::core::compact_pwl_budget_for(m_);
-  return backend_ == WorkFunctionTracker::Backend::kAuto &&
-         !tracker_.using_pwl() && cost.as_convex_pwl(m_, budget) &&
-         !costs_[static_cast<std::size_t>(slot - 1)]->as_convex_pwl(m_, budget);
+  if (backend_ != WorkFunctionTracker::Backend::kAuto ||
+      tracker_.using_pwl() || !cost.as_convex_pwl(m_, budget)) {
+    return false;
+  }
+  // The scan stops at the first other opaque slot, so it converts no more
+  // slots than the re-solve it may spare.
+  for (std::size_t t = 0; t < costs_.size(); ++t) {
+    if (t + 1 != static_cast<std::size_t>(slot) &&
+        !costs_[t]->as_convex_pwl(m_, budget)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void DpDeltaSession::resolve_delta(int slot, rs::core::CostPtr cost,

@@ -79,8 +79,8 @@ class DpDeltaSession {
 
  private:
   void check_edit(int slot, const rs::core::CostPtr& cost) const;
-  // Whether the edit gives a slot with no compact form one on a dense kAuto
-  // base, which may flip the base to PWL (a repair would stay dense).
+  // Whether the edit flips a dense kAuto base to PWL: it gives `slot` a
+  // compact form and no other slot lacks one (a repair would stay dense).
   bool may_turn_pwl(int slot, const rs::core::CostFunction& cost) const;
   // A fresh session over the current costs with f_slot replaced: the full
   // re-solve of an edit that flips the backend, reported in `stats`.

@@ -1,15 +1,19 @@
 // Exact dynamic program over the full state space.
 //
 // Computes W_t(x) = min_{x'} { W_{t-1}(x') + β(x − x')⁺ } + f_t(x) for all
-// x in {0,..,m}.  The inner minimum splits into a prefix part (x' <= x, pay
-// β per powered-up server) and a suffix part (x' >= x, free power-down), so
-// one time step costs O(m) using running prefix/suffix minima — O(T·m)
-// total, the standard baseline the paper's O(T·log m) algorithm improves on
-// (a naive shortest-path in the Figure-1 graph would be O(T·m²)).
+// x in {0,..,m}.  One step is the in-place two-pass relax + add of
+// offline/dense_step.hpp (a forward power-up fold, then a backward
+// free-power-down fold fused with the f_t addition), so it costs O(m) —
+// O(T·m) total, the standard baseline the paper's O(T·log m) algorithm
+// improves on (a naive shortest-path in the Figure-1 graph would be
+// O(T·m²)).
 //
 // Backends:
 //   kDense      — the O(T·m) table DP above with parent-pointer schedule
-//                 reconstruction; the reference tie-breaking.
+//                 reconstruction; the reference tie-breaking.  Its labels,
+//                 the cost-only DP's and the dense work-function tracker's
+//                 come from the same step, so the three are bitwise equal
+//                 for every β.
 //   kConvexAuto — convex fast path, the Lemma-11 corridor solve
 //                 (corridor_solve, offline/backward_solver.hpp): W_t is
 //                 exactly the bound work function Ĉ^L_t (eq. 11), so when
@@ -19,10 +23,10 @@
 //                 min Ĉ^L_T, and an optimal schedule follows from the
 //                 Lemma-11 backward projection through the per-step bound
 //                 corridor.  One slot without a compact form runs the
-//                 whole instance on the same work-function recursion on
-//                 dense rows (still O(T·m), no parent table).  The cost
-//                 agrees with kDense up to FP association order
-//                 (bit-identical on integer instances); the schedule is
+//                 whole instance on the same dense step (still O(T·m),
+//                 no parent table), and the cost is then bitwise kDense's;
+//                 on PWL labels it agrees with kDense up to FP association
+//                 order (bit-identical on integer instances).  The schedule is
 //                 optimal but tie-breaks per Lemma 11 rather than per the
 //                 parent-pointer reconstruction.
 #pragma once

@@ -1,8 +1,3 @@
-// rs-lint: minmax-audited — the advance/relax label folds are approved
-// branch-free kernels: a NaN slot cost is classified downstream (solver
-// poison accumulators, engine NaN demotion, tenant ingest probes), and the
-// RIGHTSIZER_AUDIT labels-nan-free check pins the labels themselves
-// (DESIGN.md §13).
 #include "offline/work_function.hpp"
 
 #include <algorithm>
@@ -15,6 +10,7 @@
 #include <utility>
 
 #include "core/checkpoint.hpp"
+#include "offline/dense_step.hpp"
 #include "util/audit.hpp"
 #include "util/math_util.hpp"
 
@@ -293,38 +289,11 @@ void WorkFunctionTracker::advance_pwl(const ConvexPwl& f) {
 }
 
 void WorkFunctionTracker::advance_dense(std::span<const double> values) {
-  const int m = m_;
-  const double beta = beta_;
-  double* cl = chat_l_.data();
-
-  // Pass 1 (forward) — the power-up part of the relax:
-  //   chat(x) <- min( chat(x), min_{x'<=x} chat(x') + β(x−x') ).
-  double best_up = kInf;  // min chat(x') − βx'
-  for (int x = 0; x <= m; ++x) {
-    best_up = std::min(best_up, cl[x] - beta * x);
-    cl[x] = std::min(cl[x], best_up + beta * x);
-  }
-
-  // Pass 2 (backward) — free power-down (suffix minimum of the relaxed
-  // values), the f_τ addition, and the two minima the tie rule needs
-  // (Ĉ^L and its −β tilt).  Labels are extended reals in [0, +inf], so the
-  // addition needs no infinity guard.
-  double suffix = kInf;
-  double min_lower = kInf;
-  double min_upper = kInf;
-  for (int x = m; x >= 0; --x) {
-    const double f = values[static_cast<std::size_t>(x)];
-    if (std::isnan(f)) {
-      throw std::invalid_argument("WorkFunctionTracker::advance: NaN cost");
-    }
-    suffix = std::min(suffix, cl[x]);
-    cl[x] = suffix + f;
-    min_lower = std::min(min_lower, cl[x]);
-    min_upper = std::min(min_upper, cl[x] - beta * x);
-  }
+  const DenseStepMinima minima =
+      dense_step<DenseStep::kMinima>(chat_l_.span(), values, beta_);
   const std::span<const double> row = chat_l_.span();
   const rs::core::Corridor c =
-      rs::core::tie_corridor(row, row, beta, min_lower, min_upper);
+      rs::core::tie_corridor(row, row, beta_, minima.lower, minima.upper);
   x_lower_ = c.lower;
   x_upper_ = c.upper;
   ++tau_;

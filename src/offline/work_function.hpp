@@ -12,9 +12,10 @@
 //
 // Two interchangeable backends maintain Ĉ^L:
 //
-//   * kDense — a flat label row; one advance() costs O(m): a forward pass
-//     (power-up relax), a backward pass (free power-down suffix minimum
-//     plus the f_τ addition), and the tie-rule scan.
+//   * kDense — a flat label row; one advance() costs O(m): the table DP's
+//     step (offline/dense_step.hpp: a forward power-up relax, then a
+//     backward free-power-down suffix minimum plus the f_τ addition), so
+//     the labels are bitwise the DP's, and the tie-rule scan.
 //   * kPwl — Ĉ^L is convex whenever every f_τ is convex, so it is kept as
 //     an exact convex piecewise-linear function (core/convex_pwl.hpp): the
 //     relax clips the slope sequence into [0, β] (amortized O(1) per

@@ -276,16 +276,6 @@ TEST(AuditDenseProblem, FlagsNegativeCostValue) {
   });
 }
 
-TEST(AuditDenseProblem, FlagsStaleMinimizerCache) {
-  const std::string what = expect_audit("dense-minimizer-cache", [] {
-    DenseProblem dense(small_problem());
-    // Row 1's vee cost has its minimizer at x = 2; 0 is demonstrably stale.
-    DenseProblemTestAccess::min_small(dense)[0] = 0;
-    dense.audit_rows("test");
-  });
-  EXPECT_NE(what.find("row 1"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Checkpoint envelope self-check
 // ---------------------------------------------------------------------------

@@ -297,9 +297,9 @@ TEST(DeltaSession, MixedFormEditsMatchFromScratch) {
   edit(1, costs[3], false, "compact -> compact on a dense base");
   edit(opaque, opaque_cost, false, "compact -> opaque on a dense base");
   EXPECT_FALSE(runs_pwl());
-  // Two opaque slots: giving one a compact form re-solves under the same
-  // rule, and the fresh solve stays dense.
-  edit(2, costs[0], true, "opaque -> compact, one opaque slot left");
+  // Two opaque slots: giving one a compact form leaves the other opaque,
+  // so the fresh solve stays dense and the edit repairs.
+  edit(2, costs[0], false, "opaque -> compact, one opaque slot left");
   EXPECT_FALSE(runs_pwl());
 }
 

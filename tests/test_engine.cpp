@@ -357,6 +357,17 @@ TEST(SolverEngine, SharedPassesMatchSoloSolves) {
     instances.emplace_back(10, 3.0, std::move(hinges));
     ASSERT_TRUE(rs::core::admits_compact_pwl(instances.back()));
   }
+  {
+    // A table-routed draw with a non-dyadic β (m = 59, β ≈ 0.635): a DP
+    // pass whose labels round differently from the cost-only DP's would
+    // hand its kDpCost member other bits than a solo kDpCost job.
+    rs::util::Rng rng(380112);
+    const int m = 8 + static_cast<int>(rng.uniform_int(0, 120));
+    const double beta = rng.uniform(0.3, 5.0);
+    instances.push_back(rs::workload::random_instance(
+        rng, rs::workload::InstanceFamily::kConvexTable, 48, m, beta));
+    ASSERT_FALSE(rs::core::admits_compact_pwl(instances.back()));
+  }
   const std::shared_ptr<const DenseProblem> caller_table =
       std::make_shared<const DenseProblem>(instances[1]);
   const std::shared_ptr<const DenseProblem> caller_only_table =
@@ -420,9 +431,10 @@ TEST(SolverEngine, SharedPassesMatchSoloSolves) {
     const BatchResult batch = SolverEngine({.threads = threads}).run(jobs);
     ASSERT_EQ(batch.outcomes.size(), jobs.size());
     EXPECT_EQ(batch.stats.failed_jobs, 0u);
-    // Tables for the restricted and quadratic instances; the hinge one is
-    // PWL-routed; kLowMemory and the callers' tables cause none.
-    EXPECT_EQ(batch.stats.dense_tables_built, 4u);
+    // Tables for the restricted, quadratic and convex-table instances; the
+    // hinge one is PWL-routed; kLowMemory and the callers' tables cause
+    // none.
+    EXPECT_EQ(batch.stats.dense_tables_built, 5u);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const BatchResult solo = inline_engine.run({jobs[i]});
       const rs::engine::SolveOutcome want = reference(jobs[i]);
