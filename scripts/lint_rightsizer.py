@@ -50,6 +50,13 @@ shipped or explicitly guards against:
                             is, so a Problem overload is a second signature
                             to keep in step.  begin_delta is exempt: a
                             delta session edits its Problem.
+  RS008 engine-table        A DenseProblem constructed in src/engine/.  The
+                            batch engine streams each instance's rows
+                            through one dense pass (the caller's table is
+                            read in place), so a per-batch T×(m+1) table is
+                            pure overhead: it is written and read again in
+                            every batch.  A table the engine must build
+                            carries `rs-lint: engine-table-ok (<why>)`.
 
 Suppressions are read from raw source text (comments included): a file
 marker applies anywhere in the file; line annotations apply on the flagged
@@ -76,6 +83,7 @@ OK_CATCH_ALL = "rs-lint: catch-all-ok"
 OK_EVAL_ROW = "rs-lint: eval-row-ok"
 OK_OPAQUE_COST = "rs-lint: opaque-cost"
 OK_PINNED_KEY = "rs-lint: pinned-key"
+OK_ENGINE_TABLE = "rs-lint: engine-table-ok"
 
 # How many lines above a flagged line an annotation still applies.
 ANNOTATION_REACH = 2
@@ -172,6 +180,13 @@ PROBLEM_PARAM = re.compile(r"\bconst\s+(?:rs::)?(?:core::)?Problem\s*&")
 OFFLINE_DIR = "src/offline/"
 # The one solver member that needs a Problem: a delta session edits it.
 PROBLEM_ENTRY_EXEMPT = {"begin_delta"}
+ENGINE_DIR = "src/engine/"
+# A DenseProblem built in place or on the heap: a declaration with
+# constructor arguments, a temporary, or make_shared/make_unique/new.
+DENSE_TABLE_BUILD = re.compile(
+    r"(?:\bmake_(?:shared|unique)\s*<\s*(?:const\s+)?(?:[\w:]+::)?"
+    r"DenseProblem\s*>|\bnew\s+(?:[\w:]+::)?DenseProblem\b|"
+    r"\bDenseProblem\s+\w+\s*[({]|\bDenseProblem\s*[({])")
 COST_SUBCLASS = re.compile(
     r"\bclass\s+(\w+)[^;{]*:\s*(?:public\s+)?(?:rs::core::)?CostFunction\b"
 )
@@ -310,9 +325,24 @@ def check_problem_entry(path: str, raw: list[str], code: list[str],
                     "binds to it as is)"))
 
 
+def check_engine_table(path: str, raw: list[str], code: list[str],
+                       findings: list[Finding]) -> None:
+    if not path.startswith(ENGINE_DIR):
+        return
+    for i, line in enumerate(code):
+        if DENSE_TABLE_BUILD.search(line):
+            if annotated(raw, i, OK_ENGINE_TABLE):
+                continue
+            findings.append(Finding(
+                path, i + 1, "RS008",
+                "DenseProblem constructed in the batch engine: stream the "
+                "instance's rows through one dense pass instead, or "
+                f"annotate '{OK_ENGINE_TABLE} (<why>)'"))
+
+
 CHECKS = (check_minmax_folds, check_float_eq, check_catch_all,
           check_eval_row, check_value_key, check_raw_cost_key,
-          check_problem_entry)
+          check_problem_entry, check_engine_table)
 
 
 def lint_text(path: str, text: str) -> list[Finding]:
@@ -468,18 +498,28 @@ SELF_TESTS = (
      "  return DpDeltaSession(p);\n"
      "}\n",
      "RS007", False),
+    ("RS008 fires on a per-batch table in the engine",
+     "tables[k] = std::make_shared<DenseProblem>(*problem);\n"
+     "const rs::core::DenseProblem table(*job.problem);\n",
+     "RS008", True, ENGINE_DIR + "self_test.cpp"),
+    ("RS008 quiet on a caller's table and when annotated",
+     "const DenseProblem* dense = nullptr;\n"
+     "std::shared_ptr<const rs::core::DenseProblem> dense = job.dense;\n"
+     "// rs-lint: engine-table-ok (a one-off reference table)\n"
+     "const DenseProblem table(*job.problem);\n",
+     "RS008", False, ENGINE_DIR + "self_test.cpp"),
 )
 
 # Self-test snippets are linted as if they lived here, so path-scoped rules
-# (RS007) see them.
+# (RS007) see them; a fifth tuple entry names another path (RS008).
 SELF_TEST_PATH = OFFLINE_DIR + "self_test.hpp"
 
 
 def run_self_test() -> int:
     failures = 0
-    for name, snippet, rule, should_fire in SELF_TESTS:
-        hits = [f for f in lint_text(SELF_TEST_PATH, snippet)
-                if f.rule == rule]
+    for name, snippet, rule, should_fire, *where in SELF_TESTS:
+        path = where[0] if where else SELF_TEST_PATH
+        hits = [f for f in lint_text(path, snippet) if f.rule == rule]
         ok = bool(hits) == should_fire
         print(f"{'PASS' if ok else 'FAIL'}: {name}")
         if not ok:

@@ -1,6 +1,8 @@
 #include "core/dense_problem.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "util/audit.hpp"
 #include "util/math_util.hpp"
@@ -18,43 +20,27 @@ constexpr std::size_t kParallelThreshold = 1u << 15;
 
 DenseProblem::DenseProblem(const Problem& p, Mode /*mode*/,
                            MinimizerCache /*minimizers*/)
-    : DenseProblem(p, Unfilled{}) {
-  const std::size_t rows = static_cast<std::size_t>(T_);
-  if (values_.size() >= kParallelThreshold && rows > 1) {
-    rs::util::global_pool().parallel_for(
-        0, rows, [this, &p](std::size_t i) { fill_rows(p, i, i + 1); });
-  } else {
-    fill_rows(p, 0, rows);
-  }
-  seal();
-}
-
-DenseProblem::DenseProblem(const Problem& p, Unfilled)
     : T_(p.horizon()),
       m_(p.max_servers()),
       beta_(p.beta()),
       stride_(static_cast<std::size_t>(m_) + 1) {
   const std::size_t rows = static_cast<std::size_t>(T_);
   values_.resize(rows * stride_);
-  nan_rows_.assign(rows, 0);
-}
-
-void DenseProblem::fill_rows(const Problem& p, std::size_t first,
-                             std::size_t last) {
-  assert(last <= nan_rows_.size());
   // Each row is scanned for NaN while it is cache-hot; rows may fill in
-  // parallel, so the flags are per row and seal() reduces them.
-  for (std::size_t i = first; i < last; ++i) {
+  // parallel, so the flags are per row and reduced afterwards.
+  std::vector<std::uint8_t> nan_rows(rows, 0);
+  const auto fill_row = [&](std::size_t i) {
     const std::span<double> out{values_.data() + i * stride_, stride_};
     p.f(static_cast<int>(i) + 1).eval_row(m_, out);
-    nan_rows_[i] = rs::util::any_nan(out) ? 1 : 0;
+    nan_rows[i] = rs::util::any_nan(out) ? 1 : 0;
+  };
+  if (values_.size() >= kParallelThreshold && rows > 1) {
+    rs::util::global_pool().parallel_for(0, rows, fill_row);
+  } else {
+    for (std::size_t i = 0; i < rows; ++i) fill_row(i);
   }
-}
-
-void DenseProblem::seal() {
-  for (const std::uint8_t nan : nan_rows_) has_nan_ = has_nan_ || nan != 0;
-  nan_rows_ = {};
-  RS_AUDIT(audit_rows("DenseProblem::seal"));
+  for (const std::uint8_t nan : nan_rows) has_nan_ = has_nan_ || nan != 0;
+  RS_AUDIT(audit_rows("DenseProblem::DenseProblem"));
 }
 
 void DenseProblem::audit_rows(const char* site) const {

@@ -31,7 +31,6 @@
 #include "core/problem.hpp"
 #include "core/pwl_problem.hpp"
 #include "core/rle_problem.hpp"
-#include "util/math_util.hpp"
 
 namespace rs::core {
 
@@ -88,22 +87,14 @@ class SlotSource {
 
   /// for_each_run with every slot as its value row: fn(row, length).
   /// DenseProblem rows are table views; the other forms are evaluated once
-  /// per run into `scratch` (m + 1 values, reused by the next run).
-  /// Returns whether any value is NaN — a poisoned instance the dense
-  /// solvers must surface rather than launder through their min folds.  A
-  /// table answers from its construction-time flag; other rows are scanned.
+  /// per run into `scratch` (m + 1 values, reused by the next run).  Rows
+  /// are passed as they are: a consumer whose folds would drop a NaN checks
+  /// for it (the dense pass of offline/dp_solver.hpp does, before it steps).
   template <typename Fn>
-  bool for_each_row(std::span<double> scratch, Fn&& fn) const {
-    bool poisoned = dense() != nullptr && dense()->has_nan();
+  void for_each_row(std::span<double> scratch, Fn&& fn) const {
     for_each_run([&](const auto& slot, int length) {
-      const std::span<const double> row = as_row(slot, scratch);
-      if constexpr (!std::is_same_v<std::decay_t<decltype(slot)>,
-                                    std::span<const double>>) {
-        poisoned = poisoned || rs::util::any_nan(row);
-      }
-      fn(row, length);
+      fn(as_row(slot, scratch), length);
     });
-    return poisoned;
   }
 
   /// The value row f_t(0..m) of slot t (1-based): a table view for a

@@ -1,7 +1,6 @@
 #include "engine/solver_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -27,6 +26,7 @@ namespace rs::engine {
 using rs::core::DenseProblem;
 using rs::core::Problem;
 using rs::core::PwlProblem;
+using rs::core::SlotSource;
 
 const char* to_string(SolveStatus status) noexcept {
   switch (status) {
@@ -44,10 +44,6 @@ const char* to_string(SolveStatus status) noexcept {
 
 namespace {
 
-// Rows per table-fill task: small enough that a batch of many small tables
-// still spreads across the workers, large enough to amortize the dispatch.
-constexpr std::size_t kFillRows = 8;
-
 // One shared delta session per distinct instance with kDeltaResolve jobs.
 // The mutex guards only the lazy base solve, which happens inside the first
 // probe behind the same job fault boundary.  Probes are const on the
@@ -58,31 +54,26 @@ struct DeltaSlot {
   std::optional<rs::offline::DpDeltaSession> session;
 };
 
-// The two passes jobs share, and the one-probe delta task.  Both kinds of
-// a pass read the same slot source the same way: kDpCost and kDpSchedule
-// one DP, kLcp and kLowMemory one work-function corridor.
-enum class PassKind { kDp, kCorridor, kDelta };
+// The passes jobs share, and the one-probe delta task.  A dense pass steps
+// an instance's rows once for all four kinds; a corridor pass runs the
+// work-function tracker, over cached PWL forms (all four kinds) or over a
+// streamed Problem with kAuto labels (a lone kLowMemory job whose PWL probe
+// threw).
+enum class PassKind { kDense, kCorridor, kDelta };
 
-PassKind pass_of(SolverKind kind) {
-  if (kind == SolverKind::kDeltaResolve) return PassKind::kDelta;
-  return kind == SolverKind::kDpCost || kind == SolverKind::kDpSchedule
-             ? PassKind::kDp
-             : PassKind::kCorridor;
+bool is_dp(SolverKind kind) {
+  return kind == SolverKind::kDpCost || kind == SolverKind::kDpSchedule;
 }
 
 // One task of a batch: the jobs that share one pass over one slot source —
-// the cached forms, else the table, else the members' one Problem streamed.
-// A kDelta pass has exactly one member.
+// the cached forms, else the caller's table, else the members' one Problem
+// streamed.  A kDelta pass has exactly one member.
 struct Pass {
-  PassKind kind = PassKind::kDp;
+  PassKind kind = PassKind::kDense;
   const PwlProblem* pwl = nullptr;
   const DenseProblem* dense = nullptr;
   DeltaSlot* delta = nullptr;
   std::vector<std::size_t> members;  // job indices, ascending
-  // The corridor labels over a streamed Problem: kAuto, or kDense for the
-  // retry of a failed PWL pass, which must not run PWL again.
-  rs::offline::WorkFunctionTracker::Backend labels =
-      rs::offline::WorkFunctionTracker::Backend::kAuto;
 };
 
 // The outcome of a failed job: its status and error, nothing else.
@@ -111,20 +102,6 @@ std::optional<SolveOutcome> guarded(Fn&& fn) {
   } catch (...) {  // rs-lint: catch-all-ok (classified to kException)
     return failed(SolveStatus::kException, "unknown exception");
   }
-}
-
-// The pass's shared work behind the fault boundary of every live member (a
-// member whose outcome is still ok): on a throw, each of them fails with
-// the classified error, as each would have failed solving alone.
-template <typename Step>
-bool shared_step(const Pass& pass, std::span<SolveOutcome> outcomes,
-                 Step&& step) {
-  const std::optional<SolveOutcome> failure = guarded(step);
-  if (!failure) return true;
-  for (const std::size_t i : pass.members) {
-    if (outcomes[i].ok()) outcomes[i] = *failure;
-  }
-  return false;
 }
 
 // One member's own part behind its own fault boundary: `fill` writes the
@@ -161,78 +138,124 @@ void finish([[maybe_unused]] const SolveJob& job, SolveOutcome& out,
   if (failure) out = std::move(*failure);
 }
 
+// A corridor member's answer from its pass: the corridor `bounds` and the
+// labels' minimum `cost`.  kLcp projects forward through the corridor and
+// prices its schedule on the job's table when it has one, else on its
+// Problem (also for PWL-routed jobs, whose cost bits thus match a solo
+// replay); the other kinds take the Lemma-11 solve, kDpCost without the
+// backward projection.
+void finish_corridor(const SolveJob& job, const Pass& pass, SolveOutcome& out,
+                     const rs::offline::BoundTrajectory& bounds, double cost) {
+  finish(job, out, [&](SolveOutcome& o) {
+    if (job.kind == SolverKind::kLcp) {
+      o.schedule = rs::online::lcp_schedule(bounds);
+      o.cost = rs::core::total_cost(pass.dense ? SlotSource(*pass.dense)
+                                               : SlotSource(*job.problem),
+                                    o.schedule);
+      return;
+    }
+    rs::offline::OfflineResult result = rs::offline::corridor_optimum(
+        cost, job.kind != SolverKind::kDpCost ? &bounds : nullptr);
+    o.cost = result.cost;
+    o.schedule = std::move(result.schedule);
+  });
+}
+
+// The live `members` of a pass share one tracker pass over `source` with
+// `labels`; a throw there fails each of them with the classified error, as
+// each would have failed solving alone.
+void corridor_pass(const Pass& pass, std::span<const std::size_t> members,
+                   const SlotSource& source,
+                   rs::offline::WorkFunctionTracker::Backend labels,
+                   std::span<const SolveJob> jobs,
+                   std::span<SolveOutcome> outcomes) {
+  rs::offline::BoundTrajectory bounds;
+  double cost = 0.0;
+  const std::optional<SolveOutcome> failure = guarded([&]() {
+    const rs::offline::WorkFunctionTracker tracker =
+        rs::offline::track_slots(source, labels, &bounds);
+    cost = tracker.tau() == 0 ? 0.0 : tracker.chat_min();
+  });
+  for (const std::size_t i : members) {
+    if (!outcomes[i].ok()) continue;
+    if (failure) {
+      outcomes[i] = *failure;
+    } else {
+      finish_corridor(jobs[i], pass, outcomes[i], bounds, cost);
+    }
+  }
+}
+
+// The dense pass: one offline::dense_pass over the source's rows writes the
+// labels, the parents while a kDpSchedule member is live and the corridor
+// while a kLcp or kLowMemory member is.  The DP members take its cost (a
+// kDpCost member's is bitwise the cost-only DP's) and schedule, and every
+// other member the corridor, exactly as the dense tracker would give it.
+// On a poisoned or throwing instance the DP members keep the pass's answer
+// (a NaN cost, or the throw), as the DP alone gives it, and the corridor
+// members rerun the tracker's own pass, so each meets its fault (the
+// tracker's NaN message, or the throw) as it would alone.
+void dense_members(const Pass& pass, const SlotSource& source,
+                   std::span<const SolveJob> jobs,
+                   std::span<SolveOutcome> outcomes) {
+  bool want_schedule = false;
+  bool want_corridor = false;
+  for (const std::size_t i : pass.members) {
+    if (!outcomes[i].ok()) continue;
+    want_schedule = want_schedule || jobs[i].kind == SolverKind::kDpSchedule;
+    want_corridor = want_corridor || !is_dp(jobs[i].kind);
+  }
+  rs::offline::BoundTrajectory bounds;
+  rs::offline::OfflineResult shared;
+  const std::optional<SolveOutcome> failure = guarded([&]() {
+    shared = rs::offline::dense_pass(source, want_schedule,
+                                     want_corridor ? &bounds : nullptr);
+  });
+  const bool corridor_ok = !failure && !std::isnan(shared.cost);
+  std::vector<std::size_t> rerun;
+  for (const std::size_t i : pass.members) {
+    if (!outcomes[i].ok()) continue;
+    if (!is_dp(jobs[i].kind)) {
+      if (corridor_ok) {
+        finish_corridor(jobs[i], pass, outcomes[i], bounds, shared.cost);
+      } else {
+        rerun.push_back(i);
+      }
+    } else if (failure) {
+      outcomes[i] = *failure;
+    } else {
+      finish(jobs[i], outcomes[i], [&](SolveOutcome& out) {
+        out.cost = shared.cost;
+        if (jobs[i].kind == SolverKind::kDpSchedule) {
+          out.schedule = shared.schedule;
+        }
+      });
+    }
+  }
+  if (!rerun.empty()) {
+    corridor_pass(pass, rerun, source,
+                  rs::offline::WorkFunctionTracker::Backend::kDense, jobs,
+                  outcomes);
+  }
+}
+
 // Solves a pass for its live members.
 void solve_pass(const Pass& pass, std::span<const SolveJob> jobs,
                 std::span<SolveOutcome> outcomes, std::mutex& stats_mutex,
                 BatchStats& stats) {
-  using rs::core::SlotSource;
   const SlotSource source =
       pass.pwl     ? SlotSource(*pass.pwl)
       : pass.dense ? SlotSource(*pass.dense)
                    : SlotSource(*jobs[pass.members.front()].problem);
   switch (pass.kind) {
-    case PassKind::kDp: {
-      // One DP gives every member its answer; a kDpCost member takes the
-      // schedule DP's cost, bitwise the cost-only DP's.
-      const bool want_schedule = std::any_of(
-          pass.members.begin(), pass.members.end(), [&](std::size_t i) {
-            return outcomes[i].ok() && jobs[i].kind == SolverKind::kDpSchedule;
-          });
-      rs::offline::OfflineResult shared;
-      if (!shared_step(pass, outcomes, [&]() {
-            if (want_schedule) {
-              shared = rs::offline::DpSolver().solve(source);
-            } else {
-              shared.cost = rs::offline::DpSolver().solve_cost(source);
-            }
-          })) {
-        return;
-      }
-      for (const std::size_t i : pass.members) {
-        if (!outcomes[i].ok()) continue;
-        finish(jobs[i], outcomes[i], [&](SolveOutcome& out) {
-          out.cost = shared.cost;
-          if (jobs[i].kind == SolverKind::kDpSchedule) {
-            out.schedule = shared.schedule;
-          }
-        });
-      }
+    case PassKind::kDense:
+      dense_members(pass, source, jobs, outcomes);
       return;
-    }
-    case PassKind::kCorridor: {
-      // One tracker pass: kLcp projects forward through the corridor, the
-      // other kinds backward, with the cost min Ĉ^L_T.
-      rs::offline::BoundTrajectory bounds;
-      std::optional<rs::offline::WorkFunctionTracker> tracker;
-      if (!shared_step(pass, outcomes, [&]() {
-            tracker.emplace(
-                rs::offline::track_slots(source, pass.labels, &bounds));
-          })) {
-        return;
-      }
-      for (const std::size_t i : pass.members) {
-        if (!outcomes[i].ok()) continue;
-        finish(jobs[i], outcomes[i], [&](SolveOutcome& out) {
-          if (jobs[i].kind == SolverKind::kLcp) {
-            out.schedule = rs::online::lcp_schedule(bounds);
-            // Priced on the table when there is one, else on the Problem
-            // (also for PWL-routed jobs, whose cost bits thus match a solo
-            // replay).
-            out.cost = rs::core::total_cost(
-                pass.dense ? SlotSource(*pass.dense)
-                           : SlotSource(*jobs[i].problem),
-                out.schedule);
-          } else {
-            const bool schedule = jobs[i].kind != SolverKind::kDpCost;
-            rs::offline::OfflineResult result = rs::offline::corridor_optimum(
-                *tracker, schedule ? &bounds : nullptr);
-            out.cost = result.cost;
-            out.schedule = std::move(result.schedule);
-          }
-        });
-      }
+    case PassKind::kCorridor:
+      corridor_pass(pass, pass.members, source,
+                    rs::offline::WorkFunctionTracker::Backend::kAuto, jobs,
+                    outcomes);
       return;
-    }
     case PassKind::kDelta: {
       const std::size_t i = pass.members.front();
       DeltaSlot& delta = *pass.delta;
@@ -260,9 +283,8 @@ void solve_pass(const Pass& pass, std::span<const SolveJob> jobs,
 // The batch's one task runner, and its fault boundary: nothing a pass does
 // can escape it, and each member gets its own outcome.  A member whose own
 // fault site fires fails alone and the rest share the pass.  A failed
-// member of a PWL-routed pass gets one dense-streaming retry, a pass of its
-// own over the Problem (no table build in the worker): the table DP for the
-// DP kinds, dense corridor labels for the others.  It is recorded as a
+// member of a PWL-routed pass gets one dense-streaming retry, a dense pass
+// of its own over the Problem, which converts nothing.  It is recorded as a
 // DegradeEvent; a failure on the final attempt becomes a non-kOk outcome
 // with an empty schedule.
 void run_pass(const Pass& pass, std::span<const SolveJob> jobs,
@@ -287,9 +309,8 @@ void run_pass(const Pass& pass, std::span<const SolveJob> jobs,
   for (const std::size_t i : pass.members) {
     if (outcomes[i].ok() || jobs[i].problem == nullptr) continue;
     std::string first_error = std::move(outcomes[i].error);
-    run_pass(Pass{pass_of(jobs[i].kind), nullptr, nullptr, nullptr, {i},
-                  rs::offline::WorkFunctionTracker::Backend::kDense},
-             jobs, outcomes, stats_mutex, stats);
+    run_pass(Pass{PassKind::kDense, nullptr, nullptr, nullptr, {i}}, jobs,
+             outcomes, stats_mutex, stats);
     if (outcomes[i].ok()) {
       const std::lock_guard<std::mutex> lock(stats_mutex);
       stats.degrade_events.push_back(DegradeEvent{i, std::move(first_error)});
@@ -379,8 +400,8 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
   result.outcomes.resize(jobs.size());
   BatchStats& stats = result.stats;
 
-  // The timed window covers the shared materialization too — a batch's
-  // throughput includes the cost of building its tables.
+  // The timed window covers the PWL probe too — a batch's throughput
+  // includes the cost of converting its forms.
   with_batch_stats(stats, jobs.size(), threads(), [&]() {
     // Backend probe per distinct Problem: instances whose every slot
     // admits a compact convex-PWL form run on the m-independent backend
@@ -394,8 +415,8 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
     std::unordered_set<const Problem*> probe_threw;
     std::vector<std::shared_ptr<const PwlProblem>> pwl_of(jobs.size());
     // Delta probes share one lazily base-solved session per distinct
-    // instance; they never touch the PWL probe or the dense tables (the
-    // session's tracker IS the instance's materialization).
+    // instance; they never touch the PWL probe or the shared passes (the
+    // session's tracker IS the instance's pass).
     std::unordered_map<const Problem*, std::unique_ptr<DeltaSlot>>
         delta_cache;
     std::vector<DeltaSlot*> delta_of(jobs.size(), nullptr);
@@ -437,105 +458,30 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
       }
     }
 
-    // One shared table per distinct Problem that still needs rows, filled
-    // on the engine's own executor (its pool, the global pool, or inline
-    // for threads = 1).  The calling thread allocates every table first, so
-    // the tables land in its malloc arena rather than in per-worker ones;
-    // then one dispatch fills all of them in kFillRows-row chunks, and each
-    // table is sealed (its per-row NaN flags reduced) before any job reads
-    // it.  Sealed tables are immutable, so sharing them across the batch's
-    // workers is safe.  A build fault (throwing cost function, failed
-    // allocation) fails only its own table: that instance's jobs stream
-    // from the Problem, where the per-job isolation classifies the error.
-    std::vector<std::shared_ptr<const DenseProblem>> dense_of(jobs.size());
-    std::unordered_map<const Problem*, std::size_t> table_index;
-    std::vector<const Problem*> table_problems;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const SolveJob& job = jobs[i];
-      if (job.kind == SolverKind::kDeltaResolve) continue;
-      if (job.dense) {
-        dense_of[i] = job.dense;
-        continue;
-      }
-      // PWL-routed jobs need no rows, and kLowMemory never causes a table
-      // (its O(m + T) memory contract); it may read one, below.
-      if (pwl_of[i] || job.kind == SolverKind::kLowMemory) continue;
-      if (table_index.try_emplace(job.problem, table_problems.size()).second) {
-        table_problems.push_back(job.problem);
-      }
-    }
-    const std::size_t table_count = table_problems.size();
-    std::vector<std::shared_ptr<DenseProblem>> tables(table_count);
-    std::vector<std::atomic<bool>> table_failed(table_count);
-    std::vector<std::pair<std::size_t, std::size_t>> chunks;  // (table, row)
-    for (std::size_t k = 0; k < table_count; ++k) {
-      try {
-        tables[k] = std::make_shared<DenseProblem>(*table_problems[k],
-                                                   DenseProblem::Unfilled{});
-      } catch (...) {  // rs-lint: catch-all-ok (allocation failure: the
-                       // instance's jobs stream and classify their own)
-        continue;
-      }
-      const auto rows = static_cast<std::size_t>(tables[k]->horizon());
-      for (std::size_t row = 0; row < rows; row += kFillRows) {
-        chunks.emplace_back(k, row);
-      }
-    }
-    dispatch(chunks.size(), [&](std::size_t c) {
-      const auto [k, first] = chunks[c];
-      if (table_failed[k].load()) return;
-      const Problem& problem = *table_problems[k];
-      const std::size_t last = std::min(
-          first + kFillRows, static_cast<std::size_t>(problem.horizon()));
-      try {
-        tables[k]->fill_rows(problem, first, last);
-      } catch (...) {  // rs-lint: catch-all-ok (fails this table only; its
-                       // jobs re-hit and classify the error)
-        table_failed[k].store(true);
-      }
-    });
-    for (std::size_t k = 0; k < table_count; ++k) {
-      if (tables[k] == nullptr || table_failed[k].load()) {
-        tables[k] = nullptr;
-        continue;
-      }
-      try {
-        tables[k]->seal();
-        ++stats.dense_tables_built;
-      } catch (...) {  // rs-lint: catch-all-ok (audit failure: the
-                       // instance's jobs stream and classify their own)
-        tables[k] = nullptr;
-      }
-    }
-    // Jobs on a Problem read its table when one was built.  So does a
-    // kLowMemory job: the probe found a slot with no compact form, so its
-    // own solve would run dense labels from slot 1 (track_slots), bitwise
-    // the table's pass.  After a probe that threw it streams instead, to
-    // meet the error itself.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const SolveJob& job = jobs[i];
-      if (dense_of[i] || pwl_of[i] || job.kind == SolverKind::kDeltaResolve ||
-          (job.kind == SolverKind::kLowMemory &&
-           probe_threw.contains(job.problem))) {
-        continue;
-      }
-      const auto it = table_index.find(job.problem);
-      if (it != table_index.end()) dense_of[i] = tables[it->second];
-    }
-
-    // One pass per (slot source, pass kind): jobs on one instance that
-    // read the same source share its DP and its corridor.
+    // One pass per (slot source, pass kind): the jobs on an instance that
+    // did not convert share one dense pass over its rows — the caller's
+    // table, else the Problem streamed, each row evaluated once — so no
+    // table is built.  A kLowMemory job whose probe threw streams the
+    // Problem on its own with kAuto labels instead, meeting the conversion
+    // error as it would alone.
     std::vector<Pass> passes;
     std::map<std::pair<const void*, PassKind>, std::size_t> pass_index;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      // On cached forms the DP *is* the corridor solve (DpSolver runs
-      // corridor_solve on a PwlProblem), so there every kind shares it.
-      const PassKind kind =
-          pwl_of[i] ? PassKind::kCorridor : pass_of(jobs[i].kind);
+      const SolveJob& job = jobs[i];
+      PassKind kind = PassKind::kDense;
+      const void* source = job.problem;
+      if (job.kind == SolverKind::kDeltaResolve) {
+        kind = PassKind::kDelta;
+      } else if (job.dense) {
+        source = job.dense.get();
+      } else if (pwl_of[i]) {
+        kind = PassKind::kCorridor;
+        source = pwl_of[i].get();
+      } else if (job.kind == SolverKind::kLowMemory &&
+                 probe_threw.contains(job.problem)) {
+        kind = PassKind::kCorridor;
+      }
       if (kind != PassKind::kDelta) {
-        const void* source = jobs[i].problem;
-        if (dense_of[i]) source = dense_of[i].get();
-        if (pwl_of[i]) source = pwl_of[i].get();
         const auto [it, inserted] =
             pass_index.try_emplace({source, kind}, passes.size());
         if (!inserted) {
@@ -543,7 +489,7 @@ BatchResult SolverEngine::run(std::span<const SolveJob> jobs) const {
           continue;
         }
       }
-      passes.push_back(Pass{kind, pwl_of[i].get(), dense_of[i].get(),
+      passes.push_back(Pass{kind, pwl_of[i].get(), job.dense.get(),
                             delta_of[i], {i}});
     }
 

@@ -6,25 +6,26 @@
 // overhead, not single-solve asymptotics.  SolverEngine batches them:
 //
 //   * jobs are (instance, solver kind) pairs submitted N at a time;
-//   * each distinct Problem is materialized into one shared DenseProblem
-//     (immutable once sealed, thread-safe), so K jobs on the same instance
-//     evaluate its cost rows once instead of K times; the rows are filled
-//     in chunks on the same executor the jobs run on;
-//   * jobs that read the same slot source share one solve pass over it:
-//     kDpCost and kDpSchedule one DP, kLcp and kLowMemory one
-//     work-function corridor (LCP projects forward through it, the
-//     Lemma-11 solve backward; on cached PWL forms all four kinds share
-//     it).  Each job keeps its own fault-site check, NaN demotion, outcome
-//     audit, error classification and PWL retry;
+//   * jobs on one instance share one solve pass over it, so K jobs
+//     evaluate its cost rows once instead of K times.  An instance whose
+//     every slot has a compact convex-PWL form runs one work-function
+//     corridor over its cached forms for all four kinds.  Any other
+//     instance runs one dense pass over its rows (the caller's table, else
+//     one eval_row per slot into an O(m) scratch row; no table is built):
+//     one step per slot writes the labels, the parents while a kDpSchedule
+//     job is live and the tie-rule corridor while a kLcp or kLowMemory job
+//     is, so kDpCost takes the minimum label, kDpSchedule backtracks the
+//     parents, kLowMemory projects backward through the corridor and kLcp
+//     forward.  Each job keeps its own fault-site check, NaN demotion,
+//     outcome audit, error classification and PWL retry;
 //   * passes run with dynamic scheduling across a ThreadPool (the global
 //     pool, a dedicated pool, or inline for threads = 1), and every solver
 //     draws its scratch from the per-thread workspace arenas
 //     (util/workspace.hpp), so a warm batch performs zero allocations in
 //     the solve loops;
 //   * every batch reports BatchStats: instances/sec, wall time, thread
-//     count, dense tables built, and the workspace-growth delta (the
-//     allocation-free flag the throughput benchmarks and warm-arena tests
-//     key on).
+//     count, and the workspace-growth delta (the allocation-free flag the
+//     throughput benchmarks and warm-arena tests key on).
 //
 // Results are written by job index, so batch outcomes are bit-identical to
 // sequential solo solves and deterministic under any thread count.
@@ -52,24 +53,23 @@ enum class SolverKind {
   kDpCost,        // DpSolver::solve_cost — O(m) memory, cost only
   kDpSchedule,    // DpSolver::solve — cost + optimal schedule
   kLcp,           // LCP replay — schedule + its total cost
-  kLowMemory,     // LowMemorySolver — O(m + T) memory, never causes a table
+  kLowMemory,     // LowMemorySolver — O(m + T) memory beyond what the
+                  // kDpSchedule parents of a shared pass already take
   kDeltaResolve,  // what-if probe on a shared DpDeltaSession (see SolveJob)
 };
 
 /// One batch entry.  `problem` is non-owning and must outlive run(); jobs
 /// may alternatively (or additionally) carry a pre-built dense table of the
-/// same instance (same T, m and β).  Every kind but kDeltaResolve uses
-/// `dense` when present; otherwise the engine serves `problem` from its
-/// shared materialization.  kLowMemory never causes a table (its O(m + T)
-/// memory contract) but reads one its sibling jobs caused: then some slot
-/// has no compact convex-PWL form, so its streamed solve would run dense
-/// labels from slot 1 too (offline::track_slots) and equals the table's
-/// bitwise.  After a PWL probe that threw it streams the Problem.
+/// same instance (same T, m and β).  Every kind but kDeltaResolve reads
+/// `dense` when present; otherwise the engine streams `problem`'s rows, or
+/// serves it from its cached PWL forms.  A kLowMemory job whose PWL probe
+/// threw streams the Problem on its own, so it meets the error as it would
+/// alone.
 ///
 /// kDeltaResolve answers "what if slot `edit_slot` of `problem` cost
 /// `edit_cost` instead?": the batch lazily base-solves each distinct
 /// instance into ONE shared offline::DpDeltaSession (the analog of the
-/// shared dense table), and every probe repairs forward from its edited
+/// shared pass), and every probe repairs forward from its edited
 /// slot — with the bitwise reconvergence early-exit — instead of
 /// re-solving the horizon.  Outcomes are bit-identical to a from-scratch
 /// solve of the edited instance and independent of probe order (probes
@@ -129,14 +129,16 @@ struct SolveOutcome {
 struct BatchStats {
   std::size_t jobs = 0;
   std::size_t threads = 1;
-  std::size_t dense_tables_built = 0;  // distinct instances materialized
+  // Always 0: the engine no longer builds tables (an instance's jobs share
+  // one streamed pass over its rows).  Kept because perfbench reads it; it
+  // goes when ROADMAP direction 8 retires BatchStats.
+  std::size_t dense_tables_built = 0;
   // Jobs served by the m-independent convex-PWL backend.  The engine
   // probes each distinct Problem by building a shared core::PwlProblem
   // (the probe IS the cache — its forms are kept, not discarded) and
-  // routes every job kind of an admitting instance there, skipping the
-  // dense table for that instance entirely — the selection that makes
-  // million-server batch entries feasible.  Jobs carrying an explicit
-  // pre-built table always run dense.
+  // routes every job kind of an admitting instance there, never stepping
+  // its O(m) rows — the selection that makes million-server batch entries
+  // feasible.  Jobs carrying an explicit pre-built table always run dense.
   std::size_t pwl_backed = 0;
   // Slot-to-ConvexPwl conversions performed this batch: exactly one per
   // slot per admitting distinct instance, however many jobs share it (the
@@ -176,9 +178,10 @@ class SolverEngine {
  public:
   struct Options {
     /// 0 = share the process-wide pool; 1 = run inline on the calling
-    /// thread (deterministic, no cross-thread handoff — shared tables are
-    /// filled inline too); N > 1 = dedicated pool with N workers owned by
-    /// this engine.  Jobs and table fills run on the same executor.
+    /// thread (deterministic, no cross-thread handoff); N > 1 = dedicated
+    /// pool with N workers owned by this engine.  Each pass runs on one
+    /// worker, so a batch parallelizes across its instances, not within
+    /// one instance's rows.
     std::size_t threads = 0;
   };
 

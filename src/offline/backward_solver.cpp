@@ -25,10 +25,9 @@ rs::core::Schedule backward_schedule(const BoundTrajectory& bounds) {
   return x;
 }
 
-OfflineResult corridor_optimum(const WorkFunctionTracker& tracker,
-                               const BoundTrajectory* bounds) {
+OfflineResult corridor_optimum(double cost, const BoundTrajectory* bounds) {
   OfflineResult result;
-  result.cost = tracker.tau() == 0 ? 0.0 : tracker.chat_min();
+  result.cost = cost;
   if (bounds != nullptr && result.feasible()) {
     result.schedule = backward_schedule(*bounds);
   }
@@ -39,8 +38,10 @@ OfflineResult corridor_solve(const rs::core::SlotSource& source,
                              bool want_schedule) {
   BoundTrajectory bounds;
   BoundTrajectory* const kept = want_schedule ? &bounds : nullptr;
-  return corridor_optimum(
-      track_slots(source, WorkFunctionTracker::Backend::kAuto, kept), kept);
+  const WorkFunctionTracker tracker =
+      track_slots(source, WorkFunctionTracker::Backend::kAuto, kept);
+  return corridor_optimum(tracker.tau() == 0 ? 0.0 : tracker.chat_min(),
+                          kept);
 }
 
 OfflineResult BackwardSolver::solve(const rs::core::SlotSource& source) const {

@@ -39,12 +39,11 @@ rs::core::Schedule backward_schedule(const BoundTrajectory& bounds);
 OfflineResult corridor_solve(const rs::core::SlotSource& source,
                              bool want_schedule = true);
 
-/// What corridor_solve reads off its finished pass: the cost min Ĉ^L_T of
-/// `tracker` (0 when it advanced no slot) and, when `bounds` holds the
-/// pass's corridor and the cost is finite, the backward projection through
-/// it.  The batch engine calls it on the one corridor pass it shares
-/// between LCP replays and low-memory solves of an instance.
-OfflineResult corridor_optimum(const WorkFunctionTracker& tracker,
-                               const BoundTrajectory* bounds);
+/// The Lemma-11 solve read off a finished corridor pass whose labels have
+/// minimum `cost` (min Ĉ^L_T, or 0 over no slot): that cost and, when
+/// `bounds` holds the pass's corridor and the cost is finite, the backward
+/// projection through it.  The batch engine calls it on the one pass it
+/// shares between an instance's jobs, a tracker's or a dense pass's.
+OfflineResult corridor_optimum(double cost, const BoundTrajectory* bounds);
 
 }  // namespace rs::offline

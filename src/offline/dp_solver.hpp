@@ -9,8 +9,9 @@
 // O(T·m²)).
 //
 // Backends:
-//   kDense      — the O(T·m) table DP above with parent-pointer schedule
-//                 reconstruction; the reference tie-breaking.  Its labels,
+//   kDense      — the O(T·m) table DP above (dense_pass below) with
+//                 parent-pointer schedule reconstruction; the reference
+//                 tie-breaking.  Its labels,
 //                 the cost-only DP's and the dense work-function tracker's
 //                 come from the same step, so the three are bitwise equal
 //                 for every β.
@@ -33,6 +34,7 @@
 
 #include "core/slot_source.hpp"
 #include "offline/solver.hpp"
+#include "offline/work_function.hpp"
 
 namespace rs::offline {
 
@@ -80,18 +82,34 @@ class DpSolver final : public OfflineSolver {
   Backend backend_ = Backend::kDense;
 };
 
-/// The kDense table DP itself, from a pinned start x_0 = `start_state`
-/// (0 for the paper's problem): labels over the source's rows (a
+/// The one dense forward pass of the O(T·m) DP over the source's rows (a
 /// DenseProblem's table views, or rows streamed once per run through
-/// eval_row), parent pointers, and a backtrack from the cheapest final
-/// state, since powering down at the end is free.  RHC and AFHC plan their
-/// windows with it (online/receding_horizon.hpp).  Scratch comes from the
-/// calling thread's workspace, so repeated solves do not allocate once it
-/// has grown.  An infeasible source returns cost +inf and no schedule.  A
-/// NaN anywhere in a row returns cost NaN and no schedule: the source's
-/// NaN report decides that, because the min folds would drop the NaN.
-/// Throws std::invalid_argument if `start_state` is outside [0, m].
-OfflineResult solve_dense(const rs::core::SlotSource& source,
-                          int start_state = 0);
+/// eval_row), from a pinned start x_0 = `start_state` (0 for the paper's
+/// problem).  One dense_step per slot (offline/dense_step.hpp) writes the
+/// labels W_t, the parent pointers only with `want_schedule`, and, with a
+/// non-null `corridor` (resized to T), the tie-rule corridor of every slot
+/// (core/tie_rule.hpp).  W_t is the bound work function Ĉ^L_t (eq. 11), so
+/// from x_0 = 0 that corridor is bitwise a dense WorkFunctionTracker's
+/// (compute_bounds with Backend::kDense).  The cost is the cheapest final
+/// label, since powering down at the end is free; the schedule, when asked
+/// for, backtracks the parents from it.  Scratch comes from the calling
+/// thread's workspace, so repeated passes do not allocate once it has
+/// grown.  An infeasible source returns cost +inf and no schedule.  Each
+/// row is checked for NaN before it is stepped, since the min folds would
+/// drop it: a poisoned source stops moving the labels at its first NaN
+/// row, keeps evaluating the rest (a throwing slot still throws), and
+/// returns cost NaN, no schedule and no meaningful corridor.  Throws
+/// std::invalid_argument if `start_state` is outside [0, m].
+OfflineResult dense_pass(const rs::core::SlotSource& source,
+                         bool want_schedule, BoundTrajectory* corridor,
+                         int start_state = 0);
+
+/// The kDense table DP itself: the dense pass with parents and no
+/// corridor.  RHC and AFHC plan their windows with it
+/// (online/receding_horizon.hpp).
+inline OfflineResult solve_dense(const rs::core::SlotSource& source,
+                                 int start_state = 0) {
+  return dense_pass(source, /*want_schedule=*/true, nullptr, start_state);
+}
 
 }  // namespace rs::offline

@@ -124,6 +124,11 @@ void WorkFunctionTracker::advance_core(InputRef input, int count,
   if (input.form != nullptr) {
     advance_repeated_pwl(*input.form, count, xl, xu);
   } else {
+    // The dense step's min folds would drop a NaN, so the row is checked
+    // before anything moves: a throw leaves the tracker as it was.
+    if (rs::util::any_nan(input.row)) {
+      throw std::invalid_argument("WorkFunctionTracker::advance: NaN cost");
+    }
     if (mode_ != Mode::kDense) init_dense();
     // No dense step can be skipped (the tie-rule scans compare accumulated
     // label values), but a run's row is evaluated once — the eval_row

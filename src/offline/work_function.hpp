@@ -73,7 +73,9 @@ class WorkFunctionTracker {
 
   /// Feeds f_τ (the next operating-cost function).  O(K + B) on the PWL
   /// backend (one clip pass and one linear breakpoint merge), O(m) (one
-  /// eval_row, no per-state dispatch) on the dense one.
+  /// eval_row, no per-state dispatch) on the dense one.  A NaN value on
+  /// the dense backend throws std::invalid_argument before anything moves,
+  /// so the tracker is left as it was (every advance below alike).
   void advance(const rs::core::CostFunction& f);
 
   /// Feeds f_τ in exact convex-PWL form (skips the conversion; a dense

@@ -1,6 +1,7 @@
-// A forwarding CostFunction that counts its as_convex_pwl calls; the
-// conversion-count regression tests pin the one-conversion-per-slot
-// invariants with it.
+// A forwarding CostFunction that counts its as_convex_pwl calls and,
+// given a second counter, its eval_row calls; the conversion-count and
+// row-count regression tests pin the one-conversion-per-slot and
+// one-row-per-slot invariants with it.
 #pragma once
 
 #include <atomic>
@@ -18,10 +19,14 @@ namespace rs::test_support {
 class CountingCost final : public rs::core::CostFunction {
  public:
   CountingCost(rs::core::CostPtr base,
-               std::shared_ptr<std::atomic<int>> conversions)
-      : base_(std::move(base)), conversions_(std::move(conversions)) {}
+               std::shared_ptr<std::atomic<int>> conversions,
+               std::shared_ptr<std::atomic<int>> rows = nullptr)
+      : base_(std::move(base)),
+        conversions_(std::move(conversions)),
+        rows_(std::move(rows)) {}
   double at(int x) const override { return base_->at(x); }
   void eval_row(int m, std::span<double> out) const override {
+    if (rows_) rows_->fetch_add(1, std::memory_order_relaxed);
     base_->eval_row(m, out);
   }
   bool is_convex() const override { return base_->is_convex(); }
@@ -39,6 +44,7 @@ class CountingCost final : public rs::core::CostFunction {
  private:
   rs::core::CostPtr base_;
   std::shared_ptr<std::atomic<int>> conversions_;
+  std::shared_ptr<std::atomic<int>> rows_;  // may be null
 };
 
 }  // namespace rs::test_support

@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "counting_cost.hpp"
 #include "mixed_form_instance.hpp"
 #include "rightsizer/rightsizer.hpp"
 
@@ -174,10 +177,10 @@ TEST(SolverEngine, BatchMatchesSoloSolvesAcrossKindsAndFamilies) {
   const BatchResult batch = engine.run(jobs);
   ASSERT_EQ(batch.outcomes.size(), jobs.size());
   EXPECT_EQ(batch.stats.jobs, jobs.size());
-  // Tables are materialized only for instances that do not admit the
-  // convex-PWL backend; PWL-served jobs are counted in pwl_backed, and
-  // each admitting instance is converted exactly once per batch (one
-  // as_convex_pwl per slot, shared by all four of its jobs).
+  // Instances that do not admit the convex-PWL backend stream one dense
+  // pass each and build no table; PWL-served jobs are counted in
+  // pwl_backed, and each admitting instance is converted exactly once per
+  // batch (one as_convex_pwl per slot, shared by all four of its jobs).
   std::size_t expected_tables = 0;
   std::size_t expected_pwl_jobs = 0;
   std::size_t expected_conversions = 0;
@@ -191,7 +194,7 @@ TEST(SolverEngine, BatchMatchesSoloSolvesAcrossKindsAndFamilies) {
   }
   EXPECT_GT(expected_tables, 0u);   // the fleet covers the dense path...
   EXPECT_GT(expected_pwl_jobs, 0u);  // ...and the PWL path
-  EXPECT_EQ(batch.stats.dense_tables_built, expected_tables);
+  EXPECT_EQ(batch.stats.dense_tables_built, 0u);
   EXPECT_EQ(batch.stats.pwl_backed, expected_pwl_jobs);
   EXPECT_EQ(batch.stats.pwl_conversions, expected_conversions);
 
@@ -280,13 +283,13 @@ TEST(SolverEngine, HandlesEdgeInstances) {
 TEST(SolverEngine, LowMemoryStreamsMixedFormInstances) {
   // Instances whose leading slots have compact convex-PWL forms
   // (AffineAbsCost) but whose later slots are opaque M/M/1 restricted
-  // costs: no compact form overall, so the batch builds each a shared
-  // table, and kLowMemory reads it.  Its outcome must still equal the
+  // costs: no compact form overall, so the batch runs each one dense pass,
+  // which kLowMemory shares.  Its outcome must still equal the
   // LowMemorySolver solo solve on the Problem bitwise: that solve resolves
   // kAuto over the whole instance and runs dense labels from slot 1, as the
-  // table's pass does.  A per-slot choice would run PWL labels over the
+  // dense pass does.  A per-slot choice would run PWL labels over the
   // leading slots instead, and on seeds 21, 78, 86 and 168 its cost
-  // differs from the table's in the last bits, so this test fails if
+  // differs from the dense pass's in the last bits, so this test fails if
   // either side goes back to choosing per slot.
   std::vector<Problem> instances;
   for (const std::uint64_t seed : {0u, 21u, 78u, 86u, 168u}) {
@@ -312,12 +315,13 @@ TEST(SolverEngine, LowMemoryStreamsMixedFormInstances) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
     SCOPED_TRACE(threads);
     const BatchResult batch = SolverEngine({.threads = threads}).run(mixed);
-    EXPECT_EQ(batch.stats.dense_tables_built, instances.size());
+    EXPECT_EQ(batch.stats.dense_tables_built, 0u);
     EXPECT_EQ(batch.stats.pwl_backed, 0u);
     expect_streamed(mixed, batch);
   }
 
-  // A batch of only kLowMemory jobs keeps the O(m + T) contract: no table.
+  // A batch of only kLowMemory jobs keeps the O(m + T) contract: no table,
+  // no parents.
   std::vector<SolveJob> low_memory_only;
   for (const Problem& p : instances) {
     low_memory_only.push_back(SolveJob{&p, nullptr, SolverKind::kLowMemory});
@@ -328,12 +332,11 @@ TEST(SolverEngine, LowMemoryStreamsMixedFormInstances) {
 }
 
 TEST(SolverEngine, SharedPassesMatchSoloSolves) {
-  // Jobs on one instance share its DP pass (kDpCost, kDpSchedule) and its
-  // corridor pass (kLcp, kLowMemory); a restricted M/M/1 instance's
-  // kLowMemory reads the table its siblings caused.  Whatever the mix, the
-  // duplicates, the job order and the thread count, every outcome must be
-  // bitwise its solo call: the job alone in a batch, and the library's
-  // plain entry point on the same form.
+  // Jobs on one instance share one pass: a dense pass over its rows for
+  // all four kinds, or the corridor pass over its PWL forms.  Whatever the
+  // mix, the duplicates, the job order and the thread count, every outcome
+  // must be bitwise its solo call: the job alone in a batch, and the
+  // library's plain entry point on the same form.
   std::vector<Problem> instances;
   for (int i = 0; i < 3; ++i) {
     rs::util::Rng rng(900 + static_cast<std::uint64_t>(i));
@@ -431,10 +434,10 @@ TEST(SolverEngine, SharedPassesMatchSoloSolves) {
     const BatchResult batch = SolverEngine({.threads = threads}).run(jobs);
     ASSERT_EQ(batch.outcomes.size(), jobs.size());
     EXPECT_EQ(batch.stats.failed_jobs, 0u);
-    // Tables for the restricted, quadratic and convex-table instances; the
-    // hinge one is PWL-routed; kLowMemory and the callers' tables cause
-    // none.
-    EXPECT_EQ(batch.stats.dense_tables_built, 5u);
+    // The restricted, quadratic and convex-table instances stream one dense
+    // pass each, the hinge one is PWL-routed, and the callers' tables are
+    // read in place: no table is built.
+    EXPECT_EQ(batch.stats.dense_tables_built, 0u);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const BatchResult solo = inline_engine.run({jobs[i]});
       const rs::engine::SolveOutcome want = reference(jobs[i]);
@@ -444,6 +447,68 @@ TEST(SolverEngine, SharedPassesMatchSoloSolves) {
       EXPECT_EQ(solo.outcomes[0].schedule, want.schedule) << "job " << i;
       EXPECT_EQ(got.cost, want.cost) << "job " << i;  // bitwise (EQ)
       EXPECT_EQ(got.schedule, want.schedule) << "job " << i;
+    }
+  }
+}
+
+TEST(SolverEngine, DensePassEvaluatesEachRowOnce) {
+  // All four kinds on an opaque M/M/1 instance share one dense pass over
+  // the streamed Problem: each slot's row is evaluated exactly once per
+  // batch, whatever the thread count, and every outcome is its solo solve.
+  rs::util::Rng rng(905);
+  rs::dcsim::DataCenterModel model;
+  model.servers = 20;
+  const rs::workload::Trace trace =
+      rs::workload::hotmail_like(rng, 1, 40, 0.6 * model.servers);
+  const Problem base = rs::dcsim::restricted_datacenter_problem(model, trace);
+  const auto conversions = std::make_shared<std::atomic<int>>(0);
+  const auto rows = std::make_shared<std::atomic<int>>(0);
+  std::vector<rs::core::CostPtr> fs;
+  for (int t = 1; t <= base.horizon(); ++t) {
+    fs.push_back(std::make_shared<rs::test_support::CountingCost>(
+        base.f_ptr(t), conversions, rows));
+  }
+  const Problem p(base.max_servers(), base.beta(), std::move(fs));
+  ASSERT_FALSE(rs::core::admits_compact_pwl(p));
+  std::vector<SolveJob> jobs;
+  for (SolverKind kind : kAllKinds) jobs.push_back(SolveJob{&p, nullptr, kind});
+
+  for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(threads);
+    rows->store(0);
+    const BatchResult batch = SolverEngine({.threads = threads}).run(jobs);
+    EXPECT_EQ(rows->load(), p.horizon());
+    EXPECT_EQ(batch.stats.dense_tables_built, 0u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_TRUE(batch.outcomes[i].ok()) << batch.outcomes[i].error;
+      const rs::engine::SolveOutcome solo = solo_solve(p, jobs[i].kind);
+      EXPECT_EQ(batch.outcomes[i].cost, solo.cost) << "job " << i;
+      EXPECT_EQ(batch.outcomes[i].schedule, solo.schedule) << "job " << i;
+    }
+  }
+}
+
+TEST(SolverEngine, MixedFormInstancesMatchSoloSolvesAtEveryThreadCount) {
+  // Mixed-form instances (compact leading slots, opaque later ones) carry
+  // all four kinds through one dense pass each; every outcome must be
+  // bitwise its solo solve at 1, 2 and 4 threads.
+  std::vector<Problem> instances;
+  for (const std::uint64_t seed : {21u, 78u, 86u}) {
+    instances.push_back(rs::test_support::mixed_form_instance(seed));
+    ASSERT_FALSE(rs::core::admits_compact_pwl(instances.back()));
+  }
+  const std::vector<SolveJob> jobs = fleet_jobs(instances);
+  for (std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    const BatchResult batch = SolverEngine({.threads = threads}).run(jobs);
+    EXPECT_EQ(batch.stats.failed_jobs, 0u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_TRUE(batch.outcomes[i].ok()) << batch.outcomes[i].error;
+      const rs::engine::SolveOutcome solo =
+          solo_solve(*jobs[i].problem, jobs[i].kind);
+      EXPECT_EQ(batch.outcomes[i].cost, solo.cost) << "job " << i;
+      EXPECT_EQ(batch.outcomes[i].schedule, solo.schedule) << "job " << i;
     }
   }
 }

@@ -572,10 +572,10 @@ SolveOutcome solo_outcome(const Problem& p, SolverKind kind) {
 
 TEST(BatchIsolation, PoisonedTablesFailAloneAtEveryThreadCount) {
   // One throwing and one NaN-poisoned restricted instance among healthy
-  // ones, all needing shared tables.  A throw while a worker fills a table
-  // must fail that table only: its jobs stream and classify their own
-  // error, the NaN table is built and its jobs fail kInvalidInput, and
-  // every sibling matches its solo solve — whatever the thread count.
+  // ones, each streaming one dense pass.  A throw in a pass must fail that
+  // instance's jobs only, each classifying its own error, the NaN
+  // instance's jobs fail kInvalidInput, and every sibling matches its solo
+  // solve — whatever the thread count.
   std::vector<Problem> problems;
   for (int i = 0; i < 4; ++i) {
     problems.push_back(restricted_problem(12 + 4 * i, 500 + i));
@@ -613,9 +613,8 @@ TEST(BatchIsolation, PoisonedTablesFailAloneAtEveryThreadCount) {
     options.threads = threads;
     const BatchResult result = SolverEngine(options).run(jobs);
     ASSERT_EQ(result.outcomes.size(), jobs.size());
-    // Healthy instances and the NaN one get tables; the throwing one
-    // does not.
-    EXPECT_EQ(result.stats.dense_tables_built, problems.size() - 1);
+    // No instance gets a table: each streams one dense pass.
+    EXPECT_EQ(result.stats.dense_tables_built, 0u);
     EXPECT_EQ(result.stats.failed_jobs, 2 * std::size(kinds));
     EXPECT_TRUE(result.stats.degrade_events.empty());
     for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -665,10 +664,10 @@ class ThrowingConversionCost final : public rs::core::CostFunction {
 };
 
 TEST(BatchIsolation, ThrowingProbeLeavesLowMemoryStreaming) {
-  // kLowMemory reads the table its siblings caused only after a probe that
+  // kLowMemory shares its siblings' dense pass only after a probe that
   // found no compact form.  Here the probe throws: the kDpCost sibling
-  // still solves on the table, and kLowMemory streams the Problem and meets
-  // the throw itself, as it would alone.
+  // still runs the dense pass, and kLowMemory streams the Problem on its
+  // own and meets the throw itself, as it would alone.
   const Problem base = restricted_problem(12, 910);
   std::vector<rs::core::CostPtr> fs;
   for (int t = 1; t <= base.horizon(); ++t) {
@@ -684,7 +683,7 @@ TEST(BatchIsolation, ThrowingProbeLeavesLowMemoryStreaming) {
     SolverEngine::Options options;
     options.threads = threads;
     const BatchResult result = SolverEngine(options).run(jobs);
-    EXPECT_EQ(result.stats.dense_tables_built, 1u);
+    EXPECT_EQ(result.stats.dense_tables_built, 0u);
     expect_outcome_bitwise(result.outcomes[0],
                            solo_outcome(p, SolverKind::kDpCost), 0);
     EXPECT_EQ(result.outcomes[1].status, SolveStatus::kException);
@@ -890,12 +889,12 @@ TEST(InjectedFaults, DenseRoutedJobsFailWithoutRetry) {
 }
 
 TEST(InjectedFaults, SharedPassMemberFailsAlone) {
-  // Every kind twice on restricted M/M/1 instances: per instance, four
-  // jobs share the DP pass over its table and four the corridor pass.  A
-  // fault fired on one member fails that job alone with kBackendFailure;
-  // the pass still runs for its siblings, which stay bitwise their solo
-  // solves.  Take the first injector seed from base_seed() + 73 that fails
-  // some but not all members of at least one pass.
+  // Every kind twice on restricted M/M/1 instances: per instance, all
+  // eight jobs share one dense pass over its rows.  A fault fired on one
+  // member fails that job alone with kBackendFailure; the pass still runs
+  // for its siblings, which stay bitwise their solo solves.  Take the first
+  // injector seed from base_seed() + 73 that fails some but not all members
+  // of at least one DP or corridor half of an instance's jobs.
   std::vector<Problem> problems;
   for (int i = 0; i < 3; ++i) {
     problems.push_back(restricted_problem(10 + 6 * i, 700 + i));
@@ -966,7 +965,7 @@ TEST(InjectedFaults, SharedPassMemberFailsAlone) {
     }
     EXPECT_EQ(result.stats.failed_jobs, failed);
     EXPECT_TRUE(result.stats.degrade_events.empty());
-    EXPECT_EQ(result.stats.dense_tables_built, problems.size());
+    EXPECT_EQ(result.stats.dense_tables_built, 0u);
   }
 }
 

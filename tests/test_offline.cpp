@@ -9,9 +9,16 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <stdexcept>
 #include <tuple>
+#include <vector>
 
+#include "core/dense_problem.hpp"
+#include "core/rle_problem.hpp"
 #include "core/schedule.hpp"
+#include "core/slot_source.hpp"
 #include "core/transforms.hpp"
 #include "offline/backward_solver.hpp"
 #include "offline/binary_search_solver.hpp"
@@ -20,6 +27,7 @@
 #include "offline/dp_solver.hpp"
 #include "offline/graph_solver.hpp"
 #include "offline/grid_continuous.hpp"
+#include "offline/work_function.hpp"
 #include "util/math_util.hpp"
 #include "util/rng.hpp"
 #include "workload/random_instance.hpp"
@@ -65,6 +73,57 @@ TEST(DpSolver, CostOnlyAgreesWithFull) {
         rng, InstanceFamily::kConvexTable, T, m, rng.uniform(0.2, 4.0));
     EXPECT_NEAR(dp.solve(p).cost, dp.solve_cost(p), 1e-9);
   }
+}
+
+TEST(DensePass, EveryVariantMatchesTheTableDpAndTheDenseTracker) {
+  // One pass with any mix of parents and corridor gives the table DP's cost
+  // and schedule and the dense tracker's corridor, bitwise, on a Problem,
+  // its table and an RLE form whose runs repeat each slot twice.
+  rs::util::Rng rng(131);
+  for (const InstanceFamily family : rs::workload::all_instance_families()) {
+    const Problem p = rs::workload::random_instance(
+        rng, family, 13, 9, rng.uniform(0.3, 3.0));
+    std::vector<rs::core::RleProblem::Run> runs;
+    for (int t = 1; t <= p.horizon(); ++t) runs.push_back({p.f_ptr(t), 2});
+    const rs::core::RleProblem rle(p.max_servers(), p.beta(), runs);
+    const rs::core::DenseProblem table(p);
+    for (const rs::core::SlotSource source :
+         {rs::core::SlotSource(p), rs::core::SlotSource(table),
+          rs::core::SlotSource(rle)}) {
+      const OfflineResult dp = solve_dense(source);
+      const BoundTrajectory bounds =
+          compute_bounds(source, WorkFunctionTracker::Backend::kDense);
+      for (const bool want_schedule : {false, true}) {
+        BoundTrajectory corridor;
+        const OfflineResult pass = dense_pass(source, want_schedule, &corridor);
+        EXPECT_EQ(pass.cost, dp.cost) << static_cast<int>(family);
+        EXPECT_EQ(pass.schedule, want_schedule ? dp.schedule : Schedule{});
+        EXPECT_EQ(corridor.lower, bounds.lower);
+        EXPECT_EQ(corridor.upper, bounds.upper);
+      }
+      EXPECT_EQ(dense_pass(source, false, nullptr).cost, dp.cost);
+    }
+  }
+}
+
+TEST(DensePass, PoisonedRowsStopTheLabelsButNotTheRows) {
+  // A NaN row yields cost NaN and no schedule; the rows after it are still
+  // evaluated, so a later throwing slot throws as the plain DP's does.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Problem poisoned = rs::core::make_table_problem(
+      2, 1.0, {{1.0, 0.0, 2.0}, {0.0, nan, 1.0}, {1.0, 1.0, 1.0}});
+  BoundTrajectory corridor;
+  const OfflineResult result = dense_pass(poisoned, true, &corridor);
+  EXPECT_TRUE(std::isnan(result.cost));
+  EXPECT_TRUE(result.schedule.empty());
+  EXPECT_TRUE(std::isnan(DpSolver().solve_cost(poisoned)));
+
+  std::vector<rs::core::CostPtr> fs = {poisoned.f_ptr(1), poisoned.f_ptr(2)};
+  fs.push_back(std::make_shared<rs::core::FunctionCost>(
+      [](int) -> double { throw std::runtime_error("late slot"); }, "late"));
+  const Problem late_throw(2, 1.0, std::move(fs));
+  EXPECT_THROW(dense_pass(late_throw, false, &corridor), std::runtime_error);
+  EXPECT_THROW(dense_pass(poisoned, false, nullptr, 3), std::invalid_argument);
 }
 
 TEST(DpSolver, EmptyHorizon) {

@@ -87,6 +87,37 @@ TEST(WorkFunction, ConstructionValidation) {
       std::invalid_argument);
 }
 
+TEST(WorkFunction, NaNRowLeavesTrackerUnchanged) {
+  // A NaN cost is rejected before the dense step moves anything: after the
+  // caught throw the labels, τ and the corridor are the clean prefix's, and
+  // the next clean advance equals that of a tracker that never saw the bad
+  // row.
+  const int m = 4;
+  const double beta = 1.5;
+  const std::vector<std::vector<double>> clean = {{3.0, 1.0, 2.0, 4.0, 6.0},
+                                                  {5.0, 2.0, 1.0, 0.5, 3.0}};
+  const std::vector<double> bad = {1.0, 2.0, std::nan(""), 3.0, 4.0};
+  const std::vector<double> next = {2.0, 0.0, 1.0, 2.5, 1.0};
+  WorkFunctionTracker hit(m, beta, WorkFunctionTracker::Backend::kDense);
+  WorkFunctionTracker never(m, beta, WorkFunctionTracker::Backend::kDense);
+  for (const std::vector<double>& row : clean) {
+    hit.advance(row);
+    never.advance(row);
+  }
+  const std::vector<double> labels = hit.chat_lower_vector();
+  EXPECT_THROW(hit.advance(bad), std::invalid_argument);
+  EXPECT_EQ(hit.chat_lower_vector(), labels);
+  EXPECT_EQ(hit.tau(), 2);
+  EXPECT_EQ(hit.x_lower(), never.x_lower());
+  EXPECT_EQ(hit.x_upper(), never.x_upper());
+  hit.advance(next);
+  never.advance(next);
+  EXPECT_EQ(hit.chat_lower_vector(), never.chat_lower_vector());
+  EXPECT_EQ(hit.tau(), never.tau());
+  EXPECT_EQ(hit.x_lower(), never.x_lower());
+  EXPECT_EQ(hit.x_upper(), never.x_upper());
+}
+
 TEST(WorkFunction, FirstStepClosedForm) {
   // Ĉ^L_1(x) = f_1(x) + βx and Ĉ^U_1(x) = f_1(x) (Lemma 8/9 base case).
   const double beta = 1.75;
